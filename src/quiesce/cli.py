@@ -27,11 +27,13 @@ from .depgraph import (
     graph_to_json,
 )
 from .errors import ProtocolViolation, QuiesceError, Rejection
-from .lifecycle import DeploymentManager, ModuleState, archive_to_json, parse_archive
+from .lifecycle import DeploymentManager, ModuleArchive, ModuleState, archive_to_json, parse_archive
 from .manager import (
     CostModel,
+    RedeploymentRun,
     ReconfigurationRequest,
     TargetChange,
+    check_mode,
     classify_structural_safety,
     estimate_window,
     parse_request,
@@ -180,30 +182,49 @@ def redeploy(
     out = _out_dir(ctx)
 
     if archive_file is not None:
-        _redeploy_archive(ctx, config, scenario, archive_file, module_id, mode, blocking, until, costs, out)
-        return
-    if request_file is None:
-        _fail("either REQUEST_FILE or --archive is required")
-    try:
-        request = parse_request(
-            _read(request_file),
-            file_loader=lambda rel: _read(str(Path(request_file).parent / rel)),
-        )
-    except QuiesceError as exc:
-        _fail(f"{request_file}: {exc}")
-    if mode == "strict":
-        kinds = _diff_kinds(request, config)
-        structural = sorted(name for name, kind in kinds if kind is ChangeKind.STRUCTURAL)
-        if structural:
-            click.echo(
-                f"rejected (strict mode): structural diffs on {structural}", err=True
+        try:
+            archive = parse_archive(_read(archive_file))
+        except QuiesceError as exc:
+            _fail(f"{archive_file}: {exc}")
+        module = module_id or archive.module
+
+        def run() -> RedeploymentRun:
+            engine = rt.Engine(config, seed=scenario.seed, drain_timeout=drain_timeout)
+            engine.load_scenario(scenario)
+            manager = DeploymentManager(engine)
+            # the running application counts as the module's current deployment
+            current = ModuleArchive(module, archive.version - 1, tuple(config.components().values()))
+            manager.adopt_running(module, current)
+            engine.run(until=0)
+            report = manager.redeploy(module, archive, mode=mode, blocking=blocking, costs=costs)
+            engine.run(until=until)
+            return RedeploymentRun(engine.log, engine, report, None)
+
+    else:
+        if request_file is None:
+            _fail("either REQUEST_FILE or --archive is required")
+        try:
+            request = parse_request(
+                _read(request_file),
+                file_loader=lambda rel: _read(str(Path(request_file).parent / rel)),
             )
-            sys.exit(EXIT_REJECTED)
+        except QuiesceError as exc:
+            _fail(f"{request_file}: {exc}")
+
+        def run() -> RedeploymentRun:
+            check_mode(request, config, mode)
+            return run_scenario_with_request(
+                config, scenario, request, until,
+                blocking=blocking, costs=costs, drain_timeout=drain_timeout,
+            )
+
+    # both forms from here: a Rejection raised by ``run`` refused the request
+    # before the run and writes nothing; one returned in the result was
+    # decided at the request instant and still gets the log and metrics
     try:
-        result = run_scenario_with_request(
-            config, scenario, request, until,
-            blocking=blocking, costs=costs, drain_timeout=drain_timeout,
-        )
+        result = run()
+    except Rejection as exc:
+        _rejected(exc)
     except ProtocolViolation as exc:
         click.echo(f"protocol violation: {exc}", err=True)
         sys.exit(EXIT_PROTOCOL)
@@ -212,50 +233,16 @@ def redeploy(
     _write(out / "events.jsonl", result.log.to_jsonl())
     _write(out / "metrics.json", metrics_json_text(compute_metrics(result.log.events)))
     if result.rejection is not None:
-        for verdict in result.rejection.verdicts:
-            click.echo(json.dumps(verdict.to_json(), sort_keys=True), err=True)
-        click.echo(f"rejected: {result.rejection}", err=True)
-        sys.exit(EXIT_REJECTED)
+        _rejected(result.rejection)
     _write_json(out / "report.json", result.report.to_json())
     sys.exit(EXIT_OK if result.report.outcome == "Completed" else EXIT_REJECTED)
 
 
-def _diff_kinds(request: ReconfigurationRequest, config):
-    from .manager import analyse
-
-    try:
-        return analyse(request, config).per_target
-    except QuiesceError as exc:
-        _fail(str(exc))
-
-
-def _redeploy_archive(ctx, config, scenario, archive_file, module_id, mode, blocking, until, costs, out):
-    try:
-        archive = parse_archive(_read(archive_file))
-    except QuiesceError as exc:
-        _fail(f"{archive_file}: {exc}")
-    module = module_id or archive.module
-    engine = rt.Engine(config, seed=scenario.seed)
-    engine.load_scenario(scenario)
-    manager = DeploymentManager(engine)
-    # the running application counts as the module's current deployment
-    from .lifecycle import ModuleArchive
-
-    current = ModuleArchive(module, archive.version - 1, tuple(config.components().values()))
-    manager.adopt_running(module, current)
-    engine.run(until=0)
-    try:
-        report = manager.redeploy(module, archive, mode=mode, blocking=blocking, costs=costs)
-    except Rejection as exc:
-        click.echo(f"rejected: {exc}", err=True)
-        sys.exit(EXIT_REJECTED)
-    except QuiesceError as exc:
-        _fail(str(exc))
-    engine.run(until=until)
-    _write(out / "events.jsonl", engine.log.to_jsonl())
-    _write(out / "metrics.json", metrics_json_text(compute_metrics(engine.log.events)))
-    _write_json(out / "report.json", report.to_json())
-    sys.exit(EXIT_OK if report.outcome == "Completed" else EXIT_REJECTED)
+def _rejected(rejection: Rejection) -> None:
+    for verdict in rejection.verdicts:
+        click.echo(json.dumps(verdict.to_json(), sort_keys=True), err=True)
+    click.echo(f"rejected: {rejection}", err=True)
+    sys.exit(EXIT_REJECTED)
 
 
 @cli.command(name="analyze-deps")

@@ -185,7 +185,6 @@ class _Invocation:
         "started_tx",
         "submitted_at",
         "parent",
-        "held_at",
     )
 
     def __init__(
@@ -211,7 +210,6 @@ class _Invocation:
         self.started_tx = False
         self.submitted_at = submitted_at
         self.parent = parent
-        self.held_at: Optional[int] = None
 
 
 class _Execution:
@@ -281,13 +279,11 @@ class _Container:
         self.pool_size = spec.pool_size
         self.barrier_mode = BARRIER_OPEN
         self.barrier_held: list[_Invocation] = []
-        self.barrier_activated_at: Optional[int] = None
         self.barrier_closed_at: Optional[int] = None
         self.clean_shutdown = False
         self.executing = 0
         self.touching_txs: set[str] = set()
         self.quiescence_waiters: list[Callable[[], None]] = []
-        self.drain_waiters: list[Callable[[], None]] = []
         self.bound_store: Optional[str] = descriptor.data_store
         self.bound_queue: Optional[str] = descriptor.queue
 
@@ -357,6 +353,10 @@ class Engine:
             raise EngineFault(f"cannot schedule into the past ({time} < {self.clock})")
         self._seq += 1
         heapq.heappush(self._heap, (time, prio, self._seq, fn))
+
+    def schedule(self, time: int, fn: Callable[[], None]) -> None:
+        """Run ``fn`` at ``time`` with the barrier transitions of that instant."""
+        self._at(time, PRIO_BARRIER, fn)
 
     def run(
         self, until: Optional[int] = None, stop_when: Optional[Callable[[], bool]] = None
@@ -495,7 +495,6 @@ class Engine:
         return False
 
     def _hold(self, container: _Container, inv: _Invocation) -> None:
-        inv.held_at = self.clock
         container.barrier_held.append(inv)
         self._emit(
             INVOCATION_HELD,
@@ -739,7 +738,6 @@ class Engine:
                 self._commit_transaction(tx)
         self._service_pool_queue(container)
         self._maybe_check_quiescence(container)
-        self._check_drained(container)
         if inv.parent is not None:
             self._child_returned(inv.parent)
 
@@ -788,7 +786,6 @@ class Engine:
         if container.barrier_mode != BARRIER_OPEN:
             raise AlreadyBarricaded(f"barrier on {component!r} is {container.barrier_mode}")
         container.barrier_mode = BARRIER_DRAINING
-        container.barrier_activated_at = self.clock
         container.barrier_closed_at = None
         self._emit(BARRIER_ACTIVATED, component=component)
         # pool waiters that would start new work are held like new arrivals;
@@ -815,6 +812,22 @@ class Engine:
         for waiter in waiters:
             waiter()
 
+    def barrier_state(self, component: str) -> str:
+        """The barrier mode of a container: Open, Draining or Closed."""
+        return self._container(component).barrier_mode
+
+    def on_quiescent(self, component: str, fn: Callable[[], None]) -> bool:
+        """Whether the barrier on ``component`` is closed now; if not, run ``fn`` once it closes.
+
+        A closed barrier returns True and leaves ``fn`` uncalled, so a caller
+        walking many already-closed containers loops instead of recursing.
+        """
+        container = self._container(component)
+        if container.barrier_mode == BARRIER_CLOSED:
+            return True
+        container.quiescence_waiters.append(fn)
+        return False
+
     def quiesce(self, component: str, timeout: Optional[int] = None) -> int:
         """Activate the barrier and run until quiescence; returns the instant reached.
 
@@ -837,7 +850,6 @@ class Engine:
         if container.barrier_mode == BARRIER_OPEN:
             return  # idempotent: releasing an open barrier acknowledges
         container.barrier_mode = BARRIER_OPEN
-        container.barrier_activated_at = None
         container.barrier_closed_at = None
         self._emit(BARRIER_RELEASED, component=component)
         held, container.barrier_held = container.barrier_held, []
@@ -857,14 +869,6 @@ class Engine:
             raise EngineFault(f"container {component!r} has no CleanShutdown interceptor")
         container.clean_shutdown = True
         self._emit(CLEAN_SHUTDOWN_ACTIVATED, component=component)
-        self._check_drained(container)
-
-    def _check_drained(self, container: _Container) -> None:
-        if not container.clean_shutdown or container.executing > 0:
-            return
-        waiters, container.drain_waiters = container.drain_waiters, []
-        for waiter in waiters:
-            waiter()
 
     def is_drained(self, component: str) -> bool:
         container = self._container(component)

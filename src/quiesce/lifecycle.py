@@ -4,9 +4,9 @@ Modules (bundles of component descriptors) are distributed, started,
 stopped, undeployed, and redeployed.  ``stop`` drains through the clean
 shutdown interceptor — running invocations complete, new ones are denied —
 while ``redeploy`` hands the per-component diffs to the reconfiguration
-manager so running sessions survive.  In strict mode any structural diff is
-refused outright; the default weakened mode lets the component-type safety
-rules decide.
+manager so running sessions survive.  The manager's ``check_mode`` applies
+the redeploy mode: strict refuses any structural diff outright, the default
+weakened mode lets the component-type safety rules decide.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 from .engine import Engine
 from .errors import (
@@ -30,12 +29,11 @@ from .manager import (
     ReconfigurationReport,
     ReconfigurationRequest,
     TargetChange,
-    analyse,
     build_plan,
+    check_mode,
     execute_plan,
 )
 from .model import (
-    ChangeKind,
     ComponentDescriptor,
     ContainerSpec,
     Wire,
@@ -88,18 +86,13 @@ class _ModuleRecord:
 class DeploymentManager:
     """Module lifecycle over one engine; operations are serialized."""
 
-    def __init__(self, engine: Engine, drain_timeout: Optional[int] = None):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.drain_timeout = drain_timeout if drain_timeout is not None else engine.drain_timeout
         self.modules: dict[str, _ModuleRecord] = {}
         self.events: list[ProgressEvent] = []
-        self.observers: list[Callable[[ProgressEvent], None]] = []
 
     def _progress(self, operation: str, module: str, status: str, detail: str = "") -> None:
-        event = ProgressEvent(operation, module, status, detail)
-        self.events.append(event)
-        for observer in self.observers:
-            observer(event)
+        self.events.append(ProgressEvent(operation, module, status, detail))
 
     def state_of(self, module: str) -> ModuleState:
         record = self.modules.get(module)
@@ -196,7 +189,7 @@ class DeploymentManager:
         names = [d.name for d in record.archive.components]
         for name in names:
             self.engine.begin_clean_shutdown(name)
-        deadline = self.engine.clock + self.drain_timeout
+        deadline = self.engine.clock + self.engine.drain_timeout
 
         def drained() -> bool:
             return all(self.engine.is_drained(name) for name in names)
@@ -238,10 +231,9 @@ class DeploymentManager:
         """Swap the changed components of a running module transparently.
 
         Diffs are component-wise: components the new archive leaves
-        untouched stay untouched.  Strict mode enforces the surface
-        restriction that the runtime configuration must not change (any
-        structural diff is refused); weakened mode defers to the
-        component-type safety rules.
+        untouched stay untouched.  ``mode`` is applied by the manager's
+        ``check_mode``: strict refuses any structural diff, weakened defers
+        to the component-type safety rules.
         """
         self._progress("Redeploy", module, "Running")
         record = self.modules.get(module)
@@ -281,20 +273,8 @@ class DeploymentManager:
             entity_migration=tuple(migration),
             requested_at=self.engine.clock,
         )
-        if mode == "strict":
-            analysis = analyse(request, self.engine.config)
-            structural = [
-                name for name, kind in analysis.per_target if kind is ChangeKind.STRUCTURAL
-            ]
-            if structural:
-                self._progress("Redeploy", module, "Failed", f"structural diff: {structural}")
-                raise Rejection(
-                    f"strict mode: runtime configuration must remain the same; "
-                    f"structural diffs on {structural}"
-                )
-        elif mode != "weakened":
-            raise ValidationError(f"unknown redeploy mode {mode!r}")
         try:
+            check_mode(request, self.engine.config, mode)
             plan = build_plan(
                 request, self.engine.config, self.engine.snapshot(), blocking=blocking, costs=costs
             )

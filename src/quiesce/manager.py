@@ -4,7 +4,10 @@ Turns a reconfiguration request into an executable plan in four stages:
 classify what changed (request analysis), decide per component type whether
 the change is safe (consistency rules), compute the minimal set of
 components to barricade (dependency analysis), and run the ordered steps
-against the engine (plan execution).
+against the engine (plan execution).  ``check_mode`` is the one place the
+redeploy mode is applied: strict refuses structural diffs before planning.
+The executor drives the engine through its public scheduling and barrier
+calls, and its report is a fold of the plan's own events.
 
 Safety is decided before anything is touched: one unsafe component rejects
 the whole request.  Barriers go up on the whole affected set at once
@@ -46,7 +49,6 @@ from .model import (
     ComponentKind,
     CompositeComponent,
     ConsistencyFinding,
-    ConsistencyReport,
     check_composition,
     diff_versions,
     dominant_change,
@@ -307,6 +309,26 @@ def analyse(request: ReconfigurationRequest, config: ApplicationConfiguration) -
         overall=dominant_change(kind for _, kind in per_target),
         granularity=granularity,
     )
+
+
+def check_mode(request: ReconfigurationRequest, config: ApplicationConfiguration, mode: str) -> None:
+    """Refuse a request its redeploy mode forbids, before anything is touched.
+
+    Strict mode keeps the runtime configuration the same, so any structural
+    diff is a Rejection; weakened mode leaves the decision to the
+    component-type safety rules that ``build_plan`` applies.
+    """
+    if mode == "weakened":
+        return
+    if mode != "strict":
+        raise ValidationError(f"unknown redeploy mode {mode!r}")
+    structural = sorted(
+        name for name, kind in analyse(request, config).per_target if kind is ChangeKind.STRUCTURAL
+    )
+    if structural:
+        raise Rejection(
+            f"strict mode: runtime configuration must remain the same; structural diffs on {structural}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +654,19 @@ class PlanExecutor:
         self.idx = 0
         self.done = False
         self.outcome: Optional[str] = None
-        self.activated_at: dict[str, int] = {}
-        self.released_at: dict[str, int] = {}
+        self.first_event = 0
         self.findings: list[ConsistencyFinding] = []
         self.detail = ""
 
     def start(self) -> None:
-        self.engine._at(self.engine.clock, rt.PRIO_BARRIER, self._proceed)
+        self.first_event = len(self.engine.log)
+        self.engine.schedule(self.engine.clock, self._proceed)
+
+    def run_until_done(self) -> None:
+        """Run the engine until the plan has finished."""
+        self.engine.run(stop_when=lambda: self.done)
+        if not self.done:
+            raise EngineFault("plan did not finish: engine ran out of events")
 
     # -- step machine --------------------------------------------------
 
@@ -648,17 +676,13 @@ class PlanExecutor:
             step = self.plan.steps[self.idx]
             if step.kind == ACTIVATE_BARRIER:
                 engine.activate_barrier(step.component)
-                self.activated_at[step.component] = engine.clock
                 deadline = engine.clock + engine.drain_timeout
-                engine._at(deadline, rt.PRIO_BARRIER, lambda c=step.component: self._check_timeout(c))
+                engine.schedule(deadline, lambda c=step.component: self._check_timeout(c))
                 self.idx += 1
             elif step.kind == AWAIT_QUIESCENCE:
-                container = engine.containers[step.component]
-                if container.barrier_mode == rt.BARRIER_CLOSED:
-                    self.idx += 1
-                    continue
-                container.quiescence_waiters.append(self._proceed_after_quiescence)
-                return
+                if not engine.on_quiescent(step.component, lambda: self._resume(lambda: True)):
+                    return
+                self.idx += 1
             elif step.kind == PAUSE_QUEUE:
                 engine.pause_queue(step.queue)
                 self.idx += 1
@@ -677,7 +701,6 @@ class PlanExecutor:
             elif step.kind == RELEASE_BARRIER:
                 self._collect_orphans(step.component)
                 engine.release_barrier(step.component)
-                self.released_at[step.component] = engine.clock
                 self.idx += 1
             elif step.kind == POST_CHECK:
                 report = check_composition(engine.config)
@@ -689,21 +712,16 @@ class PlanExecutor:
         if not self.done and self.idx >= len(self.plan.steps):
             self._finish(self.outcome or "Completed")
 
-    def _proceed_after_quiescence(self) -> None:
+    def _resume(self, action: Callable[[], bool]) -> None:
+        """Finish the current step with ``action`` and go on, unless the plan was abandoned."""
         if self.done:
             return
-        self.idx += 1
-        self._proceed()
+        if action():  # False: the action arranged its own continuation
+            self.idx += 1
+            self._proceed()
 
     def _run_timed(self, cost: int, action: Callable[[], bool]) -> None:
-        def resume() -> None:
-            if self.done:
-                return
-            if action():  # False: the action arranged its own continuation
-                self.idx += 1
-                self._proceed()
-
-        self.engine._at(self.engine.clock + cost, rt.PRIO_BARRIER, resume)
+        self.engine.schedule(self.engine.clock + cost, lambda: self._resume(action))
 
     def _do_sync(self, step: PlanStep) -> bool:
         migration = self.plan.request.migration_for(step.component)
@@ -711,17 +729,8 @@ class PlanExecutor:
         return True
 
     def _do_swap(self, step: PlanStep) -> bool:
-        container = self.engine.containers[step.component]
-        if container.barrier_mode != rt.BARRIER_CLOSED:
-            # a late joining transaction re-opened the drain; swap after it ends
-            def retry() -> None:
-                if self.done:
-                    return
-                if self._do_swap(step):
-                    self.idx += 1
-                    self._proceed()
-
-            container.quiescence_waiters.append(retry)
+        # a late joining transaction may have re-opened the drain; swap after it ends
+        if not self.engine.on_quiescent(step.component, lambda: self._resume(lambda: self._do_swap(step))):
             return False
         migration = self.plan.request.migration_for(step.component)
         self.engine.swap_component(
@@ -746,18 +755,13 @@ class PlanExecutor:
                 )
 
     def _check_timeout(self, component: str) -> None:
-        if self.done:
+        if self.done or self.engine.barrier_state(component) != rt.BARRIER_DRAINING:
             return
-        container = self.engine.containers.get(component)
-        if container is None or container.barrier_mode != rt.BARRIER_DRAINING:
-            return
-        # abandon: release every barrier still up, in provider-first order
+        # abandon: release every barrier, in provider-first order (releasing an open one emits nothing)
         self.detail = f"drain timeout waiting for {component!r}"
         for step in reversed(self.plan.steps):
-            if step.kind == ACTIVATE_BARRIER and step.component in self.activated_at:
-                if step.component not in self.released_at:
-                    self.engine.release_barrier(step.component)
-                    self.released_at[step.component] = self.engine.clock
+            if step.kind == ACTIVATE_BARRIER:
+                self.engine.release_barrier(step.component)
         self._finish("DrainTimeout")
 
     def _finish(self, outcome: str) -> None:
@@ -767,19 +771,16 @@ class PlanExecutor:
     # -- reporting -----------------------------------------------------
 
     def report(self) -> ReconfigurationReport:
+        """The outcome, with downtime and held calls folded from the events since ``start``."""
         if not self.done:
             raise EngineFault("plan execution has not finished")
         from .metrics import compute_metrics
 
-        metrics = compute_metrics(self.engine.log.events)
-        downtime = {}
-        for component, t0 in self.activated_at.items():
-            t1 = self.released_at.get(component, self.engine.clock)
-            downtime[component] = t1 - t0
+        metrics = compute_metrics(self.engine.log.events[self.first_event:])
         return ReconfigurationReport(
             request_id=self.plan.request.id,
             outcome=self.outcome,
-            downtime=downtime,
+            downtime=metrics.downtime,
             held_count=metrics.held_count,
             held_max_wait=metrics.held_max_wait,
             verdicts=self.plan.verdicts,
@@ -795,18 +796,8 @@ def execute_plan(
     """Run the plan to completion on an engine and report the outcome."""
     executor = PlanExecutor(engine, plan, costs)
     executor.start()
-    engine.run(stop_when=lambda: executor.done)
-    if not executor.done:
-        raise EngineFault("plan did not finish: engine ran out of events")
+    executor.run_until_done()
     return executor.report()
-
-
-def post_check(
-    config: ApplicationConfiguration, orphans: tuple[ConsistencyFinding, ...] = ()
-) -> ConsistencyReport:
-    """Composition check after a reconfiguration, plus orphaned-held-call findings."""
-    report = check_composition(config)
-    return ConsistencyReport(report.findings + tuple(orphans))
 
 
 @dataclass(frozen=True)
@@ -849,14 +840,13 @@ def run_scenario_with_request(
         state["executor"] = executor
         executor.start()
 
-    engine._at(request.requested_at, rt.PRIO_BARRIER, inject)
+    engine.schedule(request.requested_at, inject)
     engine.run(until=until)
     executor = state["executor"]
-    if executor is not None and not executor.done:
-        engine.run(stop_when=lambda: executor.done)  # let pending steps settle
-        if not executor.done:
-            raise EngineFault("plan did not finish: engine ran out of events")
-    report = executor.report() if executor is not None else None
+    report = None
+    if executor is not None:
+        executor.run_until_done()  # let pending steps settle
+        report = executor.report()
     return RedeploymentRun(engine.log, engine, report, state["rejection"])
 
 

@@ -8,8 +8,6 @@ schedules.  Every check prints ``ACCEPTANCE <name>: PASS`` once it holds.
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from dataclasses import dataclass
 
 import pytest
@@ -32,7 +30,7 @@ from quiesce.snapshot import load_snapshot
 from quiesce.workload import parse_scenario
 
 from builders import app, auto, call_entry, client, comp, iface, op, scenario_doc
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, read_fixture, run_cli
 from gen import AcceptanceCase, generate_case
 from oracles import expected_shadow_contents, forward_simulation_affected
 
@@ -363,10 +361,10 @@ def test_determinism(suite, tmp_path):
         (tmp_path / name).write_text((FIXTURES / name).read_text())
     outputs = []
     for out in ("r1", "r2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quiesce.cli", "--out", out, "redeploy",
-             "demo_chain.json", "demo_scenario.json", "demo_request.json", "--until", "300"],
-            cwd=tmp_path, capture_output=True, text=True,
+        proc = run_cli(
+            "--out", out, "redeploy",
+            "demo_chain.json", "demo_scenario.json", "demo_request.json", "--until", "300",
+            cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(

@@ -1,23 +1,12 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from builders import appdoc, comp, iface, op, scenario_doc
-from conftest import FIXTURES
-
-
-def run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "quiesce.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+from conftest import FIXTURES, run_cli
 
 
 @pytest.fixture
@@ -112,6 +101,16 @@ class TestSimulate:
         )
         result = run_cli(
             "redeploy", "pv_app.json", "pv_scenario.json", "pv_request.json",
+            "--until", "100", cwd=workdir,
+        )
+        assert result.returncode == 2
+        assert "protocol violation" in result.stderr
+        # the archive form reports the same violation the same way
+        (workdir / "pv_archive.json").write_text(
+            json.dumps({"module": "m", "version": 2, "components": [components[0], gutted]})
+        )
+        result = run_cli(
+            "redeploy", "pv_app.json", "pv_scenario.json", "--archive", "pv_archive.json",
             "--until", "100", cwd=workdir,
         )
         assert result.returncode == 2
@@ -282,6 +281,23 @@ class TestLifecycleCommands:
         assert result.returncode == 0, result.stderr
         report = json.loads((workdir / "o" / "report.json").read_text())
         assert report["outcome"] == "Completed"
+
+    def test_redeploy_via_archive_flag_honours_drain_timeout(self, workdir):
+        (workdir / "app.json").write_text(
+            appdoc([comp("S", operations=[op("work", duration=500)])])
+        )
+        (workdir / "busy.json").write_text(
+            scenario_doc([{"id": "c", "access": "Remote",
+                           "script": [{"at": 0, "call": {"component": "S", "interface": "IS", "operation": "work"}}]}])
+        )
+        (workdir / "shop_v2.json").write_text(self.archive_doc(version=2, duration=2))
+        result = run_cli(
+            "--out", "o", "redeploy", "app.json", "busy.json", "--archive", "shop_v2.json",
+            "--module", "shop", "--drain-timeout", "50", "--until", "1000", cwd=workdir,
+        )
+        assert result.returncode == 3, result.stderr
+        report = json.loads((workdir / "o" / "report.json").read_text())
+        assert report["outcome"] == "DrainTimeout"
 
 
 class TestClassify:

@@ -181,6 +181,8 @@ class TestRedeploy:
         assert manager.engine.config.components()["S"].version == 1
         sig_before = manager.engine.config.components()["S"].provided
         assert sig_before[0].operation_names() == frozenset({"work"})
+        with pytest.raises(ValidationError, match="unknown redeploy mode"):
+            manager.redeploy("shop", archive(version=2), mode="lenient")
 
     def test_weakened_mode_allows_safe_structural_diffs(self):
         manager = self.started_manager()
@@ -194,6 +196,21 @@ class TestRedeploy:
         new = archive(version=2, extra_op=True, kind="StatefulSession")
         with pytest.raises(Rejection):
             manager.redeploy("shop", new, mode="weakened")
+
+    def test_each_report_covers_only_its_own_plan(self):
+        manager = self.started_manager()
+        engine = manager.engine
+        calls = [client(f"c{k}", call_entry(3 * k, "S")) for k in range(30)]
+        engine.load_scenario(parse_scenario(scenario_doc(calls)))
+        engine.run(until=10)
+        first = manager.redeploy("shop", archive(version=2, duration=5))
+        engine.run(until=50)
+        start = len(engine.log)
+        second = manager.redeploy("shop", archive(version=3, duration=4))
+        own = compute_metrics(engine.log.events[start:])
+        assert first.held_count > 0 and second.held_count > 0
+        assert (second.held_count, second.held_max_wait) == (own.held_count, own.held_max_wait)
+        assert second.downtime == own.downtime
 
     def test_unchanged_components_are_untouched(self):
         manager = fresh_manager()

@@ -20,7 +20,6 @@ from quiesce.manager import (
     execute_plan,
     parse_request,
     plan_ordering_problems,
-    post_check,
     run_scenario_with_request,
     unchanged_remote_refs,
 )
@@ -382,8 +381,21 @@ class TestExecutePlan:
         assert report.outcome == "Rejected"
         assert any(f.kind == "signature-mismatch" for f in report.findings)
 
-    def test_post_check_delegates_to_composition(self, chain_config):
-        assert post_check(chain_config).consistent
+    def test_held_call_to_removed_operation_is_an_orphan_finding(self):
+        # weakened-mode structural swap drops `extra` while a call to it waits at the barrier
+        config = app([comp("S", provided=[iface("IS", "work", "extra")],
+                           operations=[op("work", duration=10), op("extra", duration=1)])])
+        scenario = parse_scenario(scenario_doc([
+            client("c1", call_entry(0, "S")),
+            client("c2", call_entry(3, "S", operation="extra", interface="IS")),
+        ]))
+        gutted = parse_component(comp("S", version=2, operations=[op("work", duration=10)]))
+        request = ReconfigurationRequest(id="r", targets=(TargetChange("S", gutted),), requested_at=2)
+        result = run_scenario_with_request(config, scenario, request, 100)
+        report = result.report
+        assert report.outcome == "Rejected"
+        assert [(f.kind, f.subject) for f in report.findings] == [("orphaned-held-call", "S")]
+        assert "c2:0" in report.findings[0].detail
 
 
 class TestScenarioWithRequest:

@@ -159,9 +159,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, *kinds: str) -> list[Event]:
-        return [e for e in self.events if e.kind in kinds]
-
     def to_jsonl(self) -> str:
         lines = [
             json.dumps({"t": e.t, "kind": e.kind, "payload": e.payload}, sort_keys=True)
@@ -339,9 +336,9 @@ class Engine:
         self._invalidated_sessions: set[str] = set()
         self._client_access: dict[str, Access] = {}
         self._violation: Optional[ProtocolViolation] = None
+        components = config.components()
         for spec in config.containers:
-            descriptor = config.components()[spec.hosted_component]
-            self.containers[spec.hosted_component] = _Container(spec, descriptor)
+            self.containers[spec.hosted_component] = _Container(spec, components[spec.hosted_component])
         self.start_all()
 
     # ------------------------------------------------------------------

@@ -278,7 +278,7 @@ class DeploymentManager:
             plan = build_plan(
                 request, self.engine.config, self.engine.snapshot(), blocking=blocking, costs=costs
             )
-        except Rejection as exc:
+        except (Rejection, ValidationError) as exc:
             self._progress("Redeploy", module, "Failed", str(exc))
             raise
         report = execute_plan(plan, self.engine, costs)

@@ -3,7 +3,9 @@
 Everything here is an immutable value.  The description document is a single
 strict JSON object; ``load_application`` parses and validates it, and every
 other operation in the package works off the resulting
-``ApplicationConfiguration``.
+``ApplicationConfiguration``.  Configurations and component descriptors index
+themselves lazily, once per instance, and every change makes a new instance,
+so an index never goes stale.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 from .automata import (
@@ -142,17 +145,22 @@ class ComponentDescriptor:
     def provided_names(self) -> frozenset[str]:
         return frozenset(sig.name for sig in self.provided)
 
-    def operation_spec(self, name: str) -> Optional[OperationSpec]:
+    @cached_property
+    def _specs_by_name(self) -> dict[str, OperationSpec]:
+        specs: dict[str, OperationSpec] = {}
         for op in self.operations:
-            if op.name == name:
-                return op
-        return None
+            specs.setdefault(op.name, op)
+        return specs
+
+    @cached_property
+    def _provided_operations(self) -> frozenset[tuple[str, str]]:
+        return frozenset((sig.name, op.name) for sig in self.provided for op in sig.operations)
+
+    def operation_spec(self, name: str) -> Optional[OperationSpec]:
+        return self._specs_by_name.get(name)
 
     def provides_operation(self, interface: str, operation: str) -> bool:
-        for sig in self.provided:
-            if sig.name == interface and operation in sig.operation_names():
-                return True
-        return False
+        return (interface, operation) in self._provided_operations
 
     def validate(self) -> None:
         if self.version < 0:
@@ -278,39 +286,42 @@ class ApplicationConfiguration:
     queues: tuple[str, ...]
     version: int
 
-    def components(self) -> dict[str, ComponentDescriptor]:
+    # The index: built on first use and kept in the instance ``__dict__``,
+    # outside the compared and hashed fields.
+
+    @cached_property
+    def _leaves(self) -> dict[str, ComponentDescriptor]:
         return {c.name: c for c in self.root.leaves()}
 
-    def wiring(self) -> tuple[Wire, ...]:
+    @cached_property
+    def _wires(self) -> tuple[Wire, ...]:
         return self.root.all_wiring()
 
-    def container_for(self, component: str) -> Optional[ContainerSpec]:
-        for spec in self.containers:
-            if spec.hosted_component == component:
-                return spec
-        return None
+    @cached_property
+    def _wires_by_requirement(self) -> dict[tuple[str, str], list[Wire]]:
+        """(requirer, interface) -> its wires in wiring order; more than one only when invalid."""
+        out: dict[tuple[str, str], list[Wire]] = {}
+        for wire in self._wires:
+            out.setdefault((wire.requirer, wire.interface), []).append(wire)
+        return out
+
+    def components(self) -> dict[str, ComponentDescriptor]:
+        return dict(self._leaves)
+
+    def wiring(self) -> tuple[Wire, ...]:
+        return self._wires
 
     def store_names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.data_stores)
 
-    def store_schema(self, name: str) -> Optional[tuple[str, ...]]:
-        for store, schema in self.data_stores:
-            if store == name:
-                return schema
-        return None
-
     def provider_of(self, requirer: str, interface: str) -> Optional[str]:
         """Internal provider wired to (requirer, interface), or None if external/unwired."""
-        for wire in self.wiring():
-            if wire.requirer == requirer and wire.interface == interface:
-                return wire.provider
-        return None
+        wires = self._wires_by_requirement.get((requirer, interface))
+        return wires[0].provider if wires else None
 
     def is_declared_external(self, requirer: str, interface: str) -> bool:
-        for wire in self.wiring():
-            if wire.requirer == requirer and wire.interface == interface and wire.provider is None:
-                return True
-        return False
+        wires = self._wires_by_requirement.get((requirer, interface), ())
+        return any(wire.provider is None for wire in wires)
 
     def with_component(self, descriptor: ComponentDescriptor) -> "ApplicationConfiguration":
         """Copy of this configuration with one leaf descriptor replaced and version bumped."""
@@ -583,9 +594,10 @@ def validate_configuration(config: ApplicationConfiguration) -> None:
                 f"{wire.interface!r}"
             )
 
+    by_requirement = config._wires_by_requirement
     for c in components.values():
         for interface in c.required:
-            matching = [w for w in wires if w.requirer == c.name and w.interface == interface]
+            matching = by_requirement.get((c.name, interface), ())
             if not matching:
                 raise ValidationError(
                     f"unwired requirement: component {c.name!r} requires {interface!r}"
@@ -638,10 +650,10 @@ def check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
     components = config.components()
     wires = config.wiring()
 
+    by_requirement = config._wires_by_requirement
     for c in sorted(components.values(), key=lambda c: c.name):
         for interface in c.required:
-            matching = [w for w in wires if w.requirer == c.name and w.interface == interface]
-            if not matching:
+            if (c.name, interface) not in by_requirement:
                 findings.append(
                     ConsistencyFinding(
                         "unwired-requirement", c.name, f"requires {interface!r} with no wire"

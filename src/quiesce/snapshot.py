@@ -50,12 +50,6 @@ class RuntimeSnapshot:
                 return frozenset(clients)
         return frozenset()
 
-    def transactions_touching(self, container: str) -> tuple[str, ...]:
-        for name, txs in self.active_transactions:
-            if name == container:
-                return txs
-        return ()
-
 
 def snapshot_to_json(snap: RuntimeSnapshot) -> dict:
     """Document form of a snapshot (cursor serialized as operation + state)."""

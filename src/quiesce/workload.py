@@ -128,31 +128,3 @@ def validate_scenario(scenario: WorkloadScenario, config: ApplicationConfigurati
     for message in scenario.messages:
         if message.queue not in config.queues:
             raise ScenarioError(f"message injection references unknown queue {message.queue!r}")
-
-
-def scenario_to_json(scenario: WorkloadScenario) -> dict:
-    clients = []
-    for client in scenario.clients:
-        script = []
-        for entry in client.script:
-            if isinstance(entry, ScriptCall):
-                script.append(
-                    {
-                        "at": entry.at,
-                        "call": {
-                            "component": entry.component,
-                            "interface": entry.interface,
-                            "operation": entry.operation,
-                        },
-                    }
-                )
-            else:
-                script.append({"at": entry.at, "home": entry.action, "component": entry.component})
-        clients.append({"id": client.id, "access": client.access.value, "script": script})
-    return {
-        "seed": scenario.seed,
-        "clients": clients,
-        "messages": [
-            {"queue": m.queue, "payload": m.payload, "at": m.at} for m in scenario.messages
-        ],
-    }

@@ -106,16 +106,26 @@ class TestLifecycleTransitions:
         manager = fresh_manager()
         manager.distribute(archive())
         manager.start("shop")
+        manager.redeploy("shop", archive(version=2, duration=7))
+        with pytest.raises(ValidationError, match="unknown redeploy mode"):
+            manager.redeploy("shop", archive(version=3, duration=9), mode="lenient")
         manager.stop("shop")
         manager.undeploy("shop")
-        by_operation: dict[str, list[str]] = {}
+        runs: list[tuple[str, list[str]]] = []
         for event in manager.events:
-            by_operation.setdefault(event.operation, []).append(event.status)
-        for operation, statuses in by_operation.items():
-            terminal = [s for s in statuses if s in ("Completed", "Failed")]
-            assert terminal == ["Completed"], operation
-            assert statuses[0] == "Running"
-            assert statuses[-1] in ("Completed", "Failed")
+            if event.status == "Running":
+                runs.append((event.operation, []))
+            assert runs[-1][0] == event.operation
+            runs[-1][1].append(event.status)
+        assert runs == [
+            ("Distribute", ["Running", "Completed"]),
+            ("Start", ["Running", "Completed"]),
+            ("Redeploy", ["Running", "Completed"]),
+            ("Redeploy", ["Running", "Failed"]),
+            ("Stop", ["Running", "Completed"]),
+            ("Undeploy", ["Running", "Completed"]),
+        ]
+        assert "lenient" in manager.events[-5].detail
 
     def test_command_sequences_up_to_length_six_respect_the_relation(self):
         """Exhaustive model check of the lifecycle state machine."""

@@ -24,7 +24,7 @@ from quiesce.manager import (
     unchanged_remote_refs,
 )
 from quiesce.metrics import call_latencies, compute_metrics, session_components
-from quiesce.model import ChangeKind, load_application, parse_component
+from quiesce.model import ChangeKind, CompositeComponent, load_application, parse_component
 from quiesce.workload import WorkloadScenario, parse_scenario
 
 from builders import app, appdoc, auto, call_entry, client, comp, iface, op, scenario_doc
@@ -490,6 +490,45 @@ class TestScenarioWithRequest:
         assert result.rejection is not None
         assert any(v.verdict is Verdict.UNSAFE for v in result.rejection.verdicts)
         assert [e for e in result.log if e.kind == "BarrierActivated"] == []
+
+    def test_lookups_do_not_rescan_the_configuration_per_invocation(self, monkeypatch):
+        """Each configuration walks its composite tree once, however many calls it routes."""
+        n = 63  # binary tree: C_i calls C_{2i+1} then C_{2i+2}
+        components = []
+        for i in range(n):
+            kids = [k for k in (2 * i + 1, 2 * i + 2) if k < n]
+            automaton = auto([(f"q{j}", f"IC{k}", "work", 0, f"q{j + 1}") for j, k in enumerate(kids)]) if kids else None
+            components.append(
+                comp(f"C{i}", required=[f"IC{k}" for k in kids],
+                     operations=[op("work", tx="StartsNew" if i == 0 else "Joins", duration=1, automaton=automaton)])
+            )
+        wiring = [(f"C{i}", f"IC{k}", f"C{k}") for i in range(n) for k in (2 * i + 1, 2 * i + 2) if k < n]
+        scenario = parse_scenario(
+            scenario_doc([client(f"s{c}", *(call_entry(t, "C0") for t in (0, 10, 20))) for c in range(4)], seed=3)
+        )
+        new_c5 = parse_component(
+            comp("C5", version=2, required=["IC11", "IC12"],
+                 operations=[op("work", tx="Joins", duration=2,
+                                automaton=auto([("q0", "IC11", "work", 0, "q1"), ("q1", "IC12", "work", 0, "q2")]))])
+        )
+        request = ReconfigurationRequest(id="swap-c5", targets=(TargetChange("C5", new_c5),), requested_at=15)
+
+        calls = {"leaves": 0, "all_wiring": 0}
+        for name in calls:
+            original = getattr(CompositeComponent, name)
+
+            def counted(node, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(node)
+
+            monkeypatch.setattr(CompositeComponent, name, counted)
+        config = app(components, wiring=wiring)
+        run = run_scenario_with_request(config, scenario, request, until=200)
+
+        assert run.report.outcome == "Completed"
+        assert sum(1 for e in run.log if e.kind == "InvocationStart") >= 200
+        # at most one walk of each kind per configuration: the loaded one and the swapped one
+        assert calls["leaves"] <= 2 and calls["all_wiring"] <= 2, calls
 
 
 class TestRequestDocuments:

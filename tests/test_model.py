@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiesce.engine import Engine
 from quiesce.errors import NameMismatch, ParseError, ValidationError, VersionError
 from quiesce.model import (
     ChangeKind,
+    CompositeComponent,
+    Wire,
     check_composition,
     diff_versions,
     dominant_change,
@@ -20,6 +24,7 @@ from quiesce.model import (
 
 from builders import app, appdoc, auto, comp, iface, op
 from conftest import read_fixture
+from gen import generate_case
 
 
 class TestLoadApplication:
@@ -238,6 +243,141 @@ class TestFlattening:
         config = load_application(json.dumps(doc))
         leaves, hierarchy = flatten_composite(config.root)
         assert renest_composite(leaves, hierarchy) == config.root
+
+
+def scan_tree(node: CompositeComponent) -> tuple[list, list[Wire]]:
+    """Leaves and wires of a composite tree, in document order, by direct recursion."""
+    leaves, wires = [], list(node.internal_wiring)
+    for child in node.children:
+        if isinstance(child, CompositeComponent):
+            child_leaves, child_wires = scan_tree(child)
+            leaves += child_leaves
+            wires += child_wires
+        else:
+            leaves.append(child)
+    return leaves, wires
+
+
+def assert_index_matches_scan(config) -> None:
+    leaves, wires = scan_tree(config.root)
+    assert config.components() == {c.name: c for c in leaves}
+    assert list(config.components()) == list(dict.fromkeys(c.name for c in leaves))
+    assert config.wiring() == tuple(wires)
+    interfaces = {w.interface for w in wires} | {i for c in leaves for i in c.required} | {"INope"}
+    for requirer in {c.name for c in leaves} | {w.requirer for w in wires} | {"Nope"}:
+        for interface in interfaces:
+            matching = [w for w in wires if w.requirer == requirer and w.interface == interface]
+            assert config.provider_of(requirer, interface) == (matching[0].provider if matching else None)
+            assert config.is_declared_external(requirer, interface) == any(
+                w.provider is None for w in matching
+            )
+    unwired = [
+        (c.name, f"requires {interface!r} with no wire")
+        for c in sorted(leaves, key=lambda c: c.name)
+        for interface in c.required
+        if not any(w.requirer == c.name and w.interface == interface for w in wires)
+    ]
+    findings = check_composition(config).findings
+    assert [(f.subject, f.detail) for f in findings if f.kind == "unwired-requirement"] == unwired
+    # unwired findings come first, in the scan's order
+    assert [f.kind for f in findings[: len(unwired)]] == ["unwired-requirement"] * len(unwired)
+
+
+def nested_config():
+    doc = json.loads(
+        appdoc(
+            [
+                comp("A", required=["IB", "ILog"],
+                     operations=[op("work", automaton=auto([("q0", "IB", "work", 0, "q1")]))]),
+                comp("B", required=["IC"]),
+                comp("C"),
+                comp("D", required=["IC", "ILog"]),
+            ],
+            wiring=[("D", "IC", "C"), ("D", "ILog", None)],
+            composites=[
+                {"name": "outer", "children": ["A", "inner"],
+                 "internal_wiring": [{"requirer": "A", "interface": "IB", "provider": "B"},
+                                     {"requirer": "A", "interface": "ILog", "provider": None}]},
+                {"name": "inner", "children": ["B", "C"],
+                 "internal_wiring": [{"requirer": "B", "interface": "IC", "provider": "C"}]},
+            ],
+        )
+    )
+    return load_application(json.dumps(doc))
+
+
+class TestConfigurationIndex:
+    @pytest.mark.parametrize("seed", range(1, 101))
+    def test_generated_cases_agree_with_a_linear_scan(self, seed):
+        config = load_application(generate_case(seed).config_text)
+        assert_index_matches_scan(config)
+        # a drifted copy: every other top-level wire gone, so some requirements are unwired
+        drifted = replace(config, root=replace(config.root, internal_wiring=config.root.internal_wiring[::2]))
+        assert_index_matches_scan(drifted)
+
+    def test_nested_composites_agree_with_a_linear_scan(self):
+        config = nested_config()
+        assert config.provider_of("A", "IB") == "B"
+        assert config.provider_of("B", "IC") == "C"
+        assert config.is_declared_external("A", "ILog")
+        assert_index_matches_scan(config)
+
+    def test_duplicate_wire_added_by_the_engine_first_wire_wins(self):
+        engine = Engine(nested_config())
+        x = parse_component(comp("X", required=["IC"]))
+        engine.add_component(x, wiring=(Wire("X", "IC", "C"), Wire("X", "IC", None), Wire("X", "IC", "B")))
+        config = engine.config
+        assert config.provider_of("X", "IC") == "C"
+        assert config.is_declared_external("X", "IC")
+        assert_index_matches_scan(config)
+
+    def test_descriptor_operation_maps_agree_with_a_scan(self):
+        for seed in range(1, 21):
+            for c in load_application(generate_case(seed).config_text).components().values():
+                for name in {o.name for o in c.operations} | {"nope"}:
+                    assert c.operation_spec(name) == next((o for o in c.operations if o.name == name), None)
+                for sig in c.provided:
+                    for name in sig.operation_names() | {"nope"}:
+                        expected = any(s.name == sig.name and name in s.operation_names() for s in c.provided)
+                        assert c.provides_operation(sig.name, name) == expected
+                        assert not c.provides_operation("INope", name)
+
+
+class TestIndexNeverStale:
+    def test_with_component_answers_with_the_new_descriptor(self, chain_config):
+        old_c = chain_config.components()["C"]
+        new_c = replace(old_c, version=2, operations=(replace(old_c.operations[0], duration=9),))
+        swapped = chain_config.with_component(new_c)
+        assert swapped.components()["C"] is new_c
+        assert swapped.components()["C"].operation_spec(new_c.operations[0].name).duration == 9
+        assert chain_config.components()["C"] is old_c
+        assert_index_matches_scan(swapped)
+        assert_index_matches_scan(chain_config)
+
+    def test_add_and_remove_component_answer_with_the_new_wiring(self):
+        engine = Engine(nested_config())
+        before = engine.config
+        assert before.provider_of("X", "IC") is None  # builds the old index first
+        engine.add_component(parse_component(comp("X", required=["IC"])), wiring=(Wire("X", "IC", "C"),))
+        added = engine.config
+        assert added.provider_of("X", "IC") == "C"
+        assert "X" in added.components()
+        assert before.provider_of("X", "IC") is None
+        assert "X" not in before.components()
+        engine.remove_component("X")
+        removed = engine.config
+        assert removed.provider_of("X", "IC") is None
+        assert "X" not in removed.components()
+        assert added.provider_of("X", "IC") == "C"
+        for config in (before, added, removed):
+            assert_index_matches_scan(config)
+
+    def test_mutating_the_components_dict_leaves_the_configuration_alone(self, chain_config):
+        expected = dict(chain_config.components())
+        handed_out = chain_config.components()
+        handed_out.clear()
+        handed_out["Z"] = expected["C"]
+        assert chain_config.components() == expected
 
 
 @settings(max_examples=60, deadline=None)

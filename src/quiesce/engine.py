@@ -13,7 +13,9 @@ effect automaton offers a choice of behaviour, the branch is drawn from a
 generator seeded by the scenario seed and the invocation's *structural*
 identity (client id and script position, or message index), never by
 arrival order — so the behaviour of one session cannot depend on how
-unrelated sessions were interleaved.
+unrelated sessions were interleaved.  Each execution creates its generator
+at its first choice, from the seed taken when it began and that identity;
+an execution that never chooses creates none.
 
 Execution model
 ---------------
@@ -26,6 +28,10 @@ before its transition, which is exactly what the dependency pruning
 assumes.  After the walk ends a final local segment tops the busy time up
 to the operation's declared ``duration`` (if the gaps have not consumed it
 already); an operation with no automaton simply runs for ``duration``.
+A call that finds no free instance waits in its container's pool queue;
+waiters start FIFO from the head, and pools of the interchangeable kinds
+stop at the first refusal, since a refused acquisition refuses every later
+waiter until a completion frees an instance.
 
 Barrier semantics
 -----------------
@@ -135,6 +141,10 @@ def _toward_final(automaton, state):
     return None
 
 
+# the encoder json.dumps(..., sort_keys=True) would build per event, built once
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 @dataclass(frozen=True)
 class Event:
     t: int
@@ -160,10 +170,7 @@ class EventLog:
         return len(self.events)
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps({"t": e.t, "kind": e.kind, "payload": e.payload}, sort_keys=True)
-            for e in self.events
-        ]
+        lines = [_ENCODER.encode({"t": e.t, "kind": e.kind, "payload": e.payload}) for e in self.events]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -217,6 +224,7 @@ class _Execution:
         "instance",
         "spec",
         "cursor",
+        "seed",
         "rng",
         "emitted",
         "delays_spent",
@@ -230,7 +238,7 @@ class _Execution:
         invocation: _Invocation,
         instance: "_Instance",
         spec: OperationSpec,
-        rng: random.Random,
+        seed: int,
         started_at: int,
     ) -> None:
         self.invocation = invocation
@@ -239,7 +247,8 @@ class _Execution:
         self.cursor: Optional[AutomatonCursor] = (
             spec.effect_automaton.cursor() if spec.effect_automaton else None
         )
-        self.rng = rng
+        self.seed = seed
+        self.rng: Optional[random.Random] = None  # created at the first choice
         self.emitted = 0
         self.delays_spent = 0
         self.pending_gap = 0
@@ -576,19 +585,27 @@ class Engine:
         return instance
 
     def _service_pool_queue(self, container: _Container) -> None:
-        if not container.pool_wait:
+        waiting = container.pool_wait
+        if not waiting:
             return
+        # completions are always scheduled, so nothing frees an instance in this
+        # loop: one refusal refuses every later waiter unless bindings decide
+        interchangeable = container.descriptor.kind is not ComponentKind.STATEFUL_SESSION
         remaining: list[_Invocation] = []
-        for inv in container.pool_wait:
+        # enumerate also reaches waiters that _begin re-dispatches onto this container
+        for index, inv in enumerate(waiting):
             spec = container.descriptor.operation_spec(inv.operation)
             if spec is None:
                 remaining.append(inv)
                 continue
             instance = self._acquire_instance(container, inv)
-            if instance is None:
-                remaining.append(inv)
-            else:
+            if instance is not None:
                 self._begin(container, inv, spec, instance)
+            elif interchangeable:
+                remaining += waiting[index:]
+                break
+            else:
+                remaining.append(inv)
         container.pool_wait = remaining
 
     # ------------------------------------------------------------------
@@ -618,8 +635,7 @@ class Engine:
             container.touching_txs.add(tx.id)
         container.executing += 1
         instance.invocations_served += 1
-        rng = random.Random(f"{self.seed}|{inv.id}")
-        execution = _Execution(inv, instance, spec, rng, self.clock)
+        execution = _Execution(inv, instance, spec, self.seed, self.clock)
         instance.current = execution
         self._emit(
             INVOCATION_START,
@@ -653,8 +669,12 @@ class Engine:
             choices = [None]
         if execution.emitted >= _WALK_CAP:
             pick = _toward_final(automaton, execution.cursor.current)
+        elif len(choices) > 1:
+            if execution.rng is None:
+                execution.rng = random.Random(f"{execution.seed}|{execution.invocation.id}")
+            pick = execution.rng.choice(choices)
         else:
-            pick = execution.rng.choice(choices) if len(choices) > 1 else choices[0]
+            pick = choices[0]
         if pick is None:
             tail = max(0, spec.duration - execution.delays_spent)
             self._at(self.clock + tail, PRIO_COMPLETION, lambda: self._complete(execution))

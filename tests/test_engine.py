@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quiesce.engine as engine_module
 from quiesce.engine import (
     BARRIER_CLOSED,
     BARRIER_DRAINING,
@@ -69,6 +73,14 @@ class TestBasicRuns:
         first, _ = run(load_application(read_fixture("demo_chain.json")), scenario, until=200)
         second, _ = run(load_application(read_fixture("demo_chain.json")), scenario, until=200)
         assert first.to_jsonl() == second.to_jsonl()
+
+    def test_log_lines_are_sorted_key_json(self, chain_config):
+        log, _ = run(chain_config, parse_scenario(read_fixture("demo_scenario.json")), until=200)
+        expected = "".join(
+            json.dumps({"t": e.t, "kind": e.kind, "payload": e.payload}, sort_keys=True) + "\n"
+            for e in log
+        )
+        assert log.to_jsonl() == expected
 
     def test_chain_call_tree_timing(self, chain_config):
         scenario = parse_scenario(
@@ -636,3 +648,280 @@ class TestSnapshotCapture:
         # mutating the engine further must not disturb the captured value
         engine.run(until=50)
         assert snapshot.time == 2
+
+
+def _full_scan_service_pool_queue(self, container):
+    """Reference servicing: offer every waiter an instance on every call."""
+    if not container.pool_wait:
+        return
+    remaining = []
+    for inv in container.pool_wait:
+        spec = container.descriptor.operation_spec(inv.operation)
+        if spec is None:
+            remaining.append(inv)
+            continue
+        instance = self._acquire_instance(container, inv)
+        if instance is None:
+            remaining.append(inv)
+        else:
+            self._begin(container, inv, spec, instance)
+    container.pool_wait = remaining
+
+
+def _same_log_as_full_scan(monkeypatch, drive) -> Engine:
+    """Run ``drive()`` (which returns a finished engine) with both servicing loops."""
+    head_only = drive()
+    with monkeypatch.context() as patched:
+        patched.setattr(Engine, "_service_pool_queue", _full_scan_service_pool_queue)
+        full_scan = drive()
+    assert head_only.log.to_jsonl() == full_scan.log.to_jsonl()
+    return head_only
+
+
+def _pool_waits(log) -> int:
+    return sum(1 for e in log if e.kind == "InvocationStart" and e.t > e.payload["submitted_at"])
+
+
+def _saturated_app(kind: str, pool: int):
+    """Front F calls S twice per transaction; S runs in a pool of ``pool``."""
+    back = {"entity_schema": ["c"], "data_store": "db"} if kind == "Entity" else {}
+    return app(
+        [
+            comp("F", provided=[iface("IF", "go")], required=["IS"],
+                 operations=[op("go", duration=6, automaton=auto(
+                     [("q0", "IS", "work", 1, "q1"), ("q1", "IS", "work", 0, "q2")]))]),
+            comp("S", kind=kind, operations=[op("work", tx="Joins", duration=3)], **back),
+        ],
+        wiring=[("F", "IS", "S")],
+        containers=[
+            {"hosted_component": "F", "pool_size": 8},
+            {"hosted_component": "S", "pool_size": pool},
+        ],
+        data_stores=[{"name": "db", "schema": ["c"]}] if kind == "Entity" else None,
+    )
+
+
+def _saturating_scenario():
+    """Twelve sessions: calls through F (joining) and straight to S (new work)."""
+    front = {"component": "F", "interface": "IF", "operation": "go"}
+    clients = [
+        client(f"u{i}", *[{"at": i % 4 + 9 * k, "call": front} for k in range(3)],
+               call_entry(i % 3 + 2, "S"), call_entry(i % 5 + 20, "S"))
+        for i in range(12)
+    ]
+    return parse_scenario(scenario_doc(clients))
+
+
+class TestPoolServicing:
+    """Head-only servicing starts exactly the waiters the full scan starts."""
+
+    @pytest.mark.parametrize("pool", [1, 2])
+    @pytest.mark.parametrize("kind", ["StatelessSession", "Entity", "StatefulSession"])
+    def test_saturated_pool_matches_full_scan(self, monkeypatch, kind, pool):
+        def drive():
+            engine = Engine(_saturated_app(kind, pool))
+            engine.load_scenario(_saturating_scenario())
+            engine.run(until=400)
+            return engine
+
+        engine = _same_log_as_full_scan(monkeypatch, drive)
+        if kind != "StatefulSession":
+            assert _pool_waits(engine.log) >= 100
+            return
+        # bound sessions start past waiters whose sessions never get an instance
+        stuck = min(inv.submitted_at for inv in engine.containers["S"].pool_wait)
+        overtakers = [e for e in engine.log if e.kind == "InvocationStart"
+                      and e.payload["component"] == "S" and e.t > e.payload["submitted_at"] > stuck]
+        assert overtakers
+
+    @pytest.mark.parametrize("pool", [1, 2])
+    def test_message_backlog_matches_full_scan(self, monkeypatch, pool):
+        config = app(
+            [
+                comp("M", kind="MessageDriven", provided=[iface("IM", "onMessage")], required=["IE"],
+                     operations=[op("onMessage", duration=3, automaton=auto([("q0", "IE", "save", 1, "q1")]))],
+                     queue="q"),
+                comp("E", kind="Entity", provided=[iface("IE", "save")],
+                     operations=[op("save", tx="Joins", duration=2)],
+                     entity_schema=["c"], data_store="db"),
+            ],
+            wiring=[("M", "IE", "E")],
+            containers=[{"hosted_component": "M", "pool_size": pool},
+                        {"hosted_component": "E", "pool_size": 1}],
+            data_stores=[{"name": "db", "schema": ["c"]}],
+            queues=["q"],
+        )
+        messages = [{"queue": "q", "payload": f"m{i}", "at": 0 if i < 60 else 40} for i in range(90)]
+
+        def drive():
+            engine = Engine(config)
+            engine.load_scenario(parse_scenario(scenario_doc(messages=messages)))
+            engine.run(until=1000)
+            return engine
+
+        engine = _same_log_as_full_scan(monkeypatch, drive)
+        assert _pool_waits(engine.log) >= 50
+        assert len([e for e in engine.log if e.kind == "InvocationEnd"]) == 180
+
+    @pytest.mark.parametrize("kind", ["StatelessSession", "StatefulSession"])
+    def test_barrier_activated_while_waiters_queue_matches_full_scan(self, monkeypatch, kind):
+        def drive():
+            engine = Engine(_saturated_app(kind, 1))
+            engine.load_scenario(_saturating_scenario())
+            engine.run(until=5)
+            assert engine.containers["S"].pool_wait
+            engine.activate_barrier("S")
+            engine.run(until=400, stop_when=lambda: engine.barrier_state("S") == BARRIER_CLOSED)
+            engine.release_barrier("S")
+            engine.run(until=800)
+            return engine
+
+        engine = _same_log_as_full_scan(monkeypatch, drive)
+        kinds = [e.kind for e in engine.log]
+        assert "InvocationHeld" in kinds and "BarrierReleased" in kinds
+
+    @pytest.mark.parametrize("kind", ["StatelessSession", "Entity", "StatefulSession"])
+    def test_pool_raised_mid_run_matches_full_scan(self, monkeypatch, kind):
+        def drive():
+            engine = Engine(_saturated_app(kind, 1))
+            engine.load_scenario(_saturating_scenario())
+            engine.run(until=6)
+            assert len(engine.containers["S"].pool_wait) >= 3
+            engine.set_pool_size("S", 3)
+            engine.run(until=400)
+            return engine
+
+        _same_log_as_full_scan(monkeypatch, drive)
+
+    def test_waiter_whose_operation_a_swap_removed_keeps_its_place(self, monkeypatch):
+        config = app(
+            [comp("S", provided=[iface("IS", "work", "other")],
+                  operations=[op("work", duration=20), op("other", duration=20)])],
+            containers=[{"hosted_component": "S", "pool_size": 1}],
+        )
+        clients = [client(f"c{i}", call_entry(i, "S", operation=("work", "other")[i % 2]))
+                   for i in range(8)]
+        gutted = parse_component(comp("S", version=2, operations=[op("work", duration=20)]))
+
+        def drive():
+            engine = Engine(config)
+            engine.load_scenario(parse_scenario(scenario_doc(clients)))
+            engine.run(until=8)
+            # a drain never closes over queued waiters, so close the barrier
+            # by hand to let the swap strand them
+            engine.containers["S"].barrier_mode = BARRIER_CLOSED
+            engine.swap_component("S", gutted)
+            engine.run(until=400)
+            return engine
+
+        engine = _same_log_as_full_scan(monkeypatch, drive)
+        assert [inv.id for inv in engine.containers["S"].pool_wait] == ["c1:0", "c3:0", "c5:0", "c7:0"]
+        started = [e.payload["id"] for e in engine.log if e.kind == "InvocationStart"]
+        assert started == ["c0:0", "c2:0", "c4:0", "c6:0"]
+
+    def test_waiter_redispatched_onto_the_same_pool_is_serviced(self, monkeypatch):
+        # the last waiter, `work`, starts inside the servicing loop and calls
+        # `leaf` on the same container at once; no instance is free, so that
+        # call queues behind it and must still be there when the loop ends
+        config = app(
+            [comp("S", provided=[iface("IS", "work", "leaf")], required=["IS"],
+                  operations=[op("work", duration=6, automaton=auto([("q0", "IS", "leaf", 1, "q1")])),
+                              op("leaf", tx="Joins", duration=2)])],
+            wiring=[("S", "IS", "S")],
+            containers=[{"hosted_component": "S", "pool_size": 2}],
+        )
+        clients = [
+            client(f"b{burst}c{i}", call_entry(40 * burst, "S", operation=operation))
+            for burst in range(4)
+            for i, operation in enumerate(["leaf", "leaf", "work"])
+        ]
+
+        def drive():
+            engine = Engine(config)
+            engine.load_scenario(parse_scenario(scenario_doc(clients)))
+            engine.run(until=400)
+            return engine
+
+        engine = _same_log_as_full_scan(monkeypatch, drive)
+        assert engine.containers["S"].pool_wait == []
+        assert len([e for e in engine.log if e.kind == "InvocationEnd"]) == 16
+
+    def test_acquisitions_grow_linearly_with_a_burst(self, monkeypatch):
+        n = 200
+        config = app(
+            [comp("M", kind="MessageDriven", provided=[iface("IM", "onMessage")],
+                  operations=[op("onMessage", duration=2)], queue="q")],
+            containers=[{"hosted_component": "M", "pool_size": 1}],
+            queues=["q"],
+        )
+        messages = [{"queue": "q", "payload": f"m{i}", "at": 0} for i in range(n)]
+        acquire = Engine._acquire_instance
+        calls = 0
+
+        def counting(self, container, inv):
+            nonlocal calls
+            calls += 1
+            return acquire(self, container, inv)
+
+        monkeypatch.setattr(Engine, "_acquire_instance", counting)
+        engine = Engine(config)
+        engine.load_scenario(parse_scenario(scenario_doc(messages=messages)))
+        engine.run()
+        assert len([e for e in engine.log if e.kind == "InvocationEnd"]) == n
+        assert calls <= 3 * n  # one per dispatch, then a start and a refusal per completion
+
+
+class _CountingRandom:
+    """Stands in for the ``random`` module; records each generator's seed."""
+
+    def __init__(self) -> None:
+        self.seeds: list[str] = []
+
+    def Random(self, seed):
+        self.seeds.append(seed)
+        return random.Random(seed)
+
+
+class TestBranchGenerator:
+    def test_run_without_choices_creates_no_generator(self, monkeypatch, chain_config):
+        shim = _CountingRandom()
+        monkeypatch.setattr(engine_module, "random", shim)
+        log, _ = run(chain_config, parse_scenario(read_fixture("demo_scenario.json")), until=300)
+        assert len([e for e in log if e.kind == "InvocationStart"]) > 0
+        assert shim.seeds == []
+
+    def test_each_branching_execution_draws_from_its_own_seeded_generator(self, monkeypatch):
+        # `go` loops on q0 choosing X.a, X.b or stopping, so one execution
+        # draws several times from one generator; X never chooses
+        config = app(
+            [
+                comp("A", provided=[iface("IA", "go")], required=["IX"],
+                     operations=[op("go", duration=1, automaton=auto(
+                         [("q0", "IX", "a", 1, "q0"), ("q0", "IX", "b", 1, "q0")], finals=["q0"]))]),
+                comp("X", provided=[iface("IX", "a", "b")],
+                     operations=[op("a", tx="Joins", duration=1), op("b", tx="Joins", duration=1)]),
+            ],
+            wiring=[("A", "IX", "X")],
+        )
+        go = {"component": "A", "interface": "IA", "operation": "go"}
+        seed = 7
+        scenario = parse_scenario(scenario_doc(
+            [client(f"c{i}", {"at": 3 * i, "call": go}) for i in range(6)], seed=seed))
+        shim = _CountingRandom()
+        monkeypatch.setattr(engine_module, "random", shim)
+        log, _ = run(config, scenario, until=500)
+
+        roots = [f"c{i}:0" for i in range(6)]
+        assert shim.seeds == [f"{seed}|{root}" for root in roots]
+        options = list(config.components()["A"].operation_spec("go").effect_automaton.outgoing("q0"))
+        called = [(e.payload["id"], e.payload["operation"]) for e in log
+                  if e.kind == "InvocationStart" and e.payload["component"] == "X"]
+        expected = []
+        for root in roots:
+            rng = random.Random(f"{seed}|{root}")
+            emitted = 0
+            while (pick := rng.choice(options + [None])) is not None:
+                expected.append((f"{root}.{emitted}", pick.label.operation))
+                emitted += 1
+        assert sorted(called) == sorted(expected)
+        assert {operation for _, operation in called} == {"a", "b"}

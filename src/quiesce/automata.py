@@ -8,11 +8,17 @@ the dependency analysis ask two questions: which calls can still happen
 occurrence of a given call can be (pruning calls that lie too far in the
 future).  Transition delays are minimum bounds, so both answers err on the
 conservative side.
+
+An automaton is immutable, so it computes its sorted labels and, per state on
+first use, its earliest-occurrence table once, outside the compared fields: a
+changed automaton is a new instance, so no cached answer goes stale.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import ParseError, ProtocolViolation, ValidationError
@@ -113,6 +119,24 @@ class ServiceEffectAutomaton:
     def alphabet(self) -> frozenset[CallLabel]:
         return frozenset(t.label for t in self.transitions)
 
+    @cached_property
+    def labels(self) -> tuple[CallLabel, ...]:
+        """The alphabet in sorted order."""
+        return tuple(sorted(self.alphabet()))
+
+    @cached_property
+    def _earliest_tables(self) -> dict[str, tuple[tuple[CallLabel, int], ...]]:
+        return {}
+
+    def earliest_table(self, state: str) -> tuple[tuple[CallLabel, int], ...]:
+        """Sorted (label, earliest occurrence from ``state``) pairs without unreachable labels."""
+        table = self._earliest_tables.get(state)
+        if table is None:
+            best = _earliest_from(self, state)
+            table = tuple((label, best[label]) for label in self.labels if label in best)
+            self._earliest_tables[state] = table
+        return table
+
     def cursor(self, at: Optional[str] = None) -> "AutomatonCursor":
         """Cursor positioned at ``at`` (default: the initial state)."""
         return AutomatonCursor(self, at if at is not None else self.initial)
@@ -162,30 +186,35 @@ def reachable_calls(cursor: AutomatonCursor) -> frozenset[CallLabel]:
     return frozenset(labels)
 
 
-def earliest_occurrence(cursor: AutomatonCursor, call: CallLabel) -> Optional[int]:
-    """Minimum delay until ``call`` can next occur, or None if unreachable.
+def _earliest_from(automaton: ServiceEffectAutomaton, state: str) -> dict[CallLabel, int]:
+    """Earliest occurrence of each label reachable from ``state``: one Dijkstra over states.
 
-    The delay of a path is the sum of min_delay values of the transitions
-    taken strictly before the matching one, minimised over all paths from
-    the cursor (Dijkstra over states; delays are non-negative).
+    A path's delay sums the min_delay values of the transitions taken strictly
+    before the matching one; states pop in nondecreasing delay, so a label's
+    first sighting is its minimum.
     """
-    import heapq
-
-    dist = {cursor.current: 0}
-    heap: list[tuple[int, str]] = [(0, cursor.current)]
-    best: Optional[int] = None
+    best: dict[CallLabel, int] = {}
+    dist = {state: 0}
+    heap: list[tuple[int, str]] = [(0, state)]
     while heap:
-        d, state = heapq.heappop(heap)
-        if d > dist.get(state, d):
+        d, source = heapq.heappop(heap)
+        if d > dist[source]:
             continue
-        for t in cursor.automaton.outgoing(state):
-            if t.label == call and (best is None or d < best):
-                best = d
+        for t in automaton.outgoing(source):
+            best.setdefault(t.label, d)
             nd = d + t.min_delay
             if nd < dist.get(t.target, nd + 1):
                 dist[t.target] = nd
                 heapq.heappush(heap, (nd, t.target))
     return best
+
+
+def earliest_occurrence(cursor: AutomatonCursor, call: CallLabel) -> Optional[int]:
+    """Minimum delay over all paths until ``call`` can next occur, or None if unreachable."""
+    for label, earliest in cursor.automaton.earliest_table(cursor.current):
+        if label == call:
+            return earliest
+    return None
 
 
 def automaton_from_json(doc: dict) -> ServiceEffectAutomaton:

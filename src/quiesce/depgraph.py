@@ -7,6 +7,10 @@ past (the cursor moved beyond the only transitions carrying the call) and
 ones too far in the future (the earliest possible occurrence falls after the
 window closes).  Because transition delays are minimum bounds, pruning can
 only over-approximate, never miss, a dependency that fires inside the window.
+
+Earliest occurrences are read from each automaton's per-state table, which
+the immutable automaton computes once; the composition check behind the
+static graph is the report cached on the configuration instance.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import earliest_occurrence
+from .automata import earliest_occurrence  # noqa: F401 - bench/tracing.py wraps it here
 from .errors import (
     InconsistentConfiguration,
     SnapshotStale,
@@ -142,17 +146,13 @@ def build_runtime_graph(
             fallback = False
             labels: dict[tuple[str, str], int] = {}
             for op in descriptor.operations:
-                if op.effect_automaton is None:
+                automaton = op.effect_automaton
+                if automaton is None:
                     fallback = True
                     continue
-                cursor = op.effect_automaton.cursor()
-                for label in sorted(op.effect_automaton.alphabet()):
-                    e = earliest_occurrence(cursor, label)
-                    if e is None:
-                        continue
-                    key = (label.interface, label.operation)
-                    if key not in labels or e < labels[key]:
-                        labels[key] = e
+                for label, e in automaton.earliest_table(automaton.initial):
+                    if label not in labels or e < labels[label]:
+                        labels[label] = e
             for (interface, _operation), e in sorted(labels.items()):
                 if window.contains(window.start + e):
                     add_edge(inst.key, inst.component, interface, window.start + e)
@@ -167,10 +167,7 @@ def build_runtime_graph(
         if inst.cursor is None:
             add_static_fallback(inst.key, inst.component)
             continue
-        for label in sorted(inst.cursor.automaton.alphabet()):
-            e = earliest_occurrence(inst.cursor, label)
-            if e is None:
-                continue
+        for label, e in inst.cursor.automaton.earliest_table(inst.cursor.current):
             if window.contains(window.start + e):
                 add_edge(inst.key, inst.component, label.interface, window.start + e)
 

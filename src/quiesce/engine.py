@@ -285,7 +285,6 @@ class _Container:
         self.pool_size = spec.pool_size
         self.barrier_mode = BARRIER_OPEN
         self.barrier_held: list[_Invocation] = []
-        self.barrier_closed_at: Optional[int] = None
         self.clean_shutdown = False
         self.executing = 0
         self.touching_txs: set[str] = set()
@@ -467,7 +466,6 @@ class Engine:
                             # some drain is waiting on this transaction:
                             # fall back to draining until it completes
                             container.barrier_mode = BARRIER_DRAINING
-                            container.barrier_closed_at = None
                         else:
                             # new outside work: park it until release
                             self._hold(container, inv)
@@ -803,7 +801,6 @@ class Engine:
         if container.barrier_mode != BARRIER_OPEN:
             raise AlreadyBarricaded(f"barrier on {component!r} is {container.barrier_mode}")
         container.barrier_mode = BARRIER_DRAINING
-        container.barrier_closed_at = None
         self._emit(BARRIER_ACTIVATED, component=component)
         # pool waiters that would start new work are held like new arrivals;
         # waiters joining active transactions must run or the drain never ends
@@ -823,7 +820,6 @@ class Engine:
         if container.touching_txs or container.executing > 0 or container.pool_wait:
             return
         container.barrier_mode = BARRIER_CLOSED
-        container.barrier_closed_at = self.clock
         self._emit(QUIESCENCE_REACHED, component=container.name)
         waiters, container.quiescence_waiters = container.quiescence_waiters, []
         for waiter in waiters:
@@ -845,29 +841,11 @@ class Engine:
         container.quiescence_waiters.append(fn)
         return False
 
-    def quiesce(self, component: str, timeout: Optional[int] = None) -> int:
-        """Activate the barrier and run until quiescence; returns the instant reached.
-
-        Raises DrainTimeout (and releases the barrier) if the drain does not
-        finish within ``timeout`` (default: the engine drain timeout).
-        """
-        from .errors import DrainTimeout
-
-        self.activate_barrier(component)
-        container = self._container(component)
-        limit = self.clock + (timeout if timeout is not None else self.drain_timeout)
-        self.run(until=limit, stop_when=lambda: container.barrier_mode == BARRIER_CLOSED)
-        if container.barrier_mode != BARRIER_CLOSED:
-            self.release_barrier(component)
-            raise DrainTimeout(f"container {component!r} did not quiesce by {limit}")
-        return container.barrier_closed_at
-
     def release_barrier(self, component: str) -> None:
         container = self._container(component)
         if container.barrier_mode == BARRIER_OPEN:
             return  # idempotent: releasing an open barrier acknowledges
         container.barrier_mode = BARRIER_OPEN
-        container.barrier_closed_at = None
         self._emit(BARRIER_RELEASED, component=component)
         held, container.barrier_held = container.barrier_held, []
         held.sort(key=lambda inv: (inv.submitted_at, inv.id))  # FIFO, ties by id

@@ -4,8 +4,9 @@ Everything here is an immutable value.  The description document is a single
 strict JSON object; ``load_application`` parses and validates it, and every
 other operation in the package works off the resulting
 ``ApplicationConfiguration``.  Configurations and component descriptors index
-themselves lazily, once per instance, and every change makes a new instance,
-so an index never goes stale.
+themselves lazily, once per instance, and a configuration keeps its
+composition report the same way; every change makes a new instance, so an
+index or a report never goes stale.
 """
 
 from __future__ import annotations
@@ -143,6 +144,10 @@ class ComponentDescriptor:
         return Access.LOCAL
 
     def provided_names(self) -> frozenset[str]:
+        return self._provided_names
+
+    @cached_property
+    def _provided_names(self) -> frozenset[str]:
         return frozenset(sig.name for sig in self.provided)
 
     @cached_property
@@ -286,8 +291,8 @@ class ApplicationConfiguration:
     queues: tuple[str, ...]
     version: int
 
-    # The index: built on first use and kept in the instance ``__dict__``,
-    # outside the compared and hashed fields.
+    # The index and the composition report: built on first use and kept in
+    # the instance ``__dict__``, outside the compared and hashed fields.
 
     @cached_property
     def _leaves(self) -> dict[str, ComponentDescriptor]:
@@ -304,6 +309,10 @@ class ApplicationConfiguration:
         for wire in self._wires:
             out.setdefault((wire.requirer, wire.interface), []).append(wire)
         return out
+
+    @cached_property
+    def _composition(self) -> ConsistencyReport:
+        return _check_composition(self)
 
     def components(self) -> dict[str, ComponentDescriptor]:
         return dict(self._leaves)
@@ -610,7 +619,7 @@ def validate_configuration(config: ApplicationConfiguration) -> None:
         for op in c.operations:
             if op.effect_automaton is None:
                 continue
-            for label in sorted(op.effect_automaton.alphabet()):
+            for label in op.effect_automaton.labels:
                 provider_name = config.provider_of(c.name, label.interface)
                 if provider_name is None:
                     continue  # declared external
@@ -644,8 +653,13 @@ def check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
 
     Unlike ``validate_configuration`` this never raises: it is meant for
     configurations that may have drifted (for example after a structural
-    swap), where findings are data for the caller to act on.
+    swap), where findings are data for the caller to act on.  The report is
+    kept on the configuration, so a post-check and the next static graph share it.
     """
+    return config._composition
+
+
+def _check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
     findings: list[ConsistencyFinding] = []
     components = config.components()
     wires = config.wiring()
@@ -686,7 +700,7 @@ def check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
         for op in requirer.operations:
             if op.effect_automaton is None:
                 continue
-            for label in sorted(op.effect_automaton.alphabet()):
+            for label in op.effect_automaton.labels:
                 if label.interface != wire.interface:
                     continue
                 if not provider.provides_operation(label.interface, label.operation):

@@ -1,4 +1,4 @@
-"""Document builders for tests.
+"""Document builders for tests, and a drain driver over the engine's public API.
 
 Everything goes through the public JSON loader, so every test config also
 exercises parsing and validation.
@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+from quiesce.engine import BARRIER_CLOSED, Engine
+from quiesce.errors import DrainTimeout
 from quiesce.model import ApplicationConfiguration, load_application
 
 
@@ -94,6 +96,31 @@ def app(*args, **kwargs) -> ApplicationConfiguration:
     return load_application(appdoc(*args, **kwargs))
 
 
+def tree_components(depth: int, pool: int = 4) -> tuple[list, list, list]:
+    """Binary tree C0..C(2^depth - 2) as (components, wiring, containers).
+
+    Each inner node calls its left child and then its right one, so a busy
+    node's cursor can stand before, between or after its two calls.
+    """
+    n = 2**depth - 1
+    components, wiring = [], []
+    for i in range(n):
+        children = [c for c in (2 * i + 1, 2 * i + 2) if c < n]
+        steps = [(f"q{k}", f"IC{c}", "work", k + 1, f"q{k + 1}") for k, c in enumerate(children)]
+        automaton = auto(steps) if steps else None
+        components.append(
+            comp(
+                f"C{i}",
+                required=[f"IC{c}" for c in children],
+                operations=[op("work", tx="StartsNew" if i == 0 else "Joins", duration=4, automaton=automaton)],
+                access={f"IC{i}": "Remote" if i == 0 else "Local"},
+            )
+        )
+        wiring.extend((f"C{i}", f"IC{c}", f"C{c}") for c in children)
+    containers = [{"hosted_component": c["name"], "pool_size": pool} for c in components]
+    return components, wiring, containers
+
+
 def scenario_doc(clients=None, messages=None, seed: int = 0) -> str:
     return json.dumps({"seed": seed, "clients": clients or [], "messages": messages or []})
 
@@ -111,3 +138,22 @@ def call_entry(at: int, component: str, operation: str = "work", interface: str 
 
 def client(cid: str, *entries: dict, access: str = "Remote") -> dict:
     return {"id": cid, "access": access, "script": list(entries)}
+
+
+def drain(engine: Engine, component: str) -> int:
+    """Barricade ``component`` and run until it quiesces; return the instant it closed.
+
+    Raises DrainTimeout, with the barrier released, when the drain does not
+    finish within the engine's drain timeout.
+    """
+    engine.activate_barrier(component)
+    limit = engine.clock + engine.drain_timeout
+
+    def closed() -> bool:
+        return engine.barrier_state(component) == BARRIER_CLOSED
+
+    engine.run(until=limit, stop_when=closed)  # stops at the closing instant
+    if not closed():
+        engine.release_barrier(component)
+        raise DrainTimeout(f"container {component!r} did not quiesce by {limit}")
+    return engine.clock

@@ -7,7 +7,7 @@ semantics, sharing no code path with the operation it verifies.
 from __future__ import annotations
 
 from quiesce.automata import AutomatonCursor, CallLabel, ServiceEffectAutomaton
-from quiesce.depgraph import ReconfigurationWindow
+from quiesce.depgraph import ReconfigurationWindow, RuntimeDependencyGraph, RuntimeEdge
 from quiesce.snapshot import RuntimeSnapshot
 
 
@@ -47,6 +47,77 @@ def enumerate_reachable(cursor: AutomatonCursor) -> frozenset[CallLabel]:
 
     visit(cursor.current, frozenset({cursor.current}))
     return frozenset(found)
+
+
+def reference_runtime_graph(
+    snapshot: RuntimeSnapshot, window: ReconfigurationWindow
+) -> RuntimeDependencyGraph:
+    """The runtime graph recomputed per instance and per label, no table shared.
+
+    Same pruning rules as ``depgraph.build_runtime_graph``: an idle instance
+    contributes, per call label, the minimum earliest occurrence over its
+    operations' initial states; a busy instance with a cursor contributes
+    each label's earliest occurrence from the cursor plus its in-flight
+    call; an operation without an automaton falls back to every static
+    edge.  Earliest occurrences come from ``enumerate_earliest``.
+    """
+    config = snapshot.config
+    components = config.components()
+    edges: list[RuntimeEdge] = []
+
+    def add_edge(instance: str, component: str, interface: str, earliest: int) -> None:
+        provider = config.provider_of(component, interface)
+        if provider is not None:
+            edges.append(RuntimeEdge(instance, component, provider, interface, earliest))
+
+    def add_static_fallback(instance: str, component: str) -> None:
+        for interface in components[component].required:
+            add_edge(instance, component, interface, window.start)
+
+    def alphabet(automaton: ServiceEffectAutomaton) -> list[CallLabel]:
+        return sorted({t.label for t in automaton.transitions})
+
+    for inst in snapshot.instances:
+        descriptor = components.get(inst.component)
+        if descriptor is None:
+            continue
+        if inst.idle:
+            fallback = False
+            labels: dict[tuple[str, str], int] = {}
+            for spec in descriptor.operations:
+                if spec.effect_automaton is None:
+                    fallback = True
+                    continue
+                cursor = spec.effect_automaton.cursor()
+                for label in alphabet(spec.effect_automaton):
+                    e = enumerate_earliest(cursor, label)
+                    if e is not None and (label not in labels or e < labels[label]):
+                        labels[label] = e
+            for (interface, _operation), e in sorted(labels.items()):
+                if window.contains(window.start + e):
+                    add_edge(inst.key, inst.component, interface, window.start + e)
+            if fallback:
+                add_static_fallback(inst.key, inst.component)
+            continue
+        if inst.in_flight is not None:
+            callee, interface = inst.in_flight
+            edges.append(RuntimeEdge(inst.key, inst.component, callee, interface, window.start))
+        if inst.cursor is None:
+            add_static_fallback(inst.key, inst.component)
+            continue
+        for label in alphabet(inst.cursor.automaton):
+            e = enumerate_earliest(inst.cursor, label)
+            if e is not None and window.contains(window.start + e):
+                add_edge(inst.key, inst.component, label.interface, window.start + e)
+
+    dedup: dict[tuple, RuntimeEdge] = {}
+    for edge in edges:
+        key = (edge.caller_instance, edge.callee, edge.interface)
+        if key not in dedup or edge.earliest < dedup[key].earliest:
+            dedup[key] = edge
+    nodes = tuple(sorted((inst.key, inst.component) for inst in snapshot.instances))
+    ordered = tuple(sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface)))
+    return RuntimeDependencyGraph(nodes, ordered, window)
 
 
 def forward_simulation_affected(

@@ -29,7 +29,7 @@ from quiesce.model import ChangeKind, load_application, parse_component
 from quiesce.snapshot import load_snapshot
 from quiesce.workload import parse_scenario
 
-from builders import app, auto, call_entry, client, comp, iface, op, scenario_doc
+from builders import app, auto, call_entry, client, comp, drain, iface, op, scenario_doc
 from conftest import FIXTURES, read_fixture, run_cli
 from gen import AcceptanceCase, generate_case
 from oracles import expected_shadow_contents, forward_simulation_affected
@@ -382,7 +382,7 @@ def test_drain_semantics_hand_traces():
     """The three derived barrier schedules reach quiescence at the exact instants."""
     # idle container: quiescence at activation
     engine = Engine(app([comp("S", operations=[op("work", duration=5)])]))
-    assert engine.quiesce("S") == 0
+    assert drain(engine, "S") == 0
 
     # one transaction with 5 units remaining at activation t=10: quiescence at 15,
     # and a new transaction-starting arrival at t=12 is held without extending the drain
@@ -392,7 +392,7 @@ def test_drain_semantics_hand_traces():
         parse_scenario(scenario_doc([client("c1", call_entry(3, "S")), client("c2", call_entry(12, "S"))]))
     )
     engine.run(until=10)
-    assert engine.quiesce("S") == 15
+    assert drain(engine, "S") == 15
     held = [(e.t, e.payload["id"]) for e in engine.log if e.kind == "InvocationHeld"]
     assert held == [(12, "c2:0")]
 
@@ -411,7 +411,7 @@ def test_drain_semantics_hand_traces():
         parse_scenario(scenario_doc([client("c", {"at": 0, "call": {"component": "A", "interface": "IA", "operation": "go"}})]))
     )
     engine.run(until=1)
-    quiesced = engine.quiesce("B")
+    quiesced = drain(engine, "B")
     assert [e.t for e in engine.log if e.kind == "TxCommit"] == [16]
     assert quiesced == 16
     print("\nACCEPTANCE drain-semantics: PASS")

@@ -227,3 +227,17 @@ def test_reachable_matches_enumeration_oracle(auto: ServiceEffectAutomaton, data
     state = data.draw(st.sampled_from(sorted(auto.states)))
     cursor = auto.cursor(state)
     assert reachable_calls(cursor) == enumerate_reachable(cursor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata(max_states=6, max_extra=4))
+def test_earliest_tables_list_reachable_labels_in_order(auto: ServiceEffectAutomaton):
+    assert auto.labels == tuple(sorted({t.label for t in auto.transitions}))
+    for state in sorted(auto.states):
+        expected = []
+        for label in sorted(_LABELS):
+            e = enumerate_earliest(auto.cursor(state), label)
+            if e is not None:
+                expected.append((label, e))
+        assert auto.earliest_table(state) == tuple(expected)
+        assert auto.earliest_table(state) is auto.earliest_table(state)  # computed once per state

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from quiesce.depgraph import (
@@ -10,13 +12,16 @@ from quiesce.depgraph import (
     graph_to_dot,
     graph_to_json,
 )
+from quiesce.engine import Engine
 from quiesce.errors import InconsistentConfiguration, SnapshotStale, UnknownTarget
-from quiesce.model import parse_component
+from quiesce.model import load_application, parse_component
 from quiesce.snapshot import load_snapshot
+from quiesce.workload import parse_scenario
 
-from builders import app, comp, iface, op
+from builders import app, auto, call_entry, client, comp, iface, op, scenario_doc, tree_components
 from conftest import read_fixture
-from oracles import forward_simulation_affected
+from gen import generate_case
+from oracles import forward_simulation_affected, reference_runtime_graph
 
 
 def snap(app_name: str, snap_name: str, config):
@@ -228,3 +233,128 @@ def test_graph_exports(chain_config):
     assert {e["callee"] for e in doc["edges"]} >= {"B", "C"}
     dot = graph_to_dot(static, graph, affected)
     assert dot.startswith("digraph") and '"A" -> "B"' in dot
+
+
+def assert_graph_matches_reference(snapshot, window, targets) -> None:
+    static = build_static_graph(snapshot.config)
+    graph = build_runtime_graph(snapshot, window)
+    reference = reference_runtime_graph(snapshot, window)
+    assert graph_to_json(static, graph, affected_set(graph, static, targets)) == graph_to_json(
+        static, reference, affected_set(reference, static, targets)
+    )
+
+
+WINDOWS = (0, 1, 3, 8, 25, None)
+
+
+class TestRuntimeGraphMatchesReference:
+    """The per-automaton earliest tables give the graph the per-label recomputation gives."""
+
+    @pytest.mark.parametrize("seed", range(1, 101))
+    def test_generated_cases_at_several_instants(self, seed):
+        case = generate_case(seed)
+        scenario = parse_scenario(case.scenario_text)
+        engine = Engine(load_application(case.config_text), seed=scenario.seed)
+        engine.load_scenario(scenario)
+        for t in (0, 30, 60, 100, 150, 220):
+            engine.run(until=t)
+            snapshot = engine.snapshot()
+            for duration in WINDOWS:
+                assert_graph_matches_reference(snapshot, ReconfigurationWindow(t, duration), {case.target})
+
+    def test_saturated_tree_with_busy_instances_mid_automaton(self):
+        components, wiring, containers = tree_components(4, pool=2)
+        sessions = [client(f"s{k}", *(call_entry(k + 3 * j, "C0") for j in range(6))) for k in range(8)]
+        engine = Engine(app(components, wiring=wiring, containers=containers))
+        engine.load_scenario(parse_scenario(scenario_doc(sessions)))
+        mid = in_flight = 0
+        for t in range(0, 40, 3):
+            engine.run(until=t)
+            snapshot = engine.snapshot()
+            for inst in snapshot.instances:
+                if inst.cursor is not None and inst.cursor.current != inst.cursor.automaton.initial:
+                    mid += 1
+                in_flight += inst.in_flight is not None
+            for duration in WINDOWS:
+                for target in ("C0", "C4", "C14"):
+                    assert_graph_matches_reference(snapshot, ReconfigurationWindow(t, duration), {target})
+        assert mid > 0 and in_flight > 0  # the cases the tables must get right were seen
+
+    def branching_config(self):
+        # A: q0 -IB.go-> q1 -IC.go-> q2 -IB.again-> q1 (a cycle), q1 -ID.go-> q3,
+        # and a q0 -ID.go-> q3 shortcut; from q1 on, IB.go lies in the past
+        cyclic = auto(
+            [
+                ("q0", "IB", "go", 2, "q1"),
+                ("q1", "IC", "go", 1, "q2"),
+                ("q2", "IB", "again", 4, "q1"),
+                ("q1", "ID", "go", 5, "q3"),
+                ("q0", "ID", "go", 9, "q3"),
+            ],
+            finals=["q3"],
+        )
+        return app(
+            [
+                comp("A", provided=[iface("IA", "run")], required=["IB", "IC", "ID"],
+                     operations=[op("run", duration=30, automaton=cyclic)]),
+                comp("B", provided=[iface("IB", "go", "again")],
+                     operations=[op("go", tx="Joins"), op("again", tx="Joins")]),
+                comp("C", provided=[iface("IC", "go")], operations=[op("go", tx="Joins")]),
+                comp("D", provided=[iface("ID", "go")], operations=[op("go", tx="Joins")]),
+            ],
+            wiring=[("A", "IB", "B"), ("A", "IC", "C"), ("A", "ID", "D")],
+        )
+
+    @staticmethod
+    def snapshot_of(config, instances, time=0):
+        doc = {"time": time, "instances": instances, "active_transactions": {},
+               "remote_refs": {}, "queue_depths": {}}
+        return load_snapshot(json.dumps(doc), config)
+
+    @staticmethod
+    def instance(key, component, operation=None, state=None, in_flight=None):
+        return {"key": key, "component": component, "idle": operation is None,
+                "operation": operation, "cursor_state": state, "in_flight": in_flight}
+
+    def test_branching_cyclic_automaton_with_past_labels(self):
+        config = self.branching_config()
+        instances = [self.instance(f"A#{k}", "A", "run", state) for k, state in enumerate(("q0", "q1", "q2", "q3"))]
+        instances.append(self.instance("A#4", "A"))
+        instances.append(self.instance("A#5", "A", "run", "q2", in_flight=["C", "IC"]))
+        snapshot = self.snapshot_of(config, instances, time=7)
+        automaton = config.components()["A"].operations[0].effect_automaton
+        assert [label.operation for label, _ in automaton.earliest_table("q1")] == ["again", "go", "go"]
+        assert ("IB", "go") not in dict(automaton.earliest_table("q1"))  # in the past from q1
+        assert automaton.earliest_table("q3") == ()
+        for duration in WINDOWS:
+            for target in "ABCD":
+                assert_graph_matches_reference(snapshot, ReconfigurationWindow(7, duration), {target})
+
+    def test_static_fallback_and_idle_minimum_over_operations(self):
+        config = app(
+            [
+                comp("E", provided=[iface("IE", "plain", "walk")], required=["IB", "IC"],
+                     operations=[op("plain"), op("walk", automaton=auto([("q0", "IB", "go", 6, "q1")]))]),
+                comp("F", provided=[iface("IF", "plain")], required=["IC"], operations=[op("plain")]),
+                # idle G reaches IB.go at 0 through hop and at 3 through walk: the minimum counts
+                comp("G", provided=[iface("IG", "walk", "hop")], required=["IB", "IC"],
+                     operations=[op("walk", automaton=auto([("q0", "IC", "go", 3, "q1"), ("q1", "IB", "go", 1, "q2")])),
+                                 op("hop", automaton=auto([("q0", "IB", "go", 0, "q1")]))]),
+                comp("B", provided=[iface("IB", "go")], operations=[op("go", tx="Joins")]),
+                comp("C", provided=[iface("IC", "go")], operations=[op("go", tx="Joins")]),
+            ],
+            wiring=[("E", "IB", "B"), ("E", "IC", "C"), ("F", "IC", "C"), ("G", "IB", "B"), ("G", "IC", "C")],
+        )
+        instances = [
+            self.instance("E#0", "E"),
+            self.instance("E#1", "E", "plain"),
+            self.instance("E#2", "E", "walk", "q0"),
+            self.instance("E#3", "E", "walk", "q1"),
+            self.instance("F#0", "F"),
+            self.instance("F#1", "F", "plain", in_flight=["C", "IC"]),
+            self.instance("G#0", "G"),
+        ]
+        snapshot = self.snapshot_of(config, instances)
+        for duration in WINDOWS:
+            for target in ("B", "C"):
+                assert_graph_matches_reference(snapshot, ReconfigurationWindow(0, duration), {target})

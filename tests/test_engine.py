@@ -32,6 +32,7 @@ from builders import (
     call_entry,
     client,
     comp,
+    drain,
     iface,
     op,
     scenario_doc,
@@ -123,7 +124,7 @@ class TestBasicRuns:
 class TestBarrier:
     def test_idle_container_quiesces_at_activation(self):
         engine = Engine(single_stateless())
-        assert engine.quiesce("S") == 0
+        assert drain(engine, "S") == 0
         assert engine.containers["S"].barrier_mode == BARRIER_CLOSED
 
     def test_activation_while_draining_rejected(self):
@@ -141,7 +142,7 @@ class TestBarrier:
         )
         engine.load_scenario(scenario)
         engine.run(until=10)
-        assert engine.quiesce("S") == 15
+        assert drain(engine, "S") == 15
         held = [e for e in engine.log if e.kind == "InvocationHeld"]
         assert [(e.t, e.payload["id"]) for e in held] == [(12, "c2:0")]
 
@@ -164,7 +165,7 @@ class TestBarrier:
             parse_scenario(scenario_doc([client("c", {"at": 0, "call": {"component": "A", "interface": "IA", "operation": "go"}})]))
         )
         engine.run(until=1)
-        quiesced_at = engine.quiesce("B")
+        quiesced_at = drain(engine, "B")
         commit_at = [e.t for e in engine.log if e.kind == "TxCommit"]
         assert commit_at == [16]
         assert quiesced_at == 16  # both nested calls passed; closed only at root commit
@@ -173,7 +174,7 @@ class TestBarrier:
         # a root call to a Joins operation has no transaction yet: held at Closed
         config = single_stateless(duration=4, tx="Joins")
         engine = Engine(config)
-        engine.quiesce("S")  # closed immediately
+        drain(engine, "S")  # closed immediately
         engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(0, "S"))])))
         engine.run(until=10)
         assert [e.kind for e in engine.log if e.payload.get("id") == "c:0"] == ["InvocationHeld"]
@@ -197,13 +198,14 @@ class TestBarrier:
         )
         engine.run(until=1)
         engine.activate_barrier("A")  # the transaction now runs inside the barricade
-        assert engine.quiesce("B") == 1  # B idle: closes at once
+        assert drain(engine, "B") == 1  # B idle: closes at once
         engine.run(until=6)  # A's nested call arrives at 5 and is re-admitted
         assert engine.containers["B"].barrier_mode == BARRIER_DRAINING
         engine.run(until=50)
         assert engine.containers["B"].barrier_mode == BARRIER_CLOSED
         commit = next(e.t for e in engine.log if e.kind == "TxCommit")
-        assert engine.containers["B"].barrier_closed_at == commit
+        closures = [e.t for e in engine.log if e.kind == "QuiescenceReached" and e.payload["component"] == "B"]
+        assert closures[-1] == commit
         assert [e for e in engine.log if e.kind == "TxAbort"] == []
 
     def test_closed_barrier_parks_calls_of_outside_transactions(self):
@@ -215,7 +217,7 @@ class TestBarrier:
             parse_scenario(scenario_doc([client("c", {"at": 0, "call": {"component": "A", "interface": "IA", "operation": "go"}})]))
         )
         engine.run(until=1)
-        assert engine.quiesce("B") == 1
+        assert drain(engine, "B") == 1
         engine.run(until=20)
         assert engine.containers["B"].barrier_mode == BARRIER_CLOSED
         held = [e.payload["id"] for e in engine.log if e.kind == "InvocationHeld"]
@@ -239,7 +241,7 @@ class TestBarrier:
                 )
             )
         )
-        engine.quiesce("S")
+        drain(engine, "S")
         engine.run(until=4)
         engine.release_barrier("S")
         engine.run(until=100)
@@ -257,7 +259,7 @@ class TestBarrier:
         engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(0, "S"))])))
         engine.run(until=5)
         with pytest.raises(DrainTimeout):
-            engine.quiesce("S")
+            drain(engine, "S")
         assert engine.containers["S"].barrier_mode == BARRIER_OPEN
 
 
@@ -284,7 +286,7 @@ class TestSwap:
             )
         )
         engine.run(until=0)
-        engine.quiesce("S")  # immediate: nothing in flight yet
+        drain(engine, "S")  # immediate: nothing in flight yet
         engine.run(until=4)  # three arrivals held at the closed barrier
         engine.swap_component("S", self.new_s())
         engine.run(until=100)
@@ -313,7 +315,7 @@ class TestSwap:
         engine.run(until=10)
         instance = next(i for i in engine.containers["S"].instances if i.session == "alice")
         instance.state = {"a": 1, "b": 2}
-        engine.quiesce("S")
+        drain(engine, "S")
         new = parse_component(
             comp("S", kind="StatefulSession", version=2, state_fields=["a", "b"],
                  operations=[op("work", duration=1)])
@@ -334,7 +336,7 @@ class TestSwap:
             ]
         )
         engine = Engine(config)
-        engine.quiesce("S")
+        drain(engine, "S")
         new = parse_component(
             comp("S", kind="StatefulSession", version=2, state_fields=["a", "b", "c"],
                  operations=[op("work", duration=2)])
@@ -398,7 +400,7 @@ class TestQueues:
 
     def test_barrier_on_receiver_withholds_delivery(self):
         engine = Engine(self.md_app())
-        engine.quiesce("M")
+        drain(engine, "M")
         engine.enqueue_message("q", "m")
         engine.run(until=10)
         assert [e for e in engine.log if e.kind == "MessageDelivered"] == []
@@ -597,7 +599,7 @@ class TestSessionsAndRefs:
         engine.load_scenario(
             parse_scenario(scenario_doc([client("c", call_entry(5, "S", operation="work"))]))
         )
-        engine.quiesce("S")
+        drain(engine, "S")
         gutted = parse_component(
             comp("S", version=2, provided=[iface("IS", "other")],
                  operations=[op("other", duration=1)])
@@ -626,7 +628,7 @@ class TestSessionsAndRefs:
             parse_scenario(scenario_doc([client("c", {"at": 0, "call": {"component": "A", "interface": "IA", "operation": "go"}})]))
         )
         engine.run(until=2)
-        engine.quiesce("B")
+        drain(engine, "B")
         gutted = parse_component(
             comp("B", version=2, provided=[iface("IB", "other")],
                  operations=[op("other", tx="Joins", duration=3)])

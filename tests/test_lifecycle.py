@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
+import quiesce.automata as automata_module
+import quiesce.depgraph as depgraph_module
+import quiesce.lifecycle as lifecycle_module
+import quiesce.manager as manager_module
+import quiesce.model as model_module
+from quiesce.automata import ServiceEffectAutomaton
 from quiesce.engine import Engine
 from quiesce.errors import IllegalTransition, Rejection, ValidationError
 from quiesce.lifecycle import (
@@ -15,10 +23,11 @@ from quiesce.lifecycle import (
     parse_archive,
 )
 from quiesce.metrics import compute_metrics
-from quiesce.model import load_application, parse_component
+from quiesce.model import component_to_json, load_application, parse_component
 from quiesce.workload import parse_scenario
 
-from builders import call_entry, client, comp, iface, op, scenario_doc
+from builders import app, auto, call_entry, client, comp, iface, op, scenario_doc, tree_components
+from gen import generate_case
 
 EMPTY_APP = '{"components": [], "version": 1}'
 
@@ -266,6 +275,169 @@ class TestRedeploy:
         manager.start("shop")
         with pytest.raises(ValidationError, match="version"):
             manager.redeploy("shop", archive(version=1))
+
+
+def adopted(config) -> DeploymentManager:
+    """A manager whose module "app" is every component of a running ``config``."""
+    manager = DeploymentManager(Engine(config))
+    manager.adopt_running("app", ModuleArchive("app", 1, tuple(config.components().values())))
+    return manager
+
+
+class StopBeforePlanning(Exception):
+    pass
+
+
+def diff_targets(manager: DeploymentManager, new: ModuleArchive, monkeypatch) -> list[str]:
+    """The components ``redeploy`` would swap for ``new``; no plan is built or run."""
+    seen: list[str] = []
+
+    def record(request, config, mode):
+        seen.extend(t.component for t in request.targets)
+        raise StopBeforePlanning
+
+    monkeypatch.setattr(lifecycle_module, "check_mode", record)
+    try:
+        report = manager.redeploy("app", new)
+    except StopBeforePlanning:
+        return seen
+    assert report.outcome == "Completed"
+    assert manager.events[-1].detail == "no component changed"
+    return []
+
+
+def reversed_transitions(automaton: ServiceEffectAutomaton) -> ServiceEffectAutomaton:
+    return ServiceEffectAutomaton(
+        automaton.states, automaton.initial, automaton.finals, automaton.transitions[::-1]
+    )
+
+
+class TestArchiveDiff:
+    """Equal descriptors are untouched; otherwise the document forms decide."""
+
+    def two_access_app(self):
+        return app(
+            [
+                comp("S", provided=[iface("IA", "work"), iface("IB", "work")],
+                     access={"IA": "Remote", "IB": "Local"}, required=["IT"],
+                     operations=[op("work", automaton=auto([("q0", "IT", "work", 2, "q1"),
+                                                            ("q0", "IT", "other", 3, "q1")]))]),
+                comp("T", provided=[iface("IT", "work", "other")], operations=[op("work"), op("other")]),
+            ],
+            wiring=[("S", "IT", "T")],
+        )
+
+    def test_reordered_access_and_equal_copies_change_nothing(self, monkeypatch):
+        config = self.two_access_app()
+        manager = adopted(config)
+        s, t = config.components()["S"], config.components()["T"]
+        reordered = replace(s, access=s.access[::-1])
+        copy = parse_component(component_to_json(t))
+        assert reordered != s and copy == t and copy is not t
+        assert diff_targets(manager, ModuleArchive("app", 2, (reordered, copy)), monkeypatch) == []
+        log = manager.engine.log
+        assert [e for e in log if e.kind in ("BarrierActivated", "SwapApplied")] == []
+        assert manager.engine.config.components()["S"] is s  # the deployed descriptor stays
+
+    def test_one_min_delay_or_the_transition_order_makes_a_target(self, monkeypatch):
+        config = self.two_access_app()
+        s = config.components()["S"]
+        automaton = s.operations[0].effect_automaton
+        slower = replace(automaton.transitions[0], min_delay=automaton.transitions[0].min_delay + 1)
+        delayed = ServiceEffectAutomaton(
+            automaton.states, automaton.initial, automaton.finals, (slower,) + automaton.transitions[1:]
+        )
+        for changed in (delayed, reversed_transitions(automaton)):
+            new_s = replace(s, operations=(replace(s.operations[0], effect_automaton=changed),))
+            archive = ModuleArchive("app", 2, (new_s, config.components()["T"]))
+            assert diff_targets(adopted(config), archive, monkeypatch) == ["S"]
+
+    @pytest.mark.parametrize("seed", range(1, 101))
+    def test_generated_targets_equal_the_document_comparison(self, seed, monkeypatch):
+        case = generate_case(seed)
+        config = load_application(case.config_text)
+        rng = random.Random(seed)
+        new = []
+        for c in config.components().values():
+            roll = rng.randrange(5)
+            if roll == 1:
+                c = parse_component(component_to_json(c))  # an equal copy
+            elif roll == 2 and c.name == case.target:
+                c = case.request.targets[0].descriptor
+            elif roll == 3:
+                c = replace(c, operations=tuple(replace(o, duration=o.duration + 1) for o in c.operations))
+            elif roll == 4 and c.operations[0].effect_automaton is not None:
+                automaton = reversed_transitions(c.operations[0].effect_automaton)
+                c = replace(c, operations=(replace(c.operations[0], effect_automaton=automaton),) + c.operations[1:])
+            new.append(c)
+        deployed = config.components()
+        expected = sorted(
+            c.name for c in new if component_to_json(c) != component_to_json(deployed[c.name])
+        )
+        assert diff_targets(adopted(config), ModuleArchive("app", 2, tuple(new)), monkeypatch) == expected
+
+
+class TestRollingRedeployCost:
+    """Successive archive redeploys recompute only what the change touched."""
+
+    def test_dijkstra_runs_and_composition_checks_stay_bounded(self, monkeypatch):
+        components, wiring, containers = tree_components(6, pool=4)  # 63 components
+        config = app(components, wiring=wiring, containers=containers)
+        manager = adopted(config)
+        engine = manager.engine
+        sessions = [client(f"s{k}", *(call_entry(1 + 9 * k + 25 * j, "C0") for j in range(24))) for k in range(6)]
+        engine.load_scenario(parse_scenario(scenario_doc(sessions)))
+
+        counts = {"dijkstra": 0, "reports": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # the per-label path and the per-state table fill both run one Dijkstra per call
+        monkeypatch.setattr(depgraph_module, "earliest_occurrence",
+                            counting("dijkstra", depgraph_module.earliest_occurrence))
+        monkeypatch.setattr(automata_module, "_earliest_from",
+                            counting("dijkstra", automata_module._earliest_from))
+        # every composition-check computation builds exactly one report
+        monkeypatch.setattr(model_module, "ConsistencyReport", counting("reports", model_module.ConsistencyReport))
+
+        pairs: dict[tuple[int, str], ServiceEffectAutomaton] = {}  # values keep the ids unique
+        busy = 0
+        real_build = manager_module.build_runtime_graph
+
+        def recording(snapshot, window):
+            nonlocal busy
+            deployed = snapshot.config.components()
+            for inst in snapshot.instances:
+                if inst.idle:
+                    for spec in deployed[inst.component].operations:
+                        if spec.effect_automaton is not None:
+                            pairs[(id(spec.effect_automaton), spec.effect_automaton.initial)] = spec.effect_automaton
+                elif inst.cursor is not None:
+                    busy += 1
+                    pairs[(id(inst.cursor.automaton), inst.cursor.current)] = inst.cursor.automaton
+            return real_build(snapshot, window)
+
+        monkeypatch.setattr(manager_module, "build_runtime_graph", recording)
+
+        docs = {c["name"]: c for c in components}
+        rng = random.Random(6)
+        redeploys = 20
+        targets = []
+        for k in range(redeploys):
+            engine.run(until=30 + 25 * k)
+            targets.append(f"C{rng.randrange(len(docs))}")
+            docs[targets[-1]] = dict(docs[targets[-1]], version=docs[targets[-1]]["version"] + 1)
+            archive = ModuleArchive("app", k + 2, tuple(parse_component(d) for d in docs.values()))
+            assert manager.redeploy("app", archive).outcome == "Completed"
+        assert [e.payload["component"] for e in engine.log if e.kind == "SwapApplied"] == targets
+        assert busy > 0 and pairs
+        assert counts["dijkstra"] <= len(pairs)
+        assert counts["reports"] <= redeploys + 1
 
 
 class TestArchiveDocuments:

@@ -6,7 +6,7 @@ from quiesce.engine import Engine, run
 from quiesce.metrics import call_latencies, compute_metrics, metrics_json_text, session_components
 from quiesce.workload import parse_scenario
 
-from builders import app, call_entry, client, comp, op, scenario_doc
+from builders import app, call_entry, client, comp, drain, op, scenario_doc
 from conftest import read_fixture
 
 
@@ -42,7 +42,7 @@ def test_held_wait_and_downtime_fold():
     engine.load_scenario(
         parse_scenario(scenario_doc([client("c1", call_entry(2, "S")), client("c2", call_entry(4, "S"))]))
     )
-    engine.quiesce("S")
+    drain(engine, "S")
     engine.run(until=6)
     engine.release_barrier("S")
     engine.run(until=30)

@@ -334,6 +334,8 @@ class TestConfigurationIndex:
     def test_descriptor_operation_maps_agree_with_a_scan(self):
         for seed in range(1, 21):
             for c in load_application(generate_case(seed).config_text).components().values():
+                assert c.provided_names() == frozenset(sig.name for sig in c.provided)
+                assert c.provided_names() is c.provided_names()  # built once per descriptor
                 for name in {o.name for o in c.operations} | {"nope"}:
                     assert c.operation_spec(name) == next((o for o in c.operations if o.name == name), None)
                 for sig in c.provided:
@@ -371,6 +373,18 @@ class TestIndexNeverStale:
         assert added.provider_of("X", "IC") == "C"
         for config in (before, added, removed):
             assert_index_matches_scan(config)
+
+    def test_composition_report_is_kept_per_configuration(self, chain_config):
+        engine = Engine(chain_config)
+        before = engine.config
+        report = check_composition(before)
+        assert report.consistent and check_composition(before) is report  # computed once
+        engine.remove_component("C")  # drifts: B's requirement on C loses its wire
+        drifted = check_composition(engine.config)
+        assert [(f.kind, f.subject, f.detail) for f in drifted.findings] == [
+            ("unwired-requirement", "B", "requires 'IC' with no wire")
+        ]
+        assert check_composition(before) is report
 
     def test_mutating_the_components_dict_leaves_the_configuration_alone(self, chain_config):
         expected = dict(chain_config.components())

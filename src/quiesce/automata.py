@@ -172,18 +172,10 @@ def reachable_calls(cursor: AutomatonCursor) -> frozenset[CallLabel]:
     """All call labels on transitions still reachable from the cursor.
 
     A label whose transitions all lie strictly behind the cursor is absent:
-    that dependency is in the past.
+    that dependency is in the past.  These are the labels of the cursor
+    state's earliest table.
     """
-    labels: set[CallLabel] = set()
-    seen = {cursor.current}
-    stack = [cursor.current]
-    while stack:
-        for t in cursor.automaton.outgoing(stack.pop()):
-            labels.add(t.label)
-            if t.target not in seen:
-                seen.add(t.target)
-                stack.append(t.target)
-    return frozenset(labels)
+    return frozenset(label for label, _ in cursor.automaton.earliest_table(cursor.current))
 
 
 def _earliest_from(automaton: ServiceEffectAutomaton, state: str) -> dict[CallLabel, int]:

@@ -841,6 +841,12 @@ class Engine:
         container.quiescence_waiters.append(fn)
         return False
 
+    def held_calls(self, component: str) -> tuple[tuple[str, str, str], ...]:
+        """(id, interface, operation) of each call held at the barrier, in arrival order."""
+        return tuple(
+            (inv.id, inv.interface, inv.operation) for inv in self._container(component).barrier_held
+        )
+
     def release_barrier(self, component: str) -> None:
         container = self._container(component)
         if container.barrier_mode == BARRIER_OPEN:
@@ -941,16 +947,14 @@ class Engine:
         component: str,
         new: ComponentDescriptor,
         shadow_store: Optional[str] = None,
-        reopen: bool = True,
-    ) -> dict:
+    ) -> None:
         """Replace the hosted descriptor under a closed barrier.
 
         Stateful instances have their conversational state passivated into a
         field map and activated into the new version; pooled instances of
-        the interchangeable kinds are discarded and recreated.  With
-        ``reopen`` the barrier is released immediately and held invocations
-        replay FIFO against the new version (the plan executor passes False
-        and releases barriers in its own order).
+        the interchangeable kinds are discarded and recreated.  The barrier
+        stays closed: held invocations replay FIFO against the new version
+        once ``release_barrier`` opens it.
         """
         container = self._container(component)
         if container.barrier_mode != BARRIER_CLOSED:
@@ -994,10 +998,6 @@ class Engine:
         self._emit(
             SWAP_APPLIED, component=component, from_version=old.version, to_version=new.version
         )
-        report = {"component": component, "from_version": old.version, "to_version": new.version}
-        if reopen:
-            self.release_barrier(component)
-        return report
 
     def sync_shadow_store(
         self, component: str, shadow_store: str, column_mapping: dict[str, str]
@@ -1091,20 +1091,7 @@ class Engine:
         if container.executing:
             raise EngineFault(f"cannot remove {component!r} while invocations run")
         del self.containers[component]
-        root = self.config.root
-        children = tuple(
-            c for c in root.children if getattr(c, "name", None) != component
-        )
-        wiring = tuple(
-            w for w in root.internal_wiring if w.requirer != component and w.provider != component
-        )
-        self.config = ApplicationConfiguration(
-            root=type(root)(root.name, children, wiring),
-            containers=tuple(c for c in self.config.containers if c.hosted_component != component),
-            data_stores=self.config.data_stores,
-            queues=self.config.queues,
-            version=self.config.version,
-        )
+        self.config = self.config.without_component(component)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -262,8 +262,6 @@ class DeploymentManager:
             old_descriptor = deployed[new_descriptor.name]
             if old_descriptor == new_descriptor:
                 continue  # untouched component
-            if component_to_json(old_descriptor) == component_to_json(new_descriptor):
-                continue  # untouched up to the order of its access pairs
             targets.append(TargetChange(new_descriptor.name, new_descriptor))
         if not targets:
             record.archive = new_archive

@@ -446,11 +446,9 @@ def _client_first_order(static: StaticDependencyGraph, members: frozenset[str]) 
     cycles are broken by name so plans are reproducible.
     """
     incoming: dict[str, set[str]] = {m: set() for m in members}
-    outgoing: dict[str, set[str]] = {m: set() for m in members}
     for requirer, provider, _ in static.edges:
         if requirer in members and provider in members and requirer != provider:
             incoming[provider].add(requirer)
-            outgoing[requirer].add(provider)
     order: list[str] = []
     remaining = set(members)
     while remaining:
@@ -737,20 +735,18 @@ class PlanExecutor:
             step.component,
             self.plan.descriptor_for(step.component),
             shadow_store=migration.shadow_store if migration else None,
-            reopen=False,
         )
         return True
 
     def _collect_orphans(self, component: str) -> None:
-        container = self.engine.containers[component]
-        descriptor = container.descriptor
-        for inv in container.barrier_held:
-            if not descriptor.provides_operation(inv.interface, inv.operation):
+        descriptor = self.engine.config.components()[component]
+        for call_id, interface, operation in self.engine.held_calls(component):
+            if not descriptor.provides_operation(interface, operation):
                 self.findings.append(
                     ConsistencyFinding(
                         "orphaned-held-call",
                         component,
-                        f"held invocation {inv.id} targets removed operation {inv.operation!r}",
+                        f"held invocation {call_id} targets removed operation {operation!r}",
                     )
                 )
 

@@ -3,10 +3,14 @@
 Everything here is an immutable value.  The description document is a single
 strict JSON object; ``load_application`` parses and validates it, and every
 other operation in the package works off the resulting
-``ApplicationConfiguration``.  Configurations and component descriptors index
-themselves lazily, once per instance, and a configuration keeps its
-composition report the same way; every change makes a new instance, so an
-index or a report never goes stale.
+``ApplicationConfiguration``.  The composition rules live in one place,
+``check_composition``: validation rejects a document on the report's first
+finding, and the same report judges a configuration after a swap.
+Configurations and component descriptors index themselves lazily, once per
+instance, and a configuration keeps its composition report the same way;
+every change makes a new instance, so an index or a report never goes stale.
+A descriptor keeps its access pairs sorted, so equal documents give equal
+descriptors and ``==`` alone tells a changed component from an unchanged one.
 """
 
 from __future__ import annotations
@@ -136,6 +140,10 @@ class ComponentDescriptor:
     access: tuple[tuple[str, Access], ...] = ()
     data_store: Optional[str] = None
     queue: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # one canonical order, so equal documents make equal descriptors
+        object.__setattr__(self, "access", tuple(sorted(self.access)))
 
     def access_of(self, interface: str) -> Access:
         for name, acc in self.access:
@@ -334,19 +342,35 @@ class ApplicationConfiguration:
 
     def with_component(self, descriptor: ComponentDescriptor) -> "ApplicationConfiguration":
         """Copy of this configuration with one leaf descriptor replaced and version bumped."""
+        return replace(
+            self, root=_rewrite_leaf(self.root, descriptor.name, descriptor), version=self.version + 1
+        )
 
-        def swap_in(node: CompositeComponent) -> CompositeComponent:
-            children: list[Union[ComponentDescriptor, CompositeComponent]] = []
-            for child in node.children:
-                if isinstance(child, CompositeComponent):
-                    children.append(swap_in(child))
-                elif child.name == descriptor.name:
-                    children.append(descriptor)
-                else:
-                    children.append(child)
-            return replace(node, children=tuple(children))
+    def without_component(self, name: str) -> "ApplicationConfiguration":
+        """Copy of this configuration without leaf ``name``, the wires naming it and its container."""
+        return replace(
+            self,
+            root=_rewrite_leaf(self.root, name, None),
+            containers=tuple(c for c in self.containers if c.hosted_component != name),
+        )
 
-        return replace(self, root=swap_in(self.root), version=self.version + 1)
+
+def _rewrite_leaf(
+    node: CompositeComponent, name: str, new: Optional[ComponentDescriptor]
+) -> CompositeComponent:
+    """``node`` with leaf ``name`` replaced by ``new``, or dropped with every wire naming it."""
+    children: list[Union[ComponentDescriptor, CompositeComponent]] = []
+    for child in node.children:
+        if isinstance(child, CompositeComponent):
+            children.append(_rewrite_leaf(child, name, new))
+        elif child.name != name:
+            children.append(child)
+        elif new is not None:
+            children.append(new)
+    wiring = node.internal_wiring
+    if new is None:
+        wiring = tuple(w for w in wiring if name not in (w.requirer, w.provider))
+    return replace(node, children=tuple(children), internal_wiring=wiring)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +432,7 @@ def parse_component(doc: Mapping) -> ComponentDescriptor:
             automaton = automaton_from_json(op["effect_automaton"])
         operations.append(OperationSpec(op["name"], attr, int(op.get("duration", 1)), automaton))
     access = []
-    for iface, acc in sorted(doc.get("access", {}).items()):
+    for iface, acc in doc.get("access", {}).items():
         try:
             access.append((iface, Access(acc)))
         except ValueError:
@@ -568,7 +592,11 @@ def load_application(document: str) -> ApplicationConfiguration:
 
 
 def validate_configuration(config: ApplicationConfiguration) -> None:
-    """Check every model invariant; raise ValidationError naming the first violation."""
+    """Check every model invariant; raise ValidationError naming the first violation.
+
+    The composition rules are ``check_composition``'s alone: its first
+    finding is raised in the text ``build_static_graph`` gives it.
+    """
     components = config.components()
     for c in components.values():
         c.validate()
@@ -583,78 +611,32 @@ def validate_configuration(config: ApplicationConfiguration) -> None:
         if name not in hosted:
             raise ValidationError(f"component {name!r} has no container")
 
-    wires = config.wiring()
-    for wire in wires:
+    for wire in config.wiring():
         if wire.requirer not in components:
             raise ValidationError(f"wire requirer {wire.requirer!r} is not a deployed component")
-        requirer = components[wire.requirer]
-        if wire.interface not in requirer.required:
+        if wire.interface not in components[wire.requirer].required:
             raise ValidationError(
                 f"wire on {wire.requirer!r}: interface {wire.interface!r} is not declared required"
             )
-        if wire.provider is None:
-            continue
-        if wire.provider not in components:
-            raise ValidationError(f"wire provider {wire.provider!r} is not a deployed component")
-        provider = components[wire.provider]
-        if wire.interface not in provider.provided_names():
+    for (requirer, interface), wires in config._wires_by_requirement.items():
+        if len(wires) > 1:
             raise ValidationError(
-                f"wire {wire.requirer!r}->{wire.provider!r}: provider does not provide "
-                f"{wire.interface!r}"
+                f"requirement {requirer!r}/{interface!r} wired to more than one provider"
             )
 
-    by_requirement = config._wires_by_requirement
-    for c in components.values():
-        for interface in c.required:
-            matching = by_requirement.get((c.name, interface), ())
-            if not matching:
-                raise ValidationError(
-                    f"unwired requirement: component {c.name!r} requires {interface!r}"
-                )
-            if len(matching) > 1:
-                raise ValidationError(
-                    f"requirement {c.name!r}/{interface!r} wired to more than one provider"
-                )
-        # calls promised by automata must be servable by the wired provider
-        for op in c.operations:
-            if op.effect_automaton is None:
-                continue
-            for label in op.effect_automaton.labels:
-                provider_name = config.provider_of(c.name, label.interface)
-                if provider_name is None:
-                    continue  # declared external
-                provider = components[provider_name]
-                if not provider.provides_operation(label.interface, label.operation):
-                    raise ValidationError(
-                        f"component {c.name!r} calls {label.interface}.{label.operation} "
-                        f"but provider {provider_name!r} does not offer it"
-                    )
-
-    store_names = config.store_names()
-    for c in components.values():
-        if c.kind is ComponentKind.ENTITY:
-            if c.data_store is None:
-                raise ValidationError(f"entity component {c.name!r} references no data store")
-            if c.data_store not in store_names:
-                raise ValidationError(
-                    f"entity component {c.name!r} references unknown data store {c.data_store!r}"
-                )
-        if c.kind is ComponentKind.MESSAGE_DRIVEN:
-            if c.queue is None:
-                raise ValidationError(f"message-driven component {c.name!r} references no queue")
-            if c.queue not in config.queues:
-                raise ValidationError(
-                    f"message-driven component {c.name!r} references unknown queue {c.queue!r}"
-                )
+    report = check_composition(config)
+    if report:
+        first = report.findings[0]
+        raise ValidationError(f"{first.kind}: {first.subject}: {first.detail}")
 
 
 def check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
     """Report every composition inconsistency; empty report iff consistent.
 
-    Unlike ``validate_configuration`` this never raises: it is meant for
-    configurations that may have drifted (for example after a structural
-    swap), where findings are data for the caller to act on.  The report is
-    kept on the configuration, so a post-check and the next static graph share it.
+    This never raises: findings are data for the caller, whether that is
+    loading (which rejects on the first), the post-check after a swap or the
+    static graph.  The report is kept on the configuration, so loading, a
+    post-check and the next static graph share it.
     """
     return config._composition
 
@@ -715,11 +697,11 @@ def _check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
 
     store_names = config.store_names()
     for c in sorted(components.values(), key=lambda c: c.name):
-        if c.kind is ComponentKind.ENTITY and c.data_store not in store_names:
+        if c.kind is ComponentKind.ENTITY and (c.data_store is None or c.data_store not in store_names):
             findings.append(
                 ConsistencyFinding("dangling-store", c.name, f"data store {c.data_store!r} missing")
             )
-        if c.kind is ComponentKind.MESSAGE_DRIVEN and c.queue not in config.queues:
+        if c.kind is ComponentKind.MESSAGE_DRIVEN and (c.queue is None or c.queue not in config.queues):
             findings.append(
                 ConsistencyFinding("dangling-queue", c.name, f"queue {c.queue!r} missing")
             )

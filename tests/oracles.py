@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from quiesce.automata import AutomatonCursor, CallLabel, ServiceEffectAutomaton
 from quiesce.depgraph import ReconfigurationWindow, RuntimeDependencyGraph, RuntimeEdge
+from quiesce.errors import ValidationError
+from quiesce.model import ApplicationConfiguration, ComponentKind
 from quiesce.snapshot import RuntimeSnapshot
 
 
@@ -249,3 +251,88 @@ def expected_shadow_contents(
             if store == shadow:
                 shadow_rows.setdefault(key, {})[column] = value
     return shadow_rows
+
+
+def reference_validate_configuration(config: ApplicationConfiguration) -> None:
+    """Every model invariant checked by its own loop, composition rules included.
+
+    The validation that loading ran before it deferred the composition rules
+    to ``check_composition``; the wires per requirement come from a scan of
+    the wiring here instead of the configuration's index.
+    """
+    components = config.components()
+    for c in components.values():
+        c.validate()
+    for spec in config.containers:
+        spec.validate()
+        if spec.hosted_component not in components:
+            raise ValidationError(f"container hosts unknown component {spec.hosted_component!r}")
+    hosted = [spec.hosted_component for spec in config.containers]
+    if len(hosted) != len(set(hosted)):
+        raise ValidationError("a component is hosted by more than one container")
+    for name in components:
+        if name not in hosted:
+            raise ValidationError(f"component {name!r} has no container")
+
+    wires = config.wiring()
+    for wire in wires:
+        if wire.requirer not in components:
+            raise ValidationError(f"wire requirer {wire.requirer!r} is not a deployed component")
+        requirer = components[wire.requirer]
+        if wire.interface not in requirer.required:
+            raise ValidationError(
+                f"wire on {wire.requirer!r}: interface {wire.interface!r} is not declared required"
+            )
+        if wire.provider is None:
+            continue
+        if wire.provider not in components:
+            raise ValidationError(f"wire provider {wire.provider!r} is not a deployed component")
+        provider = components[wire.provider]
+        if wire.interface not in provider.provided_names():
+            raise ValidationError(
+                f"wire {wire.requirer!r}->{wire.provider!r}: provider does not provide "
+                f"{wire.interface!r}"
+            )
+
+    for c in components.values():
+        for interface in c.required:
+            matching = [w for w in wires if w.requirer == c.name and w.interface == interface]
+            if not matching:
+                raise ValidationError(
+                    f"unwired requirement: component {c.name!r} requires {interface!r}"
+                )
+            if len(matching) > 1:
+                raise ValidationError(
+                    f"requirement {c.name!r}/{interface!r} wired to more than one provider"
+                )
+        # calls promised by automata must be servable by the wired provider
+        for op in c.operations:
+            if op.effect_automaton is None:
+                continue
+            for label in op.effect_automaton.labels:
+                provider_name = config.provider_of(c.name, label.interface)
+                if provider_name is None:
+                    continue  # declared external
+                provider = components[provider_name]
+                if not provider.provides_operation(label.interface, label.operation):
+                    raise ValidationError(
+                        f"component {c.name!r} calls {label.interface}.{label.operation} "
+                        f"but provider {provider_name!r} does not offer it"
+                    )
+
+    store_names = config.store_names()
+    for c in components.values():
+        if c.kind is ComponentKind.ENTITY:
+            if c.data_store is None:
+                raise ValidationError(f"entity component {c.name!r} references no data store")
+            if c.data_store not in store_names:
+                raise ValidationError(
+                    f"entity component {c.name!r} references unknown data store {c.data_store!r}"
+                )
+        if c.kind is ComponentKind.MESSAGE_DRIVEN:
+            if c.queue is None:
+                raise ValidationError(f"message-driven component {c.name!r} references no queue")
+            if c.queue not in config.queues:
+                raise ValidationError(
+                    f"message-driven component {c.name!r} references unknown queue {c.queue!r}"
+                )

@@ -289,6 +289,7 @@ class TestSwap:
         drain(engine, "S")  # immediate: nothing in flight yet
         engine.run(until=4)  # three arrivals held at the closed barrier
         engine.swap_component("S", self.new_s())
+        engine.release_barrier("S")
         engine.run(until=100)
         events = [(e.t, e.kind, e.payload.get("id")) for e in engine.log
                   if e.kind in ("SwapApplied", "InvocationStart")]
@@ -321,6 +322,7 @@ class TestSwap:
                  operations=[op("work", duration=1)])
         )
         engine.swap_component("S", new)
+        engine.release_barrier("S")
         survivor = next(i for i in engine.containers["S"].instances if i.session == "alice")
         assert survivor.state == {"a": 1, "b": 2}
 
@@ -605,6 +607,7 @@ class TestSessionsAndRefs:
                  operations=[op("other", duration=1)])
         )
         engine.swap_component("S", gutted)
+        engine.release_barrier("S")
         engine.run(until=20)
         invalidated = [e for e in engine.log if e.kind == "SessionInvalidated"]
         assert [e.payload["session"] for e in invalidated] == ["c"]
@@ -634,6 +637,7 @@ class TestSessionsAndRefs:
                  operations=[op("other", tx="Joins", duration=3)])
         )
         engine.swap_component("B", gutted)
+        engine.release_barrier("B")
         with pytest.raises(ProtocolViolation):
             engine.run(until=50)
 
@@ -813,6 +817,7 @@ class TestPoolServicing:
             # by hand to let the swap strand them
             engine.containers["S"].barrier_mode = BARRIER_CLOSED
             engine.swap_component("S", gutted)
+            engine.release_barrier("S")
             engine.run(until=400)
             return engine
 

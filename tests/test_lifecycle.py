@@ -26,7 +26,7 @@ from quiesce.metrics import compute_metrics
 from quiesce.model import component_to_json, load_application, parse_component
 from quiesce.workload import parse_scenario
 
-from builders import app, auto, call_entry, client, comp, iface, op, scenario_doc, tree_components
+from builders import app, appdoc, auto, call_entry, client, comp, iface, op, scenario_doc, tree_components
 from gen import generate_case
 
 EMPTY_APP = '{"components": [], "version": 1}'
@@ -110,6 +110,24 @@ class TestLifecycleTransitions:
         manager.undeploy("shop")
         assert manager.state_of("shop") is ModuleState.UNDEPLOYED
         assert "S" not in manager.engine.config.components()
+
+    def test_undeploying_a_nested_component_leaves_the_rest_redeployable(self):
+        doc = json.loads(appdoc([comp("A"), comp("B")]))
+        doc["composites"] = [{"name": "sub", "children": ["B"], "internal_wiring": []}]
+        config = load_application(json.dumps(doc))
+        manager = DeploymentManager(Engine(config))
+        a, b = config.components()["A"], config.components()["B"]
+        manager.adopt_running("front", ModuleArchive("front", 1, (a,)))
+        manager.adopt_running("back", ModuleArchive("back", 1, (b,)))
+        manager.stop("back")
+        manager.undeploy("back")
+        assert list(manager.engine.containers) == ["A"]
+        assert list(manager.engine.config.components()) == ["A"]
+        assert [c.hosted_component for c in manager.engine.config.containers] == ["A"]
+        bumped = replace(a, version=2, operations=(replace(a.operations[0], duration=9),))
+        report = manager.redeploy("front", ModuleArchive("front", 2, (bumped,)), blocking="whole-app")
+        assert report.outcome == "Completed"
+        assert manager.engine.config.components()["A"] is bumped
 
     def test_every_operation_emits_one_terminal_progress_event(self):
         manager = fresh_manager()
@@ -333,7 +351,7 @@ class TestArchiveDiff:
         s, t = config.components()["S"], config.components()["T"]
         reordered = replace(s, access=s.access[::-1])
         copy = parse_component(component_to_json(t))
-        assert reordered != s and copy == t and copy is not t
+        assert reordered == s and copy == t and copy is not t  # access pairs keep one order
         assert diff_targets(manager, ModuleArchive("app", 2, (reordered, copy)), monkeypatch) == []
         log = manager.engine.log
         assert [e for e in log if e.kind in ("BarrierActivated", "SwapApplied")] == []

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quiesce.model as model_module
 from quiesce.engine import Engine
 from quiesce.errors import NameMismatch, ParseError, ValidationError, VersionError
 from quiesce.model import (
@@ -25,6 +28,7 @@ from quiesce.model import (
 from builders import app, appdoc, auto, comp, iface, op
 from conftest import read_fixture
 from gen import generate_case
+from oracles import reference_validate_configuration
 
 
 class TestLoadApplication:
@@ -36,7 +40,7 @@ class TestLoadApplication:
 
     def test_unwired_requirement_rejected(self):
         doc = appdoc([comp("S", required=["I"])])
-        with pytest.raises(ValidationError, match="unwired requirement"):
+        with pytest.raises(ValidationError, match="unwired-requirement: S: requires 'I' with no wire"):
             load_application(doc)
 
     def test_requirement_may_be_declared_external(self):
@@ -140,6 +144,210 @@ class TestLoadApplication:
             load_application(json.dumps(doc))
 
 
+def load_outcome(doc: str) -> str | None:
+    """The name of the error ``load_application`` raises on ``doc``, or None when it loads."""
+    try:
+        load_application(doc)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__
+    return None
+
+
+def reference_outcome(doc: str, monkeypatch) -> str | None:
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "validate_configuration", reference_validate_configuration)
+        return load_outcome(doc)
+
+
+def two_tier(**changes) -> str:
+    """S calls T.work through IT; keyword arguments replace whole document sections."""
+    components = [
+        comp("S", required=["IT"], operations=[op("work", automaton=auto([("q0", "IT", "work", 1, "q1")]))]),
+        comp("T", provided=[iface("IT", "work")]),
+        comp("U", provided=[iface("IU", "work")]),
+    ]
+    doc = json.loads(appdoc(components, wiring=[("S", "IT", "T")]))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def wires(*triples) -> list[dict]:
+    return [{"requirer": r, "interface": i, "provider": p} for r, i, p in triples]
+
+
+def entity(**extra) -> dict:
+    return comp("E", kind="Entity", entity_schema=["c"], **extra)
+
+
+def receiver(**extra) -> dict:
+    return comp("M", kind="MessageDriven", provided=[iface("IM", "on")], operations=[op("on")], **extra)
+
+
+# one document per validation branch, with the full message loading gives it
+VALIDATION_BRANCHES = {
+    "descriptor": (
+        appdoc([comp("S", state_fields=["x"])]),
+        "component 'S': stateless session components carry no conversational state",
+    ),
+    "container-chain": (
+        appdoc([comp("S")], containers=[{"hosted_component": "S", "interceptor_chain": ["Pooling"]}]),
+        "container for 'S': chain needs TxDemarcation and Pooling",
+    ),
+    "container-for-ghost": (
+        appdoc([comp("S")], containers=[{"hosted_component": "S"}, {"hosted_component": "Ghost"}]),
+        "container hosts unknown component 'Ghost'",
+    ),
+    "two-containers": (
+        appdoc([comp("S")], containers=[{"hosted_component": "S"}] * 2),
+        "a component is hosted by more than one container",
+    ),
+    "no-container": (appdoc([comp("S")], containers=[]), "component 'S' has no container"),
+    "requirer-not-deployed": (
+        two_tier(wiring=wires(("S", "IT", "T"), ("Ghost", "IT", "T"))),
+        "wire requirer 'Ghost' is not a deployed component",
+    ),
+    "interface-not-required": (
+        two_tier(wiring=wires(("S", "IT", "T"), ("S", "IU", "U"))),
+        "wire on 'S': interface 'IU' is not declared required",
+    ),
+    "two-wires": (
+        two_tier(wiring=wires(("S", "IT", "T"), ("S", "IT", None))),
+        "requirement 'S'/'IT' wired to more than one provider",
+    ),
+    "unwired": (two_tier(wiring=[]), "unwired-requirement: S: requires 'IT' with no wire"),
+    "provider-not-deployed": (
+        two_tier(wiring=wires(("S", "IT", "Ghost"))),
+        "signature-mismatch: S: provider 'Ghost' missing",
+    ),
+    "provider-lacks-interface": (
+        two_tier(wiring=wires(("S", "IT", "U"))),
+        "signature-mismatch: S: provider 'U' no longer provides 'IT'",
+    ),
+    "call-not-offered": (
+        appdoc(
+            [
+                comp("S", required=["IT"], operations=[op("work", automaton=auto([("q0", "IT", "gone", 1, "q1")]))]),
+                comp("T", provided=[iface("IT", "work")]),
+            ],
+            wiring=[("S", "IT", "T")],
+        ),
+        "signature-mismatch: S: calls IT.gone which provider 'T' does not offer",
+    ),
+    "entity-without-store": (appdoc([entity()]), "dangling-store: E: data store None missing"),
+    "entity-without-store-beside-a-null-named-one": (
+        appdoc([entity()], data_stores=[{"name": None, "schema": ["c"]}]),
+        "dangling-store: E: data store None missing",
+    ),
+    "entity-with-unknown-store": (
+        appdoc([entity(data_store="db")], data_stores=[{"name": "other", "schema": ["c"]}]),
+        "dangling-store: E: data store 'db' missing",
+    ),
+    "receiver-without-queue": (appdoc([receiver()]), "dangling-queue: M: queue None missing"),
+    "receiver-without-queue-beside-a-null-named-one": (
+        appdoc([receiver()], queues=[None]),
+        "dangling-queue: M: queue None missing",
+    ),
+    "receiver-with-unknown-queue": (
+        appdoc([receiver(queue="jobs")], queues=["other"]),
+        "dangling-queue: M: queue 'jobs' missing",
+    ),
+}
+
+
+class TestValidationBranches:
+    @pytest.mark.parametrize("branch", sorted(VALIDATION_BRANCHES))
+    def test_each_branch_rejects_like_the_reference(self, branch, monkeypatch):
+        doc, message = VALIDATION_BRANCHES[branch]
+        assert reference_outcome(doc, monkeypatch) == "ValidationError"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_application(doc)
+
+    def test_the_unbroken_documents_load(self, monkeypatch):
+        for doc in (
+            two_tier(),
+            two_tier(wiring=wires(("S", "IT", None))),
+            appdoc([entity(data_store="db")], data_stores=[{"name": "db", "schema": ["c"]}]),
+            appdoc([receiver(queue="jobs")], queues=["jobs"]),
+        ):
+            assert load_outcome(doc) is None
+            assert reference_outcome(doc, monkeypatch) is None
+
+
+MUTATIONS = (
+    "drop-wire",
+    "redirect-wire",
+    "duplicate-wire",
+    "ghost-requirer",
+    "ghost-provider",
+    "undeclared-interface",
+    "removed-operation",
+    "dangling-store",
+    "dangling-queue",
+)
+
+
+def mutate(doc: dict, mutation: str, rng: random.Random) -> dict | None:
+    """A copy of ``doc`` with one ``mutation``, or None when the document offers it nothing to act on."""
+    doc = json.loads(json.dumps(doc))
+    wiring, components = doc["wiring"], doc["components"]
+    names = [c["name"] for c in components]
+    interfaces = sorted({sig["name"] for c in components for sig in c["provided"]})
+    if mutation == "drop-wire" and wiring:
+        del wiring[rng.randrange(len(wiring))]
+    elif mutation == "redirect-wire" and wiring:
+        rng.choice(wiring)["provider"] = rng.choice(names)
+    elif mutation == "duplicate-wire" and wiring:
+        wiring.append(dict(rng.choice(wiring), provider=rng.choice(names + [None])))
+    elif mutation == "ghost-requirer":
+        wiring.append({"requirer": "Ghost", "interface": rng.choice(interfaces), "provider": rng.choice(names)})
+    elif mutation == "ghost-provider" and wiring:
+        rng.choice(wiring)["provider"] = "Ghost"
+    elif mutation == "undeclared-interface":
+        wiring.append({"requirer": rng.choice(names), "interface": rng.choice(interfaces), "provider": rng.choice(names)})
+    elif mutation == "removed-operation":
+        sig = rng.choice([sig for c in components for sig in c["provided"] if sig["operations"]])
+        del sig["operations"][rng.randrange(len(sig["operations"]))]
+    elif mutation == "dangling-store" and any(c["kind"] == "Entity" for c in components):
+        if rng.random() < 0.5:
+            doc["data_stores"] = []
+        else:
+            next(c for c in components if c["kind"] == "Entity").pop("data_store")
+    elif mutation == "dangling-queue" and doc["queues"]:
+        if rng.random() < 0.5:
+            doc["queues"] = []
+        else:
+            next(c for c in components if c["kind"] == "MessageDriven").pop("queue")
+    else:
+        return None
+    return doc
+
+
+def mutated_documents(seed: int) -> list[tuple[str, str]]:
+    base = json.loads(generate_case(seed).config_text)
+    out = []
+    for mutation in MUTATIONS:
+        doc = mutate(base, mutation, random.Random(f"{seed}|{mutation}"))
+        if doc is not None:
+            out.append((mutation, json.dumps(doc)))
+    return out
+
+
+class TestValidationMatchesReference:
+    @pytest.mark.parametrize("seed", range(1, 101))
+    def test_mutated_documents_are_rejected_exactly_when_the_reference_rejects(self, seed, monkeypatch):
+        assert load_outcome(generate_case(seed).config_text) is None
+        for mutation, doc in mutated_documents(seed):
+            assert load_outcome(doc) == reference_outcome(doc, monkeypatch), mutation
+
+    def test_the_mutations_both_keep_and_break_documents(self, monkeypatch):
+        outcomes = {
+            (mutation, load_outcome(doc)) for seed in range(1, 31) for mutation, doc in mutated_documents(seed)
+        }
+        assert {mutation for mutation, _ in outcomes} == set(MUTATIONS)
+        assert ("redirect-wire", None) in outcomes and ("redirect-wire", "ValidationError") in outcomes
+        assert ("duplicate-wire", "ValidationError") in outcomes
+
+
 class TestDiffVersions:
     def base(self) -> dict:
         return comp("S", operations=[op("work", duration=5)])
@@ -175,6 +383,14 @@ class TestDiffVersions:
             operations=[op("work", duration=9), op("extra")],
         )
         assert diff_versions(old, parse_component(new_doc)) is ChangeKind.STRUCTURAL
+
+    def test_reordered_access_pairs_are_not_a_change(self):
+        old = parse_component(comp("S", provided=[iface("IA", "work"), iface("IB", "work")],
+                                   access={"IB": "Local", "IA": "Remote"}))
+        assert [name for name, _ in old.access] == ["IA", "IB"]
+        new = replace(old, version=2, access=old.access[::-1])
+        assert new.access == old.access
+        assert diff_versions(old, new) is ChangeKind.FUNCTIONAL
 
     def test_name_mismatch_and_version_errors(self):
         old = parse_component(self.base())
@@ -373,6 +589,21 @@ class TestIndexNeverStale:
         assert added.provider_of("X", "IC") == "C"
         for config in (before, added, removed):
             assert_index_matches_scan(config)
+
+    def test_without_component_drops_a_nested_leaf_and_every_wire_naming_it(self):
+        config = nested_config()
+        removed = config.without_component("C")  # a leaf of "inner", wired from "inner" and the root
+        assert list(removed.components()) == ["D", "A", "B"]
+        assert [c.hosted_component for c in removed.containers] == ["A", "B", "D"]
+        assert all("C" not in (w.requirer, w.provider) for w in removed.wiring())
+        assert len(removed.wiring()) == len(config.wiring()) - 2
+        assert removed.version == config.version
+        assert [(f.kind, f.subject) for f in check_composition(removed).findings] == [
+            ("unwired-requirement", "B"),
+            ("unwired-requirement", "D"),
+        ]
+        assert_index_matches_scan(removed)
+        assert_index_matches_scan(config)
 
     def test_composition_report_is_kept_per_configuration(self, chain_config):
         engine = Engine(chain_config)

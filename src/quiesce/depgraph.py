@@ -16,7 +16,7 @@ static graph is the report cached on the configuration instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .automata import earliest_occurrence  # noqa: F401 - bench/tracing.py wraps it here
 from .errors import (
@@ -62,17 +62,22 @@ class StaticDependencyGraph:
 
     def ancestors_of(self, targets: frozenset[str]) -> frozenset[str]:
         """Components that can reach a target through uses-dependencies (excludes targets)."""
-        callers: dict[str, set[str]] = {}
-        for requirer, provider, _ in self.edges:
-            callers.setdefault(provider, set()).add(requirer)
-        out: set[str] = set()
-        stack = list(targets)
-        while stack:
-            for caller in callers.get(stack.pop(), ()):
-                if caller not in out:
-                    out.add(caller)
-                    stack.append(caller)
-        return frozenset(out - set(targets))
+        return _callers_closure(((r, p) for r, p, _ in self.edges), targets) - targets
+
+
+def _callers_closure(pairs: Iterable[tuple[str, str]], targets: frozenset[str]) -> frozenset[str]:
+    """``targets`` plus every caller that reaches one through (caller, callee) ``pairs``."""
+    callers: dict[str, set[str]] = {}
+    for caller, callee in pairs:
+        callers.setdefault(callee, set()).add(caller)
+    closure = set(targets)
+    stack = list(targets)
+    while stack:
+        for caller in callers.get(stack.pop(), ()):
+            if caller not in closure:
+                closure.add(caller)
+                stack.append(caller)
+    return frozenset(closure)
 
 
 @dataclass(frozen=True)
@@ -200,17 +205,7 @@ def affected_set(
     unknown = targets - set(static_graph.nodes)
     if unknown:
         raise UnknownTarget(f"unknown components: {sorted(unknown)}")
-    callers: dict[str, set[str]] = {}
-    for edge in graph.edges:
-        callers.setdefault(edge.callee, set()).add(edge.caller_component)
-    affected = set(targets)
-    stack = list(targets)
-    while stack:
-        for caller in callers.get(stack.pop(), ()):
-            if caller not in affected:
-                affected.add(caller)
-                stack.append(caller)
-    return frozenset(affected)
+    return _callers_closure(((e.caller_component, e.callee) for e in graph.edges), targets)
 
 
 def graph_to_json(

@@ -342,7 +342,6 @@ class Engine:
         self.transactions: dict[str, _Transaction] = {}
         self.remote_refs: dict[str, set[str]] = {}
         self._invalidated_sessions: set[str] = set()
-        self._client_access: dict[str, Access] = {}
         self._violation: Optional[ProtocolViolation] = None
         components = config.components()
         for spec in config.containers:
@@ -397,7 +396,6 @@ class Engine:
         validate_scenario(scenario, self.config)
         self.seed = scenario.seed
         for client in scenario.clients:
-            self._client_access[client.id] = client.access
             for idx, entry in enumerate(client.script):
                 if isinstance(entry, ScriptCall):
                     inv = _Invocation(
@@ -527,13 +525,7 @@ class Engine:
                     session=inv.session,
                     reason=f"operation {inv.component}.{inv.operation} no longer provided",
                 )
-            self._emit(
-                INVOCATION_DENIED,
-                id=inv.id,
-                component=inv.component,
-                session=inv.session,
-                reason="missing-operation",
-            )
+            self._deny(inv, "missing-operation")
             return
         # a component promised this call in its automaton: broken protocol wiring
         self._violation = ProtocolViolation(
@@ -1070,19 +1062,8 @@ class Engine:
         if descriptor.name in self.containers:
             raise ValidationError(f"component {descriptor.name!r} already deployed")
         spec = container_spec or ContainerSpec(hosted_component=descriptor.name)
-        root = self.config.root
-        new_root = type(root)(
-            root.name, root.children + (descriptor,), root.internal_wiring + tuple(wiring)
-        )
-        self.config = ApplicationConfiguration(
-            root=new_root,
-            containers=self.config.containers + (spec,),
-            data_stores=self.config.data_stores,
-            queues=self.config.queues,
-            version=self.config.version,
-        )
-        container = _Container(spec, descriptor)
-        self.containers[descriptor.name] = container
+        self.config = self.config.with_added(descriptor, spec, wiring)
+        self.containers[descriptor.name] = _Container(spec, descriptor)
         if started:
             self.start_container(descriptor.name)
 

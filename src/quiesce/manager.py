@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import engine as rt
 from .depgraph import (
@@ -639,26 +639,29 @@ def plan_ordering_problems(plan: ReconfigurationPlan) -> list[str]:
 class PlanExecutor:
     """Drives plan steps through the engine's event timeline.
 
-    Steps run at barrier priority.  AwaitQuiescence suspends until the
-    container reports quiescence or the drain timeout fires; a timeout
-    releases every activated barrier and abandons the plan with no swap
-    applied (the configuration is untouched, so rollback is trivial).
+    ``_run`` walks the steps in order at barrier priority and yields only
+    where the plan waits: for a timed step's cost and for a barrier that has
+    not closed; ``_advance`` is its only wake-up.  One deadline guards the
+    drain: if a barrier is still draining when it fires, every barrier is
+    released and the plan is abandoned with no swap applied (the
+    configuration is untouched, so rollback is trivial).
     """
 
     def __init__(self, engine: rt.Engine, plan: ReconfigurationPlan, costs: CostModel = CostModel()):
         self.engine = engine
         self.plan = plan
         self.costs = costs
-        self.idx = 0
         self.done = False
         self.outcome: Optional[str] = None
         self.first_event = 0
         self.findings: list[ConsistencyFinding] = []
         self.detail = ""
+        self._barriers = tuple(s.component for s in plan.steps if s.kind == ACTIVATE_BARRIER)
+        self._steps = self._run()
 
     def start(self) -> None:
         self.first_event = len(self.engine.log)
-        self.engine.schedule(self.engine.clock, self._proceed)
+        self.engine.schedule(self.engine.clock, self._advance)
 
     def run_until_done(self) -> None:
         """Run the engine until the plan has finished."""
@@ -666,77 +669,56 @@ class PlanExecutor:
         if not self.done:
             raise EngineFault("plan did not finish: engine ran out of events")
 
-    # -- step machine --------------------------------------------------
+    # -- plan walk -----------------------------------------------------
 
-    def _proceed(self) -> None:
-        engine = self.engine
-        while not self.done and self.idx < len(self.plan.steps):
-            step = self.plan.steps[self.idx]
+    def _advance(self) -> None:
+        if not self.done:
+            next(self._steps, None)
+
+    def _run(self) -> Iterator[None]:
+        engine, plan = self.engine, self.plan
+        if self._barriers:
+            # every barrier goes up at this instant, so one deadline covers them all
+            engine.schedule(engine.clock + engine.drain_timeout, self._check_timeout)
+        for step in plan.steps:
             if step.kind == ACTIVATE_BARRIER:
                 engine.activate_barrier(step.component)
-                deadline = engine.clock + engine.drain_timeout
-                engine.schedule(deadline, lambda c=step.component: self._check_timeout(c))
-                self.idx += 1
             elif step.kind == AWAIT_QUIESCENCE:
-                if not engine.on_quiescent(step.component, lambda: self._resume(lambda: True)):
-                    return
-                self.idx += 1
+                if not engine.on_quiescent(step.component, self._advance):
+                    yield
             elif step.kind == PAUSE_QUEUE:
                 engine.pause_queue(step.queue)
-                self.idx += 1
             elif step.kind == SYNC_SHADOW_STORE:
-                self._run_timed(self.costs.sync, lambda s=step: self._do_sync(s))
-                return
+                engine.schedule(engine.clock + self.costs.sync, self._advance)
+                yield
+                migration = plan.request.migration_for(step.component)
+                engine.sync_shadow_store(step.component, migration.shadow_store, migration.mapping())
             elif step.kind == SWAP:
-                self._run_timed(self.costs.swap, lambda s=step: self._do_swap(s))
-                return
+                engine.schedule(engine.clock + self.costs.swap, self._advance)
+                yield
+                # a late joining transaction may have re-opened the drain; swap after it ends
+                while not engine.on_quiescent(step.component, self._advance):
+                    yield
+                migration = plan.request.migration_for(step.component)
+                engine.swap_component(
+                    step.component,
+                    plan.descriptor_for(step.component),
+                    shadow_store=migration.shadow_store if migration else None,
+                )
             elif step.kind == SET_POOL_SIZE:
                 engine.set_pool_size(step.component, step.pool_size)
-                self.idx += 1
             elif step.kind == RESUME_QUEUE:
                 engine.resume_queue(step.queue)
-                self.idx += 1
             elif step.kind == RELEASE_BARRIER:
                 self._collect_orphans(step.component)
                 engine.release_barrier(step.component)
-                self.idx += 1
             elif step.kind == POST_CHECK:
-                report = check_composition(engine.config)
-                self.findings.extend(report.findings)
-                self.idx += 1
+                self.findings.extend(check_composition(engine.config).findings)
                 self._finish("Completed" if not self.findings else "Rejected")
+                return
             else:
                 raise EngineFault(f"unknown plan step {step.kind!r}")
-        if not self.done and self.idx >= len(self.plan.steps):
-            self._finish(self.outcome or "Completed")
-
-    def _resume(self, action: Callable[[], bool]) -> None:
-        """Finish the current step with ``action`` and go on, unless the plan was abandoned."""
-        if self.done:
-            return
-        if action():  # False: the action arranged its own continuation
-            self.idx += 1
-            self._proceed()
-
-    def _run_timed(self, cost: int, action: Callable[[], bool]) -> None:
-        self.engine.schedule(self.engine.clock + cost, lambda: self._resume(action))
-
-    def _do_sync(self, step: PlanStep) -> bool:
-        migration = self.plan.request.migration_for(step.component)
-        self.engine.sync_shadow_store(step.component, migration.shadow_store, migration.mapping())
-        return True
-
-    def _do_swap(self, step: PlanStep) -> bool:
-        # a late joining transaction may have re-opened the drain; swap after it ends
-        if not self.engine.on_quiescent(step.component, lambda: self._resume(lambda: self._do_swap(step))):
-            return False
-        migration = self.plan.request.migration_for(step.component)
-        self.engine.swap_component(
-            step.component,
-            self.plan.descriptor_for(step.component),
-            shadow_store=migration.shadow_store if migration else None,
-        )
-        return True
+        self._finish("Completed")
 
     def _collect_orphans(self, component: str) -> None:
         descriptor = self.engine.config.components()[component]
@@ -750,14 +732,16 @@ class PlanExecutor:
                     )
                 )
 
-    def _check_timeout(self, component: str) -> None:
-        if self.done or self.engine.barrier_state(component) != rt.BARRIER_DRAINING:
+    def _check_timeout(self) -> None:
+        if self.done:
+            return
+        draining = [c for c in self._barriers if self.engine.barrier_state(c) == rt.BARRIER_DRAINING]
+        if not draining:
             return
         # abandon: release every barrier, in provider-first order (releasing an open one emits nothing)
-        self.detail = f"drain timeout waiting for {component!r}"
-        for step in reversed(self.plan.steps):
-            if step.kind == ACTIVATE_BARRIER:
-                self.engine.release_barrier(step.component)
+        self.detail = f"drain timeout waiting for {draining[0]!r}"
+        for name in reversed(self._barriers):
+            self.engine.release_barrier(name)
         self._finish("DrainTimeout")
 
     def _finish(self, outcome: str) -> None:

@@ -346,6 +346,17 @@ class ApplicationConfiguration:
             self, root=_rewrite_leaf(self.root, descriptor.name, descriptor), version=self.version + 1
         )
 
+    def with_added(
+        self, descriptor: ComponentDescriptor, spec: ContainerSpec, wiring: Iterable[Wire]
+    ) -> "ApplicationConfiguration":
+        """Copy of this configuration with a new root leaf, its wires and its container; same version."""
+        root = replace(
+            self.root,
+            children=self.root.children + (descriptor,),
+            internal_wiring=self.root.internal_wiring + tuple(wiring),
+        )
+        return replace(self, root=root, containers=self.containers + (spec,))
+
     def without_component(self, name: str) -> "ApplicationConfiguration":
         """Copy of this configuration without leaf ``name``, the wires naming it and its container."""
         return replace(

@@ -611,6 +611,8 @@ class TestSessionsAndRefs:
         engine.run(until=20)
         invalidated = [e for e in engine.log if e.kind == "SessionInvalidated"]
         assert [e.payload["session"] for e in invalidated] == ["c"]
+        denied = [e.payload for e in engine.log if e.kind == "InvocationDenied"]
+        assert denied == [{"id": "c:0", "component": "S", "session": "c", "reason": "missing-operation"}]
 
     def test_component_call_to_removed_operation_is_protocol_violation(self):
         components = [

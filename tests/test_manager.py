@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from quiesce.engine import Engine
 from quiesce.errors import Rejection, SnapshotStale, UnknownComponent
 from quiesce.manager import (
+    AWAIT_QUIESCENCE,
     EntityMigration,
     Granularity,
     QosChange,
@@ -396,6 +398,86 @@ class TestExecutePlan:
         assert report.outcome == "Rejected"
         assert [(f.kind, f.subject) for f in report.findings] == [("orphaned-held-call", "S")]
         assert "c2:0" in report.findings[0].detail
+
+
+class TestSwapWaitsOnReopenedDrain:
+    """Plans whose swap finds the drain re-opened: the client's AwaitQuiescence is dropped.
+
+    A (StartsNew, duration 12) calls D (8 units, outside the barricade) and
+    then C; the request at t=2 targets C.  C closes at 2, so the swap starts
+    at once, and A's joining call re-opens C's drain at 8 while the swap's
+    cost still runs.  A's transaction commits at 21.
+    """
+
+    def engine(self, drain_timeout: int = 1000) -> Engine:
+        a_auto = auto([("q0", "ID", "work", 0, "q1"), ("q1", "IC", "work", 0, "q2")])
+        config = app(
+            [
+                comp("A", required=["ID", "IC"], operations=[op("work", duration=12, automaton=a_auto)]),
+                comp("D", provided=[iface("ID", "work")], operations=[op("work", tx="Joins", duration=8)]),
+                comp("C", provided=[iface("IC", "work")], operations=[op("work", tx="Joins", duration=1)]),
+            ],
+            wiring=[("A", "ID", "D"), ("A", "IC", "C")],
+        )
+        engine = Engine(config, drain_timeout=drain_timeout)
+        engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(0, "A"))])))
+        engine.run(until=2)
+        return engine
+
+    def plan(self, engine: Engine, drop_client_await: bool = True):
+        version = engine.config.components()["C"].version + 1
+        new_c = parse_component(comp("C", version=version, provided=[iface("IC", "work")],
+                                     operations=[op("work", tx="Joins", duration=1)]))
+        request = ReconfigurationRequest(
+            id=f"swap-c@{engine.clock}", targets=(TargetChange("C", new_c),), requested_at=engine.clock
+        )
+        plan = build_plan(request, engine.config, engine.snapshot())
+        assert plan.affected == frozenset({"A", "C"})
+        if drop_client_await:
+            steps = tuple(s for s in plan.steps if (s.kind, s.component) != (AWAIT_QUIESCENCE, "A"))
+            plan = replace(plan, steps=steps)
+        return plan
+
+    def test_swap_waits_until_the_reopened_drain_closes(self):
+        engine = self.engine()
+        report = execute_plan(self.plan(engine), engine)
+        assert report.outcome == "Completed"
+        events = [(e.t, e.kind, e.payload.get("component")) for e in engine.log]
+        assert (2, "QuiescenceReached", "C") in events
+        assert (8, "InvocationStart", "C") in events  # A's joining call re-opens the drain
+        swapped = [t for t, kind, _ in events if kind == "SwapApplied"]
+        committed = [t for t, kind, _ in events if kind == "TxCommit"]
+        assert swapped == committed == [21]
+        running = set()
+        for e in engine.log:
+            if e.kind == "InvocationStart":
+                running.add(e.payload["id"])
+            elif e.kind == "InvocationEnd":
+                running.discard(e.payload["id"])
+            elif e.kind == "SwapApplied":
+                break
+        assert running == set()
+        assert engine.config.components()["C"].version == 2
+
+    def test_timeout_while_the_swap_waits_abandons_the_plan(self):
+        engine = self.engine(drain_timeout=11)
+        report = execute_plan(self.plan(engine), engine)
+        assert report.outcome == "DrainTimeout"
+        assert report.detail == "drain timeout waiting for 'A'"
+        assert [e for e in engine.log if e.kind == "SwapApplied"] == []
+        assert {name: engine.barrier_state(name) for name in "ACD"} == dict.fromkeys("ACD", "Open")
+        assert engine.config.components()["C"].version == 1
+
+    def test_abandoned_plan_ignores_its_stale_wake_up(self):
+        engine = self.engine(drain_timeout=11)
+        first = execute_plan(self.plan(engine), engine)
+        before = first.to_json()
+        engine.run(until=30)  # A commits at 21 with the first plan's swap wake-up still registered on C
+        second = execute_plan(self.plan(engine, drop_client_await=False), engine)
+        assert second.outcome == "Completed"
+        assert first.to_json() == before
+        assert [(e.t, e.payload["component"]) for e in engine.log if e.kind == "SwapApplied"] == [(40, "C")]
+        assert engine.config.components()["C"].version == 2
 
 
 class TestScenarioWithRequest:

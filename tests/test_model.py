@@ -15,6 +15,7 @@ from quiesce.errors import NameMismatch, ParseError, ValidationError, VersionErr
 from quiesce.model import (
     ChangeKind,
     CompositeComponent,
+    ContainerSpec,
     Wire,
     check_composition,
     diff_versions,
@@ -589,6 +590,19 @@ class TestIndexNeverStale:
         assert added.provider_of("X", "IC") == "C"
         for config in (before, added, removed):
             assert_index_matches_scan(config)
+
+    def test_with_added_puts_a_root_leaf_its_wires_and_container_in_one_copy(self):
+        config = nested_config()
+        x = parse_component(comp("X", required=["IC"]))
+        added = config.with_added(x, ContainerSpec("X"), (Wire("X", "IC", "C"),))
+        assert added.components()["X"] is x
+        assert added.root.children[-1] is x
+        assert added.containers[-1] == ContainerSpec("X")
+        assert added.provider_of("X", "IC") == "C"
+        assert added.version == config.version
+        assert "X" not in config.components()
+        assert added.without_component("X") == config
+        assert_index_matches_scan(added)
 
     def test_without_component_drops_a_nested_leaf_and_every_wire_naming_it(self):
         config = nested_config()

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import ParseError, ProtocolViolation, ValidationError
+from .documents import record
+from .errors import ProtocolViolation, ValidationError
 
 
 class CallLabel(NamedTuple):
@@ -209,21 +210,16 @@ def earliest_occurrence(cursor: AutomatonCursor, call: CallLabel) -> Optional[in
     return None
 
 
+_AUTOMATON_KEYS = frozenset({"states", "initial", "finals", "transitions"})
+_TRANSITION_KEYS = frozenset({"from", "to", "calls_interface", "calls_operation", "min_delay"})
+
+
 def automaton_from_json(doc: dict) -> ServiceEffectAutomaton:
     """Build an automaton from its document form (strict keys)."""
-    allowed = {"states", "initial", "finals", "transitions"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"unknown keys in automaton document: {sorted(unknown)}")
-    missing = allowed - set(doc)
-    if missing:
-        raise ParseError(f"automaton document missing keys: {sorted(missing)}")
+    record(doc, _AUTOMATON_KEYS, "automaton document", _AUTOMATON_KEYS)
     transitions = []
     for t in doc["transitions"]:
-        t_allowed = {"from", "to", "calls_interface", "calls_operation", "min_delay"}
-        t_unknown = set(t) - t_allowed
-        if t_unknown:
-            raise ParseError(f"unknown keys in transition document: {sorted(t_unknown)}")
+        record(t, _TRANSITION_KEYS, "transition document", _TRANSITION_KEYS)
         transitions.append(
             Transition(
                 source=t["from"],

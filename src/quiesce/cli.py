@@ -26,6 +26,7 @@ from .depgraph import (
     graph_to_dot,
     graph_to_json,
 )
+from .documents import decode
 from .errors import ProtocolViolation, QuiesceError, Rejection
 from .lifecycle import DeploymentManager, ModuleArchive, ModuleState, archive_to_json, parse_archive
 from .manager import (
@@ -446,8 +447,8 @@ def undeploy(ctx, module: str, app_file: str | None, state_file: str) -> None:
 def classify(ctx, descriptor_file: str, change: str, refs: str, migration_available: bool, state_shape_changed: bool) -> None:
     """Print the safety verdict for a descriptor under a change kind."""
     try:
-        descriptor = parse_component(json.loads(_read(descriptor_file)))
-    except (QuiesceError, json.JSONDecodeError) as exc:
+        descriptor = parse_component(decode(_read(descriptor_file), "descriptor"))
+    except QuiesceError as exc:
         _fail(f"{descriptor_file}: {exc}")
     verdict = classify_structural_safety(
         descriptor,

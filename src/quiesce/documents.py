@@ -1,0 +1,44 @@
+"""The one rule every document loader follows.
+
+A document is JSON text.  Each record in it is an object that names only keys
+its parser knows and holds every key its parser reads unconditionally; any
+other input is a ParseError.  Error text is built only when a check fails.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Optional
+
+from .errors import ParseError
+
+
+def decode(text: str, what: str) -> Any:
+    """The JSON value in ``text``; ParseError "invalid <what> JSON: ..." when there is none."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid {what} JSON: {exc}") from exc
+
+
+def record(
+    doc: Any,
+    keys: frozenset[str],
+    what: str,
+    required: frozenset[str] = frozenset(),
+    name: Optional[str] = None,
+) -> dict:
+    """``doc``, once it is an object with no key outside ``keys`` and every key in ``required``.
+
+    ``what`` names the record in the error text; the value under the key
+    ``name``, when given, follows it (``component 'A'``).
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    if not keys.issuperset(doc) or not doc.keys() >= required:
+        label = what if name is None else f"{what} {doc.get(name)!r}"
+        unknown = doc.keys() - keys
+        if unknown:
+            raise ParseError(f"unknown keys in {label}: {sorted(unknown)}")
+        raise ParseError(f"{label} missing keys: {sorted(required - doc.keys())}")
+    return doc

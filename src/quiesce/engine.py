@@ -306,7 +306,6 @@ class _Queue:
         self.items: list[tuple[int, str]] = []  # (enqueue seq, payload)
         self.paused = False
         self.enqueued = 0
-        self.delivered = 0
 
 
 @dataclass
@@ -824,6 +823,8 @@ class Engine:
     def on_quiescent(self, component: str, fn: Callable[[], None]) -> bool:
         """Whether the barrier on ``component`` is closed now; if not, run ``fn`` once it closes.
 
+        Releasing the barrier first drops ``fn`` uncalled.
+
         A closed barrier returns True and leaves ``fn`` uncalled, so a caller
         walking many already-closed containers loops instead of recursing.
         """
@@ -844,6 +845,7 @@ class Engine:
         if container.barrier_mode == BARRIER_OPEN:
             return  # idempotent: releasing an open barrier acknowledges
         container.barrier_mode = BARRIER_OPEN
+        container.quiescence_waiters = []  # only an abandoned plan still waits here
         self._emit(BARRIER_RELEASED, component=component)
         held, container.barrier_held = container.barrier_held, []
         held.sort(key=lambda inv: (inv.submitted_at, inv.id))  # FIFO, ties by id
@@ -916,7 +918,6 @@ class Engine:
         while q.items and not q.paused and container.barrier_mode == BARRIER_OPEN:
             seq, payload = q.items.pop(0)
             self._emit(MESSAGE_DELIVERED, queue=queue, payload=payload, seq=seq)
-            q.delivered += 1
             inv = _Invocation(
                 id=f"msg:{queue}:{seq}",
                 caller=f"queue:{queue}",
@@ -1089,9 +1090,6 @@ class Engine:
         if queue is None:
             raise UnknownQueue(f"unknown queue {name!r}")
         return queue
-
-    def store_contents(self, name: str) -> dict[str, dict[str, str]]:
-        return {k: dict(v) for k, v in self.stores[name].items()}
 
     def snapshot(self) -> RuntimeSnapshot:
         """Capture the current state as an immutable value."""

@@ -11,7 +11,7 @@ class QuiesceError(Exception):
 
 
 class ParseError(QuiesceError):
-    """A document is malformed: bad JSON, wrong shape, or unknown keys."""
+    """A document is malformed: bad JSON, a record that is not an object, or unknown or missing keys."""
 
 
 class ValidationError(QuiesceError):

@@ -11,18 +11,12 @@ weakened mode lets the component-type safety rules decide.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
+from .documents import decode, record
 from .engine import Engine
-from .errors import (
-    DrainTimeout,
-    IllegalTransition,
-    ParseError,
-    Rejection,
-    ValidationError,
-)
+from .errors import DrainTimeout, IllegalTransition, Rejection, ValidationError
 from .manager import (
     CostModel,
     EntityMigration,
@@ -93,10 +87,6 @@ class DeploymentManager:
 
     def _progress(self, operation: str, module: str, status: str, detail: str = "") -> None:
         self.events.append(ProgressEvent(operation, module, status, detail))
-
-    def state_of(self, module: str) -> ModuleState:
-        record = self.modules.get(module)
-        return record.state if record else ModuleState.UNDEPLOYED
 
     def adopt_running(self, module: str, archive: ModuleArchive) -> None:
         """Register already-deployed components as a started module.
@@ -290,18 +280,11 @@ class DeploymentManager:
         return report
 
 
+_ARCHIVE_KEYS = frozenset({"module", "version", "components"})
+
+
 def parse_archive(text: str) -> ModuleArchive:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid archive JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("archive document must be a JSON object")
-    unknown = set(doc) - {"module", "version", "components"}
-    if unknown:
-        raise ParseError(f"unknown keys in archive document: {sorted(unknown)}")
-    if "module" not in doc:
-        raise ParseError("archive document missing 'module'")
+    doc = record(decode(text, "archive"), _ARCHIVE_KEYS, "archive document", frozenset({"module"}))
     return ModuleArchive(
         module=doc["module"],
         version=int(doc.get("version", 1)),

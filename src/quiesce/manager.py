@@ -20,7 +20,6 @@ transaction-exclusivity guarantee hold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
@@ -33,6 +32,7 @@ from .depgraph import (
     build_runtime_graph,
     build_static_graph,
 )
+from .documents import decode, record
 from .errors import (
     EngineFault,
     ParseError,
@@ -182,7 +182,12 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-step time costs used both to estimate the window and to run steps."""
+    """Per-step time costs.
+
+    ``estimate_window`` sums all three.  Running a plan spends only ``swap``
+    and ``sync``; every other step takes no time, so ``other`` only pads the
+    estimate.
+    """
 
     swap: int = 10
     sync: int = 5
@@ -835,40 +840,34 @@ def run_scenario_with_request(
 # ---------------------------------------------------------------------------
 
 
+_REQUEST_KEYS = frozenset({"id", "targets", "qos_changes", "entity_migration", "requested_at"})
+_TARGET_KEYS = frozenset({"component", "descriptor", "descriptor_file"})
+_TARGET_REQUIRED = frozenset({"component"})
+_QOS_KEYS = frozenset({"component", "pool_size"})
+_MIGRATION_KEYS = frozenset({"component", "shadow_store", "column_mapping"})
+_MIGRATION_REQUIRED = frozenset({"component", "shadow_store"})
+
+
 def parse_request(text: str, file_loader: Optional[Callable[[str], str]] = None) -> ReconfigurationRequest:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid request JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("request document must be a JSON object")
-    unknown = set(doc) - {"id", "targets", "qos_changes", "entity_migration", "requested_at"}
-    if unknown:
-        raise ParseError(f"unknown keys in request document: {sorted(unknown)}")
+    doc = record(decode(text, "request"), _REQUEST_KEYS, "request document")
     targets = []
     for tdoc in doc.get("targets", []):
-        t_unknown = set(tdoc) - {"component", "descriptor", "descriptor_file"}
-        if t_unknown:
-            raise ParseError(f"unknown keys in target document: {sorted(t_unknown)}")
+        record(tdoc, _TARGET_KEYS, "target document", _TARGET_REQUIRED)
         descriptor = None
         if tdoc.get("descriptor") is not None:
             descriptor = parse_component(tdoc["descriptor"])
         elif tdoc.get("descriptor_file"):
             if file_loader is None:
                 raise ParseError("descriptor_file given but no file loader available")
-            descriptor = parse_component(json.loads(file_loader(tdoc["descriptor_file"])))
+            descriptor = parse_component(decode(file_loader(tdoc["descriptor_file"]), "descriptor"))
         targets.append(TargetChange(tdoc["component"], descriptor))
     qos = []
     for qdoc in doc.get("qos_changes", []):
-        q_unknown = set(qdoc) - {"component", "pool_size"}
-        if q_unknown:
-            raise ParseError(f"unknown keys in qos document: {sorted(q_unknown)}")
+        record(qdoc, _QOS_KEYS, "qos document", _QOS_KEYS)
         qos.append(QosChange(qdoc["component"], int(qdoc["pool_size"])))
     migrations = []
     for mdoc in doc.get("entity_migration", []):
-        m_unknown = set(mdoc) - {"component", "shadow_store", "column_mapping"}
-        if m_unknown:
-            raise ParseError(f"unknown keys in migration document: {sorted(m_unknown)}")
+        record(mdoc, _MIGRATION_KEYS, "migration document", _MIGRATION_REQUIRED)
         migrations.append(
             EntityMigration(
                 mdoc["component"],

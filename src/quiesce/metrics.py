@@ -115,36 +115,3 @@ def compute_metrics(events: list[Event]) -> RunMetrics:
 def metrics_json_text(metrics: RunMetrics) -> str:
     return json.dumps(metrics.to_json(), sort_keys=True, indent=2) + "\n"
 
-
-def call_latencies(events: list[Event], sessions: set[str] | None = None) -> dict[str, int]:
-    """Per root client call latency: InvocationEnd time minus submission time.
-
-    Keyed by invocation id; restricted to the given sessions when provided.
-    Calls of nested invocations (dotted ids) are excluded.
-    """
-    out: dict[str, int] = {}
-    for event in events:
-        if event.kind != "InvocationEnd":
-            continue
-        inv_id = event.payload["id"]
-        if "." in inv_id or ":" not in inv_id:
-            continue
-        session = event.payload.get("session")
-        if session is None:
-            continue
-        if sessions is not None and session not in sessions:
-            continue
-        out[inv_id] = event.t - event.payload["submitted_at"]
-    return out
-
-
-def session_components(events: list[Event]) -> dict[str, set[str]]:
-    """Components each session's call trees touched (including attempts)."""
-    out: dict[str, set[str]] = {}
-    for event in events:
-        if event.kind in ("InvocationStart", "InvocationHeld", "InvocationDenied"):
-            session = event.payload.get("session")
-            component = event.payload.get("component")
-            if session and component:
-                out.setdefault(session, set()).add(component)
-    return out

@@ -1,9 +1,9 @@
 """Static application model: components, composites, containers, change kinds.
 
-Everything here is an immutable value.  The description document is a single
-strict JSON object; ``load_application`` parses and validates it, and every
-other operation in the package works off the resulting
-``ApplicationConfiguration``.  The composition rules live in one place,
+Everything here is an immutable value.  ``load_application`` reads the
+description document under the package's one document rule (``documents``)
+and validates it; every other operation in the package works off the
+resulting ``ApplicationConfiguration``.  The composition rules live in one place,
 ``check_composition``: validation rejects a document on the report's first
 finding, and the same report judges a configuration after a swap.
 Configurations and component descriptors index themselves lazily, once per
@@ -15,17 +15,17 @@ descriptors and ``==`` alone tells a changed component from an unchanged one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .automata import (
     ServiceEffectAutomaton,
     automaton_from_json,
     automaton_to_json,
 )
+from .documents import decode, record
 from .errors import NameMismatch, ParseError, ValidationError, VersionError
 
 
@@ -102,9 +102,6 @@ class InterfaceSignature:
         names = [op.name for op in self.operations]
         if len(names) != len(set(names)):
             raise ValidationError(f"duplicate operation names in interface {self.name!r}")
-
-    def operation_names(self) -> frozenset[str]:
-        return frozenset(op.name for op in self.operations)
 
 
 @dataclass(frozen=True)
@@ -281,9 +278,6 @@ class ConsistencyFinding:
 class ConsistencyReport:
     findings: tuple[ConsistencyFinding, ...] = ()
 
-    def __bool__(self) -> bool:
-        return bool(self.findings)
-
     @property
     def consistent(self) -> bool:
         return not self.findings
@@ -388,56 +382,45 @@ def _rewrite_leaf(
 # Document parsing
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"components", "composites", "wiring", "containers", "data_stores", "queues", "version"}
-_COMPONENT_KEYS = {
-    "name",
-    "version",
-    "kind",
-    "provided",
-    "required",
-    "operations",
-    "state_fields",
-    "entity_schema",
-    "access",
-    "data_store",
-    "queue",
-}
+_TOP_KEYS = frozenset({"components", "composites", "wiring", "containers", "data_stores", "queues", "version"})
+_COMPONENT_KEYS = frozenset(
+    {"name", "version", "kind", "provided", "required", "operations", "state_fields", "entity_schema",
+     "access", "data_store", "queue"}
+)
+_COMPONENT_REQUIRED = frozenset({"name", "kind"})
+_NAME = frozenset({"name"})
+_INTERFACE_KEYS = frozenset({"name", "operations"})
+_SIGNATURE_OP_KEYS = frozenset({"name", "params", "returns"})
+_OPERATION_KEYS = frozenset({"name", "tx_attribute", "duration", "effect_automaton"})
+_WIRE_KEYS = frozenset({"requirer", "interface", "provider"})
+_WIRE_REQUIRED = frozenset({"requirer", "interface"})
+_COMPOSITE_KEYS = frozenset({"name", "children", "internal_wiring"})
+_CONTAINER_KEYS = frozenset({"hosted_component", "interceptor_chain", "pool_size"})
+_STORE_KEYS = frozenset({"name", "schema"})
 
 
-def _strict(doc: Mapping, allowed: set[str], what: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"unknown keys in {what}: {sorted(unknown)}")
-
-
-def _parse_interface(doc: Mapping) -> InterfaceSignature:
-    _strict(doc, {"name", "operations"}, f"interface {doc.get('name')!r}")
+def _parse_interface(doc: dict) -> InterfaceSignature:
+    record(doc, _INTERFACE_KEYS, "interface", _NAME, "name")
     ops = []
     for op in doc.get("operations", []):
-        _strict(op, {"name", "params", "returns"}, f"interface operation {op.get('name')!r}")
+        record(op, _SIGNATURE_OP_KEYS, "interface operation", _NAME, "name")
         ops.append(Operation(op["name"], tuple(op.get("params", [])), op.get("returns", "void")))
     return InterfaceSignature(doc["name"], tuple(ops))
 
 
-def parse_component(doc: Mapping) -> ComponentDescriptor:
-    _strict(doc, _COMPONENT_KEYS, f"component {doc.get('name')!r}")
+def parse_component(doc: dict) -> ComponentDescriptor:
+    record(doc, _COMPONENT_KEYS, "component", _COMPONENT_REQUIRED, "name")
     try:
         kind = ComponentKind(doc["kind"])
     except ValueError:
-        raise ParseError(f"component {doc.get('name')!r}: unknown kind {doc.get('kind')!r}")
-    except KeyError:
-        raise ParseError(f"component {doc.get('name')!r}: missing kind")
+        raise ParseError(f"component {doc['name']!r}: unknown kind {doc['kind']!r}")
     operations = []
     for op in doc.get("operations", []):
-        _strict(
-            op,
-            {"name", "tx_attribute", "duration", "effect_automaton"},
-            f"operation {op.get('name')!r}",
-        )
+        record(op, _OPERATION_KEYS, "operation", _NAME, "name")
         try:
             attr = TxAttribute(op.get("tx_attribute", "None"))
         except ValueError:
-            raise ParseError(f"operation {op.get('name')!r}: bad tx_attribute {op.get('tx_attribute')!r}")
+            raise ParseError(f"operation {op['name']!r}: bad tx_attribute {op['tx_attribute']!r}")
         automaton = None
         if op.get("effect_automaton") is not None:
             automaton = automaton_from_json(op["effect_automaton"])
@@ -447,7 +430,7 @@ def parse_component(doc: Mapping) -> ComponentDescriptor:
         try:
             access.append((iface, Access(acc)))
         except ValueError:
-            raise ParseError(f"component {doc.get('name')!r}: bad access value {acc!r}")
+            raise ParseError(f"component {doc['name']!r}: bad access value {acc!r}")
     return ComponentDescriptor(
         name=doc["name"],
         version=int(doc.get("version", 1)),
@@ -501,8 +484,8 @@ def component_to_json(c: ComponentDescriptor) -> dict:
     return doc
 
 
-def _parse_wire(doc: Mapping) -> Wire:
-    _strict(doc, {"requirer", "interface", "provider"}, "wire")
+def _parse_wire(doc: dict) -> Wire:
+    record(doc, _WIRE_KEYS, "wire", _WIRE_REQUIRED)
     return Wire(doc["requirer"], doc["interface"], doc.get("provider"))
 
 
@@ -514,16 +497,9 @@ def load_application(document: str) -> ApplicationConfiguration:
     invariant.  A configuration returned from here always has an empty
     consistency report.
     """
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("application document must be a JSON object")
-    _strict(doc, _TOP_KEYS, "application document")
-    if "components" not in doc:
-        raise ParseError("application document missing 'components'")
-
+    doc = record(
+        decode(document, "application"), _TOP_KEYS, "application document", frozenset({"components"})
+    )
     components = [parse_component(c) for c in doc["components"]]
     by_name: dict[str, ComponentDescriptor] = {}
     for c in components:
@@ -536,7 +512,7 @@ def load_application(document: str) -> ApplicationConfiguration:
     comp_children: dict[str, list[str]] = {}
     comp_wiring: dict[str, list[Wire]] = {}
     for cd in composite_docs:
-        _strict(cd, {"name", "children", "internal_wiring"}, f"composite {cd.get('name')!r}")
+        record(cd, _COMPOSITE_KEYS, "composite", _NAME, "name")
         name = cd["name"]
         if name in comp_children or name in by_name:
             raise ValidationError(f"duplicate composite name {name!r}")
@@ -575,20 +551,20 @@ def load_application(document: str) -> ApplicationConfiguration:
 
     containers = []
     for cd in doc.get("containers", []):
-        _strict(cd, {"hosted_component", "interceptor_chain", "pool_size"}, "container")
+        record(cd, _CONTAINER_KEYS, "container", frozenset({"hosted_component"}))
         chain = DEFAULT_INTERCEPTOR_CHAIN
         if "interceptor_chain" in cd:
             try:
                 chain = tuple(InterceptorKind(k) for k in cd["interceptor_chain"])
             except ValueError:
-                raise ParseError(f"container {cd.get('hosted_component')!r}: unknown interceptor kind")
+                raise ParseError(f"container {cd['hosted_component']!r}: unknown interceptor kind")
         containers.append(
             ContainerSpec(cd["hosted_component"], chain, int(cd.get("pool_size", 4)))
         )
 
     stores = []
     for sd in doc.get("data_stores", []):
-        _strict(sd, {"name", "schema"}, f"data store {sd.get('name')!r}")
+        record(sd, _STORE_KEYS, "data store", _NAME, "name")
         stores.append((sd["name"], tuple(sd.get("schema", []))))
 
     config = ApplicationConfiguration(
@@ -636,7 +612,7 @@ def validate_configuration(config: ApplicationConfiguration) -> None:
             )
 
     report = check_composition(config)
-    if report:
+    if not report.consistent:
         first = report.findings[0]
         raise ValidationError(f"{first.kind}: {first.subject}: {first.detail}")
 
@@ -763,38 +739,3 @@ def dominant_change(kinds: Iterable[ChangeKind]) -> ChangeKind:
             best = kind
     return best
 
-
-def flatten_composite(
-    root: CompositeComponent,
-) -> tuple[dict[str, ComponentDescriptor], dict]:
-    """Decompose a composite into leaves plus a recoverable hierarchy record."""
-    leaves = {c.name: c for c in root.leaves()}
-
-    def record(node: CompositeComponent) -> dict:
-        return {
-            "name": node.name,
-            "wiring": [(w.requirer, w.interface, w.provider) for w in node.internal_wiring],
-            "children": [
-                record(child) if isinstance(child, CompositeComponent) else child.name
-                for child in node.children
-            ],
-        }
-
-    return leaves, record(root)
-
-
-def renest_composite(
-    leaves: Mapping[str, ComponentDescriptor], hierarchy: dict
-) -> CompositeComponent:
-    """Inverse of flatten_composite."""
-    children: list[Union[ComponentDescriptor, CompositeComponent]] = []
-    for child in hierarchy["children"]:
-        if isinstance(child, dict):
-            children.append(renest_composite(leaves, child))
-        else:
-            children.append(leaves[child])
-    return CompositeComponent(
-        hierarchy["name"],
-        tuple(children),
-        tuple(Wire(r, i, p) for r, i, p in hierarchy["wiring"]),
-    )

@@ -9,11 +9,11 @@ existing snapshot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 from .automata import AutomatonCursor
+from .documents import decode, record
 from .errors import ParseError
 from .model import ApplicationConfiguration
 
@@ -72,6 +72,11 @@ def snapshot_to_json(snap: RuntimeSnapshot) -> dict:
     }
 
 
+_SNAPSHOT_KEYS = frozenset({"time", "instances", "active_transactions", "remote_refs", "queue_depths"})
+_INSTANCE_KEYS = frozenset({"key", "component", "idle", "operation", "cursor_state", "in_flight"})
+_INSTANCE_REQUIRED = frozenset({"key", "component"})
+
+
 def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSnapshot:
     """Rebuild a snapshot from its document form against a configuration.
 
@@ -79,17 +84,11 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
     ``config``; an instance running an operation with no automaton simply
     has no cursor (the graph builder treats it conservatively).
     """
-    allowed = {"time", "instances", "active_transactions", "remote_refs", "queue_depths"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"unknown keys in snapshot document: {sorted(unknown)}")
+    record(doc, _SNAPSHOT_KEYS, "snapshot document")
     components = config.components()
     instances = []
     for idoc in doc.get("instances", []):
-        i_allowed = {"key", "component", "idle", "operation", "cursor_state", "in_flight"}
-        i_unknown = set(idoc) - i_allowed
-        if i_unknown:
-            raise ParseError(f"unknown keys in instance document: {sorted(i_unknown)}")
+        record(idoc, _INSTANCE_KEYS, "instance document", _INSTANCE_REQUIRED)
         component = idoc["component"]
         if component not in components:
             raise ParseError(f"snapshot instance references unknown component {component!r}")
@@ -127,8 +126,4 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
 
 
 def load_snapshot(path_text: str, config: ApplicationConfiguration) -> RuntimeSnapshot:
-    try:
-        doc = json.loads(path_text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid snapshot JSON: {exc}") from exc
-    return snapshot_from_json(doc, config)
+    return snapshot_from_json(decode(path_text, "snapshot"), config)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Union
 
+from .documents import decode, record
 from .errors import ParseError, ScenarioError
 from .model import Access, ApplicationConfiguration
 
@@ -48,43 +48,34 @@ class WorkloadScenario:
     seed: int = 0
 
 
+_SCENARIO_KEYS = frozenset({"clients", "messages", "seed"})
+_CLIENT_KEYS = frozenset({"id", "access", "script"})
+_CALL_ENTRY_KEYS = frozenset({"at", "call"})
+_HOME_ENTRY_KEYS = frozenset({"at", "home", "component"})
+_CALL_KEYS = frozenset({"component", "interface", "operation"})
+_MESSAGE_KEYS = frozenset({"queue", "payload", "at"})
+_MESSAGE_REQUIRED = frozenset({"queue", "at"})
+
+
 def parse_scenario(text: str) -> WorkloadScenario:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid scenario JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-    unknown = set(doc) - {"clients", "messages", "seed"}
-    if unknown:
-        raise ParseError(f"unknown keys in scenario document: {sorted(unknown)}")
+    doc = record(decode(text, "scenario"), _SCENARIO_KEYS, "scenario document")
     clients = []
     for cdoc in doc.get("clients", []):
-        c_unknown = set(cdoc) - {"id", "access", "script"}
-        if c_unknown:
-            raise ParseError(f"unknown keys in client document: {sorted(c_unknown)}")
+        record(cdoc, _CLIENT_KEYS, "client document", frozenset({"id"}))
         try:
             access = Access(cdoc.get("access", "Remote"))
         except ValueError:
-            raise ParseError(f"client {cdoc.get('id')!r}: bad access {cdoc.get('access')!r}")
+            raise ParseError(f"client {cdoc['id']!r}: bad access {cdoc['access']!r}")
         script: list[Union[ScriptCall, HomeAction]] = []
         for entry in cdoc.get("script", []):
-            keys = set(entry)
-            if "call" in keys:
-                if keys - {"at", "call"}:
-                    raise ParseError(f"unknown keys in script entry: {sorted(keys - {'at', 'call'})}")
-                call = entry["call"]
-                c_keys = set(call) - {"component", "interface", "operation"}
-                if c_keys:
-                    raise ParseError(f"unknown keys in call entry: {sorted(c_keys)}")
+            if not isinstance(entry, dict) or "call" in entry:
+                record(entry, _CALL_ENTRY_KEYS, "script entry", _CALL_ENTRY_KEYS)
+                call = record(entry["call"], _CALL_KEYS, "call entry", _CALL_KEYS)
                 script.append(
                     ScriptCall(int(entry["at"]), call["component"], call["interface"], call["operation"])
                 )
-            elif "home" in keys:
-                if keys - {"at", "home", "component"}:
-                    raise ParseError(
-                        f"unknown keys in script entry: {sorted(keys - {'at', 'home', 'component'})}"
-                    )
+            elif "home" in entry:
+                record(entry, _HOME_ENTRY_KEYS, "script entry", _HOME_ENTRY_KEYS)
                 action = entry["home"]
                 if action not in ("create", "find", "remove"):
                     raise ParseError(f"unknown home action {action!r}")
@@ -97,9 +88,7 @@ def parse_scenario(text: str) -> WorkloadScenario:
         raise ParseError("duplicate client ids in scenario")
     messages = []
     for mdoc in doc.get("messages", []):
-        m_unknown = set(mdoc) - {"queue", "payload", "at"}
-        if m_unknown:
-            raise ParseError(f"unknown keys in message document: {sorted(m_unknown)}")
+        record(mdoc, _MESSAGE_KEYS, "message document", _MESSAGE_REQUIRED)
         messages.append(MessageInjection(mdoc["queue"], str(mdoc.get("payload", "")), int(mdoc["at"])))
     return WorkloadScenario(tuple(clients), tuple(messages), int(doc.get("seed", 0)))
 

@@ -1,4 +1,5 @@
-"""Document builders for tests, and a drain driver over the engine's public API.
+"""Document builders for tests, a drain driver over the engine's public API,
+and readers of public state that only tests need.
 
 Everything goes through the public JSON loader, so every test config also
 exercises parsing and validation.
@@ -8,9 +9,10 @@ from __future__ import annotations
 
 import json
 
-from quiesce.engine import BARRIER_CLOSED, Engine
+from quiesce.engine import BARRIER_CLOSED, Engine, Event
 from quiesce.errors import DrainTimeout
-from quiesce.model import ApplicationConfiguration, load_application
+from quiesce.lifecycle import DeploymentManager, ModuleState
+from quiesce.model import ApplicationConfiguration, InterfaceSignature, load_application
 
 
 def iface(name: str, *ops: str) -> dict:
@@ -157,3 +159,51 @@ def drain(engine: Engine, component: str) -> int:
         engine.release_barrier(component)
         raise DrainTimeout(f"container {component!r} did not quiesce by {limit}")
     return engine.clock
+
+
+def store_contents(engine: Engine, name: str) -> dict[str, dict[str, str]]:
+    """A copy of data store ``name``'s rows."""
+    return {k: dict(v) for k, v in engine.stores[name].items()}
+
+
+def state_of(manager: DeploymentManager, module: str) -> ModuleState:
+    record = manager.modules.get(module)
+    return record.state if record else ModuleState.UNDEPLOYED
+
+
+def operation_names(signature: InterfaceSignature) -> frozenset[str]:
+    return frozenset(operation.name for operation in signature.operations)
+
+
+def call_latencies(events: list[Event], sessions: set[str] | None = None) -> dict[str, int]:
+    """Per root client call latency: InvocationEnd time minus submission time.
+
+    Keyed by invocation id; restricted to the given sessions when provided.
+    Calls of nested invocations (dotted ids) are excluded.
+    """
+    out: dict[str, int] = {}
+    for event in events:
+        if event.kind != "InvocationEnd":
+            continue
+        inv_id = event.payload["id"]
+        if "." in inv_id or ":" not in inv_id:
+            continue
+        session = event.payload.get("session")
+        if session is None:
+            continue
+        if sessions is not None and session not in sessions:
+            continue
+        out[inv_id] = event.t - event.payload["submitted_at"]
+    return out
+
+
+def session_components(events: list[Event]) -> dict[str, set[str]]:
+    """Components each session's call trees touched (including attempts)."""
+    out: dict[str, set[str]] = {}
+    for event in events:
+        if event.kind in ("InvocationStart", "InvocationHeld", "InvocationDenied"):
+            session = event.payload.get("session")
+            component = event.payload.get("component")
+            if session and component:
+                out.setdefault(session, set()).add(component)
+    return out

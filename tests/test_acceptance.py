@@ -24,12 +24,25 @@ from quiesce.manager import (
     classify_structural_safety,
     run_scenario_with_request,
 )
-from quiesce.metrics import call_latencies, compute_metrics, session_components
+from quiesce.metrics import compute_metrics
 from quiesce.model import ChangeKind, load_application, parse_component
 from quiesce.snapshot import load_snapshot
 from quiesce.workload import parse_scenario
 
-from builders import app, auto, call_entry, client, comp, drain, iface, op, scenario_doc
+from builders import (
+    app,
+    auto,
+    call_entry,
+    call_latencies,
+    client,
+    comp,
+    drain,
+    iface,
+    op,
+    scenario_doc,
+    session_components,
+    store_contents,
+)
 from conftest import FIXTURES, read_fixture, run_cli
 from gen import AcceptanceCase, generate_case
 from oracles import expected_shadow_contents, forward_simulation_affected
@@ -303,7 +316,7 @@ def test_entity_migration_fidelity(suite):
         expected = expected_shadow_contents(
             runs.minimal.log.events, migration.mapping(), source, migration.shadow_store
         )
-        assert engine.store_contents(migration.shadow_store) == expected, f"seed {runs.case.seed}"
+        assert store_contents(engine, migration.shadow_store) == expected, f"seed {runs.case.seed}"
         synced = next(e for e in runs.minimal.log.events if e.kind == "StoreSynced")
         pre_sync_rows = {
             key
@@ -348,7 +361,7 @@ def test_entity_migration_fidelity(suite):
     result = run_scenario_with_request(config, scenario, request, 200)
     assert result.report.outcome == "Completed"
     expected = expected_shadow_contents(result.log.events, {"c1": "k1", "c2": "c2"}, "db", "db2")
-    assert result.engine.store_contents("db2") == expected
+    assert store_contents(result.engine, "db2") == expected
     print("\nACCEPTANCE entity-migration-fidelity: PASS")
 
 

@@ -225,6 +225,67 @@ class TestAnalyzeDeps:
         assert result.returncode == 1
 
 
+def without(fixture: str, path: tuple, key: str) -> str:
+    """The fixture's JSON with ``key`` dropped from the object at ``path``."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    holder = doc
+    for step in path:
+        holder = holder[step]
+    del holder[key]
+    return json.dumps(doc)
+
+
+_INVALID_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+# one malformed document of each kind: (file text, command with the file as bad.json, error text)
+MALFORMED = {
+    "application": (
+        without("demo_chain.json", ("components", 0), "name"),
+        ("simulate", "bad.json", "demo_scenario.json"),
+        "component None missing keys: ['name']",
+    ),
+    "scenario": (
+        without("demo_scenario.json", ("clients", 0, "script", 1, "call"), "interface"),
+        ("simulate", "demo_chain.json", "bad.json"),
+        "call entry missing keys: ['interface']",
+    ),
+    "request": (
+        without("demo_request.json", ("targets", 0), "component"),
+        ("redeploy", "demo_chain.json", "demo_scenario.json", "bad.json"),
+        "target document missing keys: ['component']",
+    ),
+    "request-descriptor-file": (
+        json.dumps({"targets": [{"component": "C", "descriptor_file": "broken.json"}]}),
+        ("redeploy", "demo_chain.json", "demo_scenario.json", "bad.json"),
+        f"invalid descriptor JSON: {_INVALID_JSON}",
+    ),
+    "archive": (
+        "[]",
+        ("redeploy", "demo_chain.json", "demo_scenario.json", "--archive", "bad.json"),
+        "archive document must be a JSON object",
+    ),
+    "snapshot": ("[]", ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
+                 "snapshot document must be a JSON object"),
+    "snapshot-instance": (
+        without("chain_snapshot.json", ("instances", 0), "component"),
+        ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
+        "instance document missing keys: ['component']",
+    ),
+    "descriptor": ("[]", ("classify", "bad.json", "--change", "Functional"), "component must be a JSON object"),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_exits_one_naming_the_file(self, workdir, kind):
+        text, args, message = MALFORMED[kind]
+        (workdir / "bad.json").write_text(text)
+        (workdir / "broken.json").write_text("{nope")
+        result = run_cli("--out", "o", *args, cwd=workdir)
+        assert result.returncode == 1
+        assert result.stderr == f"error: bad.json: {message}\n"
+
+
 class TestLifecycleCommands:
     def archive_doc(self, version: int = 1, duration: int = 5) -> str:
         return json.dumps(

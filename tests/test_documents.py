@@ -1,0 +1,256 @@
+"""Every loader follows one document rule, and snapshots survive their document form.
+
+The malformed-document table mutates every record object of the fixtures
+(and of one extra set that covers composites, stores, queues, QoS changes,
+migrations and messages): it drops each key the parser must read, adds an
+unknown key, and replaces the record with a non-object.  Each mutant must be
+refused with a ParseError whose text names the fault; any other exception
+would reach the CLI user as a traceback.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+
+from quiesce.documents import record
+from quiesce.engine import Engine
+from quiesce.errors import ParseError
+from quiesce.lifecycle import parse_archive
+from quiesce.manager import parse_request
+from quiesce.model import load_application
+from quiesce.snapshot import load_snapshot, snapshot_to_json
+from quiesce.workload import parse_scenario
+
+from builders import appdoc, auto, comp, iface, op
+from conftest import read_fixture
+from gen import generate_case
+
+# objects whose keys are names, not a record's fields
+FREE_FORM = {"access", "column_mapping", "remote_refs", "queue_depths", "active_transactions"}
+
+# record role (the key it sits under) -> the keys its parser reads unconditionally
+REQUIRED = {
+    "components": {"name", "kind"},
+    "descriptor": {"name", "kind"},
+    "provided": {"name"},
+    "operations": {"name"},  # interface operations and operation specs alike
+    "effect_automaton": {"states", "initial", "finals", "transitions"},
+    "transitions": {"from", "to", "calls_interface", "calls_operation", "min_delay"},
+    "wiring": {"requirer", "interface"},
+    "internal_wiring": {"requirer", "interface"},
+    "composites": {"name"},
+    "containers": {"hosted_component"},
+    "data_stores": {"name"},
+    "targets": {"component"},
+    "qos_changes": {"component", "pool_size"},
+    "entity_migration": {"component", "shadow_store"},
+    "clients": {"id"},
+    "call": {"component", "interface", "operation"},
+    "messages": {"queue", "at"},
+    "instances": {"key", "component"},
+}
+ROOT_REQUIRED = {"application": {"components"}, "archive": {"module"}}
+
+
+def required_keys(kind: str, path: tuple, rec: dict) -> set[str]:
+    roles = [step for step in path if isinstance(step, str)]
+    if not roles:
+        return ROOT_REQUIRED.get(kind, set())
+    if roles[-1] == "script":
+        return {"at", "call"} if "call" in rec else {"at", "home", "component"}
+    return REQUIRED[roles[-1]]
+
+
+def records(doc, path: tuple = ()):
+    """(path, object) for every record object in ``doc``, outermost first."""
+    if isinstance(doc, dict):
+        yield path, doc
+        for key, value in doc.items():
+            if key not in FREE_FORM:
+                yield from records(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from records(value, path + (index,))
+
+
+def replaced(doc, path: tuple, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    holder = out
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    return out
+
+
+def mutants(kind: str, doc):
+    """(description, mutated document, the end of the expected error text)."""
+    for path, rec in records(doc):
+        for key in sorted(required_keys(kind, path, rec)):
+            dropped = {k: v for k, v in rec.items() if k != key}
+            # a script entry without its 'call' or 'home' no longer says what it is
+            ending = "either 'call' or 'home'" if key in ("call", "home") else f"missing keys: [{key!r}]"
+            yield f"{path} without {key!r}", replaced(doc, path, dropped), ending
+        yield f"{path} with 'bogus'", replaced(doc, path, {**rec, "bogus": 1}), "['bogus']"
+        for value in ([], 1):
+            yield f"{path} as {value!r}", replaced(doc, path, value), "must be a JSON object"
+
+
+def chain_archive() -> str:
+    components = json.loads(read_fixture("demo_chain.json"))["components"]
+    return json.dumps({"module": "chain", "version": 2, "components": components})
+
+
+def covering_documents() -> dict[str, str]:
+    """Records the fixtures lack: composites, stores, queues, QoS changes, migrations, messages."""
+    entity = comp("E", kind="Entity", provided=[iface("IE", "put")], operations=[op("put", tx="Joins")],
+                  entity_schema=["c"], data_store="db")
+    application = appdoc(
+        [
+            comp("S", required=["IE"], operations=[op("work", automaton=auto([("q0", "IE", "put", 1, "q1")]))]),
+            entity,
+            comp("M", kind="MessageDriven", provided=[iface("IM", "on")], operations=[op("on")], queue="jobs"),
+        ],
+        composites=[{"name": "grp", "children": ["S", "E"],
+                     "internal_wiring": [{"requirer": "S", "interface": "IE", "provider": "E"}]}],
+        data_stores=[{"name": "db", "schema": ["c"]}, {"name": "db2", "schema": ["c"]}],
+        queues=["jobs"],
+    )
+    request = json.dumps(
+        {
+            "id": "r",
+            "requested_at": 0,
+            "targets": [{"component": "E", "descriptor": {**entity, "version": 2}}],
+            "qos_changes": [{"component": "S", "pool_size": 2}],
+            "entity_migration": [{"component": "E", "shadow_store": "db2", "column_mapping": {"c": "c"}}],
+        }
+    )
+    scenario = json.dumps({"seed": 1, "clients": [], "messages": [{"queue": "jobs", "payload": "m", "at": 1}]})
+    return {"application": application, "request": request, "scenario": scenario}
+
+
+def parser(kind: str, app_fixture: str | None = None):
+    if kind == "snapshot":
+        config = load_application(read_fixture(app_fixture))
+        return lambda text: load_snapshot(text, config)
+    return {
+        "application": load_application,
+        "archive": parse_archive,
+        "request": parse_request,
+        "scenario": parse_scenario,
+    }[kind]
+
+
+CASES = [
+    ("application", "demo_chain.json", None),
+    ("application", "diamond_app.json", None),
+    ("application", "late_app.json", None),
+    ("scenario", "demo_scenario.json", None),
+    ("request", "demo_request.json", None),
+    ("snapshot", "chain_snapshot.json", "demo_chain.json"),
+    ("snapshot", "past_snapshot.json", "demo_chain.json"),
+    ("snapshot", "diamond_snapshot.json", "diamond_app.json"),
+    ("snapshot", "late_snapshot.json", "late_app.json"),
+    ("archive", "<demo_chain archive>", None),
+    ("application", "<covering>", None),
+    ("request", "<covering>", None),
+    ("scenario", "<covering>", None),
+]
+
+
+def document_text(kind: str, name: str) -> str:
+    if name == "<demo_chain archive>":
+        return chain_archive()
+    if name == "<covering>":
+        return covering_documents()[kind]
+    return read_fixture(name)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("kind,name,app_fixture", CASES, ids=[f"{k}:{n}" for k, n, _ in CASES])
+    def test_every_record_mutant_is_a_parse_error(self, kind, name, app_fixture):
+        parse = parser(kind, app_fixture)
+        doc = json.loads(document_text(kind, name))
+        parse(json.dumps(doc))  # the unmutated document loads
+        wrong, count = [], 0
+        for what, mutant, ending in mutants(kind, doc):
+            count += 1
+            try:
+                parse(json.dumps(mutant))
+            except ParseError as exc:
+                if not str(exc).endswith(ending):
+                    wrong.append(f"{what}: {exc}")
+            except Exception as exc:  # any other type is the defect under test
+                wrong.append(f"{what}: {type(exc).__name__}: {exc}")
+            else:
+                wrong.append(f"{what}: loaded")
+        assert count > 0
+        assert wrong == []
+
+    def test_error_texts(self):
+        chain = json.loads(read_fixture("demo_chain.json"))
+        cases = [
+            (load_application, "[]", "application document must be a JSON object"),
+            (load_application, "{}", "application document missing keys: ['components']"),
+            (load_application, json.dumps(replaced(chain, ("components", 0), {**chain["components"][0], "x": 1})),
+             "unknown keys in component 'A': ['x']"),
+            (load_application, json.dumps(replaced(chain, ("components", 0, "kind"), None)),
+             "component 'A': unknown kind None"),
+            (parse_archive, '{"components": []}', "archive document missing keys: ['module']"),
+            (parse_scenario, '{"clients": [{"id": "c", "script": [{"at": 1}]}]}',
+             "script entry needs either 'call' or 'home'"),
+            (parse_request, '{"targets": [{"component": "C", "descriptor_file": "c.json"}]}',
+             "descriptor_file given but no file loader available"),
+            (lambda text: parse_request(text, file_loader=lambda rel: "{nope"),
+             '{"targets": [{"component": "C", "descriptor_file": "c.json"}]}',
+             "invalid descriptor JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ]
+        for parse, text, expected in cases:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == expected
+
+    def test_record_builds_no_text_for_a_valid_record(self):
+        class Loud(dict):
+            def get(self, *args):
+                raise AssertionError("error text built for a valid record")
+
+        doc = Loud(name="A", kind="Entity")
+        assert record(doc, frozenset({"name", "kind"}), "component", frozenset({"name"}), "name") is doc
+
+
+class TestSnapshotDocumentRoundTrip:
+    def assert_round_trips(self, engine: Engine, instants, seen: dict) -> None:
+        for t in instants:
+            engine.run(until=t)
+            snap = engine.snapshot()
+            assert load_snapshot(json.dumps(snapshot_to_json(snap)), engine.config) == snap, f"t={t}"
+            seen["busy"] += sum(1 for inst in snap.instances if not inst.idle)
+            seen["in_flight"] += sum(1 for inst in snap.instances if inst.in_flight is not None)
+            seen["remote_refs"] += len(snap.remote_refs)
+            seen["queued"] += sum(depth for _, depth in snap.queue_depths)
+
+    def test_demo_chain_mid_run(self):
+        scenario = parse_scenario(read_fixture("demo_scenario.json"))
+        engine = Engine(load_application(read_fixture("demo_chain.json")), seed=scenario.seed)
+        engine.load_scenario(scenario)
+        seen = dict.fromkeys(("busy", "in_flight", "remote_refs", "queued"), 0)
+        self.assert_round_trips(engine, range(0, 60, 3), seen)
+        assert seen["busy"] and seen["in_flight"] and seen["remote_refs"]
+
+    def test_generated_seeds(self):
+        seen = dict.fromkeys(("busy", "in_flight", "remote_refs", "queued"), 0)
+        for seed in range(1, 21):
+            case = generate_case(seed)
+            scenario = parse_scenario(case.scenario_text)
+            engine = Engine(load_application(case.config_text), seed=scenario.seed)
+            engine.load_scenario(scenario)
+            self.assert_round_trips(engine, range(0, 150, 7), seen)
+            for queue in engine.config.queues:
+                engine.pause_queue(queue)  # later messages wait in the queue
+            self.assert_round_trips(engine, range(150, 300, 7), seen)
+        assert all(seen.values()), seen

@@ -36,6 +36,7 @@ from builders import (
     iface,
     op,
     scenario_doc,
+    store_contents,
 )
 from conftest import read_fixture
 from oracles import replay_committed_writes
@@ -464,9 +465,9 @@ class TestEntityStores:
             parse_scenario(scenario_doc([client("c", {"at": 0, "call": {"component": "E", "interface": "IE", "operation": "save"}})]))
         )
         engine.run(until=1)
-        assert engine.store_contents("db") == {}  # still uncommitted
+        assert store_contents(engine, "db") == {}  # still uncommitted
         engine.run(until=10)
-        contents = engine.store_contents("db")
+        contents = store_contents(engine, "db")
         assert set(contents) == {"c"} and set(contents["c"]) == {"c1", "c2"}
 
     def test_store_contents_equal_commit_replay_oracle(self):
@@ -479,7 +480,7 @@ class TestEntityStores:
         engine.load_scenario(parse_scenario(scenario_doc(script)))
         engine.run(until=50)
         expected = replay_committed_writes(engine.log).get("db", {})
-        assert engine.store_contents("db") == expected
+        assert store_contents(engine, "db") == expected
 
     def test_aborted_transaction_writes_are_discarded(self):
         engine = Engine(self.entity_app())
@@ -492,7 +493,7 @@ class TestEntityStores:
         engine.transactions[tx_id].writes.append(("db", "c", "c1", "poison"))
         engine.abort_transaction(tx_id)
         engine.run(until=10)
-        assert engine.store_contents("db") == {}
+        assert store_contents(engine, "db") == {}
         assert len([e for e in engine.log if e.kind == "TxAbort"]) == 1
 
     def test_shadow_sync_copies_through_column_mapping(self):
@@ -519,8 +520,8 @@ class TestEntityStores:
         engine.run(until=10)
         rows = engine.sync_shadow_store("E", "db2", {"c1": "k1", "c2": "c2"})
         assert rows == 1
-        old = engine.store_contents("db")["c"]
-        assert engine.store_contents("db2")["c"] == {"k1": old["c1"], "c2": old["c2"]}
+        old = store_contents(engine, "db")["c"]
+        assert store_contents(engine, "db2")["c"] == {"k1": old["c1"], "c2": old["c2"]}
 
 
 class TestCleanShutdown:

@@ -26,7 +26,20 @@ from quiesce.metrics import compute_metrics
 from quiesce.model import component_to_json, load_application, parse_component
 from quiesce.workload import parse_scenario
 
-from builders import app, appdoc, auto, call_entry, client, comp, iface, op, scenario_doc, tree_components
+from builders import (
+    app,
+    appdoc,
+    auto,
+    call_entry,
+    client,
+    comp,
+    iface,
+    op,
+    operation_names,
+    scenario_doc,
+    state_of,
+    tree_components,
+)
 from gen import generate_case
 
 EMPTY_APP = '{"components": [], "version": 1}'
@@ -52,9 +65,9 @@ class TestLifecycleTransitions:
     def test_distribute_then_start_accepts_calls(self):
         manager = fresh_manager()
         manager.distribute(archive())
-        assert manager.state_of("shop") is ModuleState.DISTRIBUTED
+        assert state_of(manager, "shop") is ModuleState.DISTRIBUTED
         manager.start("shop")
-        assert manager.state_of("shop") is ModuleState.STARTED
+        assert state_of(manager, "shop") is ModuleState.STARTED
         engine = manager.engine
         engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(0, "S"))])))
         engine.run(until=20)
@@ -86,7 +99,7 @@ class TestLifecycleTransitions:
         )
         engine.run(until=0)
         manager.stop("shop")
-        assert manager.state_of("shop") is ModuleState.STOPPED
+        assert state_of(manager, "shop") is ModuleState.STOPPED
         assert engine.clock == 3  # stopped the instant the in-flight call completed
         denied = [(e.t, e.payload["reason"]) for e in engine.log if e.kind == "InvocationDenied"]
         assert (1, "clean-shutdown") in denied
@@ -98,7 +111,7 @@ class TestLifecycleTransitions:
         manager.start("shop")
         manager.stop("shop")
         manager.start("shop")
-        assert manager.state_of("shop") is ModuleState.STARTED
+        assert state_of(manager, "shop") is ModuleState.STARTED
 
     def test_undeploy_requires_stopped_or_distributed(self):
         manager = fresh_manager()
@@ -108,7 +121,7 @@ class TestLifecycleTransitions:
             manager.undeploy("shop")
         manager.stop("shop")
         manager.undeploy("shop")
-        assert manager.state_of("shop") is ModuleState.UNDEPLOYED
+        assert state_of(manager, "shop") is ModuleState.UNDEPLOYED
         assert "S" not in manager.engine.config.components()
 
     def test_undeploying_a_nested_component_leaves_the_rest_redeployable(self):
@@ -182,7 +195,7 @@ class TestLifecycleTransitions:
                     else:
                         assert expected is not None, (sequence, operation, model_state)
                         model_state = expected
-                        assert manager.state_of("shop") is expected
+                        assert state_of(manager, "shop") is expected
 
 
 class TestRedeploy:
@@ -217,7 +230,7 @@ class TestRedeploy:
         # nothing changed
         assert manager.engine.config.components()["S"].version == 1
         sig_before = manager.engine.config.components()["S"].provided
-        assert sig_before[0].operation_names() == frozenset({"work"})
+        assert operation_names(sig_before[0]) == frozenset({"work"})
         with pytest.raises(ValidationError, match="unknown redeploy mode"):
             manager.redeploy("shop", archive(version=2), mode="lenient")
 
@@ -226,7 +239,7 @@ class TestRedeploy:
         report = manager.redeploy("shop", archive(version=2, extra_op=True), mode="weakened")
         assert report.outcome == "Completed"
         provided = manager.engine.config.components()["S"].provided[0]
-        assert provided.operation_names() == frozenset({"work", "extra"})
+        assert operation_names(provided) == frozenset({"work", "extra"})
 
     def test_weakened_mode_still_rejects_unsafe_stateful_structural(self):
         manager = self.started_manager(kind="StatefulSession")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -11,6 +13,7 @@ from quiesce.manager import (
     AWAIT_QUIESCENCE,
     EntityMigration,
     Granularity,
+    PlanExecutor,
     QosChange,
     Reason,
     ReconfigurationRequest,
@@ -25,11 +28,24 @@ from quiesce.manager import (
     run_scenario_with_request,
     unchanged_remote_refs,
 )
-from quiesce.metrics import call_latencies, compute_metrics, session_components
+from quiesce.metrics import compute_metrics
 from quiesce.model import ChangeKind, CompositeComponent, load_application, parse_component
 from quiesce.workload import WorkloadScenario, parse_scenario
 
-from builders import app, appdoc, auto, call_entry, client, comp, iface, op, scenario_doc
+from builders import (
+    app,
+    appdoc,
+    auto,
+    call_entry,
+    call_latencies,
+    client,
+    comp,
+    iface,
+    op,
+    scenario_doc,
+    session_components,
+    store_contents,
+)
 from conftest import read_fixture
 from oracles import expected_shadow_contents
 
@@ -364,7 +380,7 @@ class TestExecutePlan:
         assert report.outcome == "Completed"
         engine.run(until=100)  # the post-swap write at t=60 lands in the shadow store
         expected = expected_shadow_contents(engine.log.events, {"c1": "k1", "c2": "c2"}, "db", "db2")
-        assert engine.store_contents("db2") == expected
+        assert store_contents(engine, "db2") == expected
         assert engine.containers["E"].bound_store == "db2"
         # row counts matched at sync time: both stores held the same keys
         synced = next(e for e in engine.log if e.kind == "StoreSynced")
@@ -461,18 +477,26 @@ class TestSwapWaitsOnReopenedDrain:
 
     def test_timeout_while_the_swap_waits_abandons_the_plan(self):
         engine = self.engine(drain_timeout=11)
-        report = execute_plan(self.plan(engine), engine)
+        executor = PlanExecutor(engine, self.plan(engine))
+        executor.start()
+        executor.run_until_done()
+        report = executor.report()
         assert report.outcome == "DrainTimeout"
         assert report.detail == "drain timeout waiting for 'A'"
         assert [e for e in engine.log if e.kind == "SwapApplied"] == []
         assert {name: engine.barrier_state(name) for name in "ACD"} == dict.fromkeys("ACD", "Open")
         assert engine.config.components()["C"].version == 1
+        # releasing the barriers dropped the swap's wake-up, so nothing keeps the plan alive
+        abandoned = weakref.ref(executor)
+        del executor
+        gc.collect()
+        assert abandoned() is None
 
     def test_abandoned_plan_ignores_its_stale_wake_up(self):
         engine = self.engine(drain_timeout=11)
         first = execute_plan(self.plan(engine), engine)
         before = first.to_json()
-        engine.run(until=30)  # A commits at 21 with the first plan's swap wake-up still registered on C
+        engine.run(until=30)  # A commits at 21; the first plan's swap wake-up went with its barriers
         second = execute_plan(self.plan(engine, drop_client_await=False), engine)
         assert second.outcome == "Completed"
         assert first.to_json() == before

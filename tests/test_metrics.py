@@ -3,10 +3,10 @@ from __future__ import annotations
 import json
 
 from quiesce.engine import Engine, run
-from quiesce.metrics import call_latencies, compute_metrics, metrics_json_text, session_components
+from quiesce.metrics import compute_metrics, metrics_json_text
 from quiesce.workload import parse_scenario
 
-from builders import app, call_entry, client, comp, drain, op, scenario_doc
+from builders import app, call_entry, call_latencies, client, comp, drain, op, scenario_doc, session_components
 from conftest import read_fixture
 
 

@@ -26,8 +26,8 @@ from .depgraph import (
     graph_to_dot,
     graph_to_json,
 )
-from .documents import decode
-from .errors import ProtocolViolation, QuiesceError, Rejection
+from .documents import decode, record
+from .errors import ParseError, ProtocolViolation, QuiesceError, Rejection
 from .lifecycle import DeploymentManager, ModuleArchive, ModuleState, archive_to_json, parse_archive
 from .manager import (
     CostModel,
@@ -235,8 +235,13 @@ def redeploy(
     _write(out / "metrics.json", metrics_json_text(compute_metrics(result.log.events)))
     if result.rejection is not None:
         _rejected(result.rejection)
-    _write_json(out / "report.json", result.report.to_json())
-    sys.exit(EXIT_OK if result.report.outcome == "Completed" else EXIT_REJECTED)
+    report = result.report
+    _write_json(out / "report.json", report.to_json())
+    if report.outcome != "Completed":
+        reason = report.detail or "{0.kind}: {0.subject}: {0.detail}".format(report.findings[0])
+        click.echo(f"{report.outcome}: {reason}", err=True)
+        sys.exit(EXIT_REJECTED)
+    sys.exit(EXIT_OK)
 
 
 def _rejected(rejection: Rejection) -> None:
@@ -306,34 +311,38 @@ def analyze_deps(
 # ---------------------------------------------------------------------------
 
 
-def _load_state(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        return {"modules": {}}
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        _fail(f"{path}: invalid state file: {exc}")
+_STATE_KEYS = frozenset({"modules"})
+_MODULE_KEYS = frozenset({"archive", "state"})
 
 
 def _save_state(path: str, state: dict) -> None:
     Path(path).write_text(json.dumps(state, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _manager_from_state(config, state: dict) -> DeploymentManager:
-    engine = rt.Engine(config)
-    manager = DeploymentManager(engine)
-    for module_id in sorted(state.get("modules", {})):
-        record = state["modules"][module_id]
-        archive = parse_archive(json.dumps(record["archive"]))
-        if record["state"] == ModuleState.UNDEPLOYED.value:
-            continue
-        manager.distribute(archive)
-        if record["state"] in (ModuleState.STARTED.value,):
-            manager.start(module_id)
-        elif record["state"] == ModuleState.STOPPED.value:
-            manager.start(module_id)
-            manager.stop(module_id)
+def _manager_from_state(config, path: str) -> DeploymentManager:
+    """A manager holding the modules of the state file (if it exists) in their recorded states."""
+    manager = DeploymentManager(rt.Engine(config))
+    try:
+        doc = record(decode(_read(path), "state"), _STATE_KEYS, "state file") if Path(path).exists() else {}
+        modules = doc.get("modules", {})
+        if not isinstance(modules, dict):
+            raise ParseError("state file: modules must be a JSON object")
+        for module_id in sorted(modules):
+            entry = record(modules[module_id], _MODULE_KEYS, f"module {module_id!r}", _MODULE_KEYS)
+            state = next((s for s in ModuleState if s.value == entry["state"]), None)
+            if state is None:
+                valid = [s.value for s in ModuleState]
+                raise ParseError(f"module {module_id!r}: state {entry['state']!r} is not one of {valid}")
+            archive = parse_archive(json.dumps(entry["archive"]))
+            if state is ModuleState.UNDEPLOYED:
+                continue
+            manager.distribute(archive)
+            if state is not ModuleState.DISTRIBUTED:
+                manager.start(module_id)
+            if state is ModuleState.STOPPED:
+                manager.stop(module_id)
+    except QuiesceError as exc:
+        _fail(f"{path}: {exc}")
     manager.events.clear()
     return manager
 
@@ -365,8 +374,7 @@ def _echo_progress(manager: DeploymentManager) -> None:
 
 def _lifecycle_command(ctx, app_file, state_file, action) -> None:
     config = _load_app(app_file)
-    state = _load_state(state_file)
-    manager = _manager_from_state(config, state)
+    manager = _manager_from_state(config, state_file)
     code = EXIT_OK
     try:
         action(manager)

@@ -938,10 +938,10 @@ class Engine:
     def swap_component(
         self,
         component: str,
-        new: ComponentDescriptor,
+        target: ApplicationConfiguration,
         shadow_store: Optional[str] = None,
     ) -> None:
-        """Replace the hosted descriptor under a closed barrier.
+        """Host ``target``'s ``component`` under a closed barrier and adopt ``target`` as ``config``.
 
         Stateful instances have their conversational state passivated into a
         field map and activated into the new version; pooled instances of
@@ -952,9 +952,7 @@ class Engine:
         container = self._container(component)
         if container.barrier_mode != BARRIER_CLOSED:
             raise NotQuiescent(f"container {component!r} barrier is {container.barrier_mode}")
-        old = container.descriptor
-        if new.name != old.name:
-            raise ValidationError(f"swap must keep the component name ({old.name!r} != {new.name!r})")
+        old, new = container.descriptor, target.components()[component]
         if old.kind is ComponentKind.STATEFUL_SESSION:
             if tuple(old.state_fields) != tuple(new.state_fields):
                 raise StateShapeMismatch(
@@ -987,7 +985,7 @@ class Engine:
         if new.queue is not None:
             container.bound_queue = new.queue
         container.descriptor = new
-        self.config = self.config.with_component(new)
+        self.config = target
         self._emit(
             SWAP_APPLIED, component=component, from_version=old.version, to_version=new.version
         )

@@ -9,8 +9,9 @@ redeploy mode is applied: strict refuses structural diffs before planning.
 The executor drives the engine through its public scheduling and barrier
 calls, and its report is a fold of the plan's own events.
 
-Safety is decided before anything is touched: one unsafe component rejects
-the whole request.  Barriers go up on the whole affected set at once
+Safety is decided before anything is touched: one unsafe component, or one
+composition finding on the target configuration the swaps will install,
+rejects the whole request.  Barriers go up on the whole affected set at once
 (clients first), quiescence is awaited clients-first, swaps happen only
 after every affected container is quiescent and re-verify closure at the
 instant they apply, and barriers come down providers first — together with
@@ -20,6 +21,7 @@ transaction-exclusivity guarantee hold.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
@@ -160,7 +162,6 @@ SWAP = "Swap"
 SET_POOL_SIZE = "SetPoolSize"
 RESUME_QUEUE = "ResumeQueue"
 RELEASE_BARRIER = "ReleaseBarrier"
-POST_CHECK = "PostCheck"
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ class PlanStep:
 class CostModel:
     """Per-step time costs.
 
-    ``estimate_window`` sums all three.  Running a plan spends only ``swap``
-    and ``sync``; every other step takes no time, so ``other`` only pads the
-    estimate.
+    ``estimate_window`` sums all three, plus one ``other`` of slack.
+    Running a plan spends only ``swap`` and ``sync``; every other step takes
+    no time, so ``other`` only pads the estimate.
     """
 
     swap: int = 10
@@ -200,15 +201,8 @@ class ReconfigurationPlan:
     window: ReconfigurationWindow
     affected: frozenset[str]
     steps: tuple[PlanStep, ...]
-    new_descriptors: tuple[tuple[str, ComponentDescriptor], ...]
+    target: ApplicationConfiguration  # the configuration once every swap has applied
     verdicts: tuple[SafetyVerdict, ...]
-    analysis: AnalysisResult
-
-    def descriptor_for(self, component: str) -> ComponentDescriptor:
-        for name, descriptor in self.new_descriptors:
-            if name == component:
-                return descriptor
-        raise UnknownComponent(component)
 
     def to_json(self) -> dict:
         return {
@@ -286,10 +280,8 @@ def analyse(request: ReconfigurationRequest, config: ApplicationConfiguration) -
     qos_components = {q.component for q in request.qos_changes}
     per_target: list[tuple[str, ChangeKind]] = []
     for target in request.targets:
-        old = components.get(target.component)
-        if old is None:
-            raise UnknownComponent(f"target {target.component!r} is not deployed")
         new = resolved_target_descriptor(config, target)
+        old = components[target.component]
         per_target.append(
             (target.component, diff_versions(old, new, qos_change=target.component in qos_components))
         )
@@ -491,7 +483,7 @@ def estimate_window(
         + costs.sync * len(request.entity_migration)
         + costs.swap * len(swap_targets)
         + costs.other * len(request.qos_changes)
-        + costs.other  # post check
+        + costs.other  # slack; dropping it would change windows, affected sets and logs
     )
     return ReconfigurationWindow(request.requested_at, max(1, duration))
 
@@ -518,19 +510,19 @@ def build_plan(
     components = config.components()
     swap_targets = {t.component for t in request.targets}
 
-    new_descriptors: list[tuple[str, ComponentDescriptor]] = []
+    target = config
     verdicts: list[SafetyVerdict] = []
-    for target in sorted(request.targets, key=lambda t: t.component):
-        old = components[target.component]
-        new = resolved_target_descriptor(config, target)
-        new_descriptors.append((target.component, new))
-        refs = unchanged_remote_refs(target.component, config, snapshot, changed=swap_targets)
+    for change in sorted(request.targets, key=lambda t: t.component):
+        old = components[change.component]
+        new = resolved_target_descriptor(config, change)
+        target = target.with_component(new)
+        refs = unchanged_remote_refs(change.component, config, snapshot, changed=swap_targets)
         verdicts.append(
             classify_structural_safety(
                 old,
-                analysis.kind_of(target.component),
+                analysis.kind_of(change.component),
                 refs,
-                migration_available=request.migration_for(target.component) is not None,
+                migration_available=request.migration_for(change.component) is not None,
                 state_shape_changed=tuple(old.state_fields) != tuple(new.state_fields),
             )
         )
@@ -586,16 +578,14 @@ def build_plan(
         affected = frozenset()
         for qos in sorted(request.qos_changes, key=lambda q: q.component):
             steps.append(PlanStep(SET_POOL_SIZE, component=qos.component, pool_size=qos.pool_size))
-    steps.append(PlanStep(POST_CHECK))
 
     plan = ReconfigurationPlan(
         request=request,
         window=window,
         affected=affected,
         steps=tuple(steps),
-        new_descriptors=tuple(new_descriptors),
+        target=target,
         verdicts=tuple(verdicts),
-        analysis=analysis,
     )
     problems = plan_ordering_problems(plan)
     if problems:
@@ -631,8 +621,6 @@ def plan_ordering_problems(plan: ReconfigurationPlan) -> list[str]:
             swap_pos = at(SWAP, step.component)
             if swap_pos is not None and index[(SYNC_SHADOW_STORE, step.component)] > swap_pos:
                 problems.append(f"{step.component}: store synced after swap")
-    if not plan.steps or plan.steps[-1].kind != POST_CHECK:
-        problems.append("last step is not PostCheck")
     return problems
 
 
@@ -644,12 +632,13 @@ def plan_ordering_problems(plan: ReconfigurationPlan) -> list[str]:
 class PlanExecutor:
     """Drives plan steps through the engine's event timeline.
 
-    ``_run`` walks the steps in order at barrier priority and yields only
-    where the plan waits: for a timed step's cost and for a barrier that has
-    not closed; ``_advance`` is its only wake-up.  One deadline guards the
-    drain: if a barrier is still draining when it fires, every barrier is
-    released and the plan is abandoned with no swap applied (the
-    configuration is untouched, so rollback is trivial).
+    ``_run`` rejects a plan whose target has composition findings before a
+    barrier goes up, then walks the steps in order at barrier priority and
+    yields only where the plan waits: for a timed step's cost and for a
+    barrier that has not closed; ``_advance`` is its only wake-up.  One
+    deadline guards the drain: if a barrier is still draining when it fires,
+    every barrier is released and the plan is abandoned with no swap applied
+    (the configuration is untouched, so rollback is trivial).
     """
 
     def __init__(self, engine: rt.Engine, plan: ReconfigurationPlan, costs: CostModel = CostModel()):
@@ -682,9 +671,17 @@ class PlanExecutor:
 
     def _run(self) -> Iterator[None]:
         engine, plan = self.engine, self.plan
+        self.findings.extend(check_composition(plan.target).findings)
+        if self.findings:
+            self._finish("Rejected")
+            return
         if self._barriers:
-            # every barrier goes up at this instant, so one deadline covers them all
-            engine.schedule(engine.clock + engine.drain_timeout, self._check_timeout)
+            # every barrier goes up at this instant, so one deadline covers them all; it holds
+            # the executor weakly, so a finished plan's target is not kept alive until it fires
+            executor = weakref.ref(self)
+            engine.schedule(
+                engine.clock + engine.drain_timeout, lambda: executor() and executor()._check_timeout()
+            )
         for step in plan.steps:
             if step.kind == ACTIVATE_BARRIER:
                 engine.activate_barrier(step.component)
@@ -706,9 +703,7 @@ class PlanExecutor:
                     yield
                 migration = plan.request.migration_for(step.component)
                 engine.swap_component(
-                    step.component,
-                    plan.descriptor_for(step.component),
-                    shadow_store=migration.shadow_store if migration else None,
+                    step.component, plan.target, shadow_store=migration.shadow_store if migration else None
                 )
             elif step.kind == SET_POOL_SIZE:
                 engine.set_pool_size(step.component, step.pool_size)
@@ -717,13 +712,9 @@ class PlanExecutor:
             elif step.kind == RELEASE_BARRIER:
                 self._collect_orphans(step.component)
                 engine.release_barrier(step.component)
-            elif step.kind == POST_CHECK:
-                self.findings.extend(check_composition(engine.config).findings)
-                self._finish("Completed" if not self.findings else "Rejected")
-                return
             else:
                 raise EngineFault(f"unknown plan step {step.kind!r}")
-        self._finish("Completed")
+        self._finish("Rejected" if self.findings else "Completed")
 
     def _collect_orphans(self, component: str) -> None:
         descriptor = self.engine.config.components()[component]

@@ -621,9 +621,9 @@ def check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
     """Report every composition inconsistency; empty report iff consistent.
 
     This never raises: findings are data for the caller, whether that is
-    loading (which rejects on the first), the post-check after a swap or the
-    static graph.  The report is kept on the configuration, so loading, a
-    post-check and the next static graph share it.
+    loading (which rejects on the first), a plan's check of its target
+    before any barrier goes up, or the static graph.  The report is kept on
+    the configuration, so a plan's check and the next plan's static graph share it.
     """
     return config._composition
 

@@ -72,9 +72,10 @@ class TestSimulate:
         assert metrics["invalidated_sessions"] == 0
         assert metrics["total_time"] == 0
 
-    def test_protocol_violation_exits_two(self, workdir):
+    def test_swap_that_breaks_a_caller_is_rejected_before_it_runs(self, workdir):
         # a caller whose automaton promises an operation the provider lacks:
-        # the document is rejected at load; force it through a mid-run swap via redeploy instead
+        # the document is rejected at load, and a redeploy that would swap it in
+        # is rejected before any barrier goes up, in both forms
         components = [
             comp("A", required=["ILog", "IB"],
                  operations=[op("go", duration=20, automaton={
@@ -99,22 +100,21 @@ class TestSimulate:
         (workdir / "pv_request.json").write_text(
             json.dumps({"id": "r", "requested_at": 2, "targets": [{"component": "B", "descriptor": gutted}]})
         )
-        result = run_cli(
-            "redeploy", "pv_app.json", "pv_scenario.json", "pv_request.json",
-            "--until", "100", cwd=workdir,
-        )
-        assert result.returncode == 2
-        assert "protocol violation" in result.stderr
-        # the archive form reports the same violation the same way
         (workdir / "pv_archive.json").write_text(
             json.dumps({"module": "m", "version": 2, "components": [components[0], gutted]})
         )
-        result = run_cli(
-            "redeploy", "pv_app.json", "pv_scenario.json", "--archive", "pv_archive.json",
-            "--until", "100", cwd=workdir,
-        )
-        assert result.returncode == 2
-        assert "protocol violation" in result.stderr
+        finding = {"kind": "signature-mismatch", "subject": "A", "detail": "calls IB.w which provider 'B' does not offer"}
+        for out, source in (("req", ("pv_request.json",)), ("arc", ("--archive", "pv_archive.json"))):
+            result = run_cli(
+                "--out", out, "redeploy", "pv_app.json", "pv_scenario.json", *source,
+                "--until", "100", cwd=workdir,
+            )
+            assert result.returncode == 3, result.stderr
+            assert result.stderr == "Rejected: {kind}: {subject}: {detail}\n".format(**finding)
+            report = json.loads((workdir / out / "report.json").read_text())
+            assert (report["outcome"], report["findings"]) == ("Rejected", [finding])
+            kinds = {json.loads(line)["kind"] for line in (workdir / out / "events.jsonl").read_text().splitlines()}
+            assert "BarrierActivated" not in kinds and "SwapApplied" not in kinds
 
 
 class TestRedeployCommand:
@@ -178,6 +178,68 @@ class TestRedeployCommand:
             "structural_request.json", "--mode", "weakened", "--until", "300", cwd=workdir,
         )
         assert weakened.returncode == 0, weakened.stderr
+
+    def test_drain_timeout_explains_itself_on_stderr(self, workdir):
+        result = run_cli(
+            "--out", "o", "redeploy", "demo_chain.json", "demo_scenario.json", "demo_request.json",
+            "--drain-timeout", "3", cwd=workdir,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "DrainTimeout: drain timeout waiting for 'A'\n"
+
+
+def renamed_c(workdir: Path, b_follows: bool) -> dict[str, tuple[str, ...]]:
+    """Both redeploy sources for C v2 with ``backWork`` renamed ``otherOp`` (B v2 calling it too if ``b_follows``)."""
+    components = json.loads((FIXTURES / "demo_chain.json").read_text())["components"]
+    b, c = components[1], components[2]
+    c["version"] = 2
+    c["provided"][0]["operations"][0]["name"] = c["operations"][0]["name"] = "otherOp"
+    changed = [c]
+    if b_follows:
+        b["version"] = 2
+        b["operations"][0]["effect_automaton"]["transitions"][0]["calls_operation"] = "otherOp"
+        changed.insert(0, b)
+    (workdir / "renamed_archive.json").write_text(json.dumps({"module": "demo", "version": 2, "components": components}))
+    (workdir / "renamed_request.json").write_text(json.dumps(
+        {"id": "rename", "requested_at": 8, "targets": [{"component": d["name"], "descriptor": d} for d in changed]}
+    ))
+    return {"request": ("renamed_request.json",), "archive": ("--archive", "renamed_archive.json")}
+
+
+class TestRenamedOperation:
+    """A weakened-mode swap that renames the operation a wired client calls."""
+
+    @pytest.mark.parametrize("blocking", ["minimal", "whole-app"])
+    @pytest.mark.parametrize("form", ["request", "archive"])
+    def test_rejected_before_any_barrier_goes_up(self, workdir, form, blocking):
+        source = renamed_c(workdir, b_follows=False)[form]
+        result = run_cli(
+            "--out", "o", "redeploy", "demo_chain.json", "demo_scenario.json", *source,
+            "--blocking", blocking, cwd=workdir,
+        )
+        assert result.returncode == 3, result.stderr
+        detail = "calls IC.backWork which provider 'C' does not offer"
+        assert result.stderr == f"Rejected: signature-mismatch: B: {detail}\n"
+        report = json.loads((workdir / "o" / "report.json").read_text())
+        assert report["outcome"] == "Rejected"
+        assert report["findings"] == [{"kind": "signature-mismatch", "subject": "B", "detail": detail}]
+        kinds = {json.loads(line)["kind"] for line in (workdir / "o" / "events.jsonl").read_text().splitlines()}
+        assert "BarrierActivated" not in kinds and "SwapApplied" not in kinds
+
+    @pytest.mark.parametrize("blocking", ["minimal", "whole-app"])
+    @pytest.mark.parametrize("form", ["request", "archive"])
+    def test_completes_when_the_caller_follows_the_rename(self, workdir, form, blocking):
+        source = renamed_c(workdir, b_follows=True)[form]
+        result = run_cli(
+            "--out", "o", "redeploy", "demo_chain.json", "demo_scenario.json", *source,
+            "--blocking", blocking, cwd=workdir,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads((workdir / "o" / "report.json").read_text())
+        assert (report["outcome"], report["findings"]) == ("Completed", [])
+        swapped = [json.loads(line)["payload"]["component"]
+                   for line in (workdir / "o" / "events.jsonl").read_text().splitlines() if '"SwapApplied"' in line]
+        assert sorted(swapped) == ["B", "C"]
 
 
 class TestAnalyzeDeps:
@@ -308,6 +370,26 @@ class TestLifecycleCommands:
             assert result.returncode == 0, (args, result.stderr)
             state = json.loads((workdir / "state.json").read_text())
             assert state["modules"]["shop"]["state"] == expected_state
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"modules": {"shop": {}}}, "module 'shop' missing keys: ['archive', 'state']"),
+            ([], "state file must be a JSON object"),
+            (
+                {"modules": {"shop": {"archive": {"module": "shop", "components": []}, "state": "Bogus"}}},
+                "module 'shop': state 'Bogus' is not one of "
+                "['Distributed', 'Started', 'Stopped', 'Undeployed']",
+            ),
+        ],
+        ids=["missing-keys", "not-an-object", "unknown-state"],
+    )
+    def test_malformed_state_file_exits_one_naming_it(self, workdir, state, message):
+        (workdir / "state.json").write_text(json.dumps(state))
+        result = run_cli("start", "shop", "--state", "state.json", cwd=workdir)
+        assert result.returncode == 1
+        assert result.stderr == f"error: state.json: {message}\n"
+        assert json.loads((workdir / "state.json").read_text()) == state  # left as it was
 
     def test_start_before_distribute_exits_one(self, workdir):
         result = run_cli("start", "ghost", "--state", "state.json", cwd=workdir)

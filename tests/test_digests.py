@@ -3,8 +3,8 @@
 One benchmark job of each workload at its default sizes and seeds 1 and 2,
 run in-process through ``bench/`` (imported the way ``bench/tests`` does,
 without its timing hooks), plus ``quiesce redeploy`` on the demo fixtures
-under both blockings.  A change that alters behaviour on purpose updates
-these values and says so in CHANGES.md.
+under both blockings, from the request and from the archive.  A change that
+alters behaviour on purpose updates these values and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -62,12 +62,21 @@ DRAIN_TIMEOUT = {
     "metrics.json": "6b4e024c4fda0c083e08a470acea192ffb318ebd38bf33790d85751811b7ac7f",
     "report.json": "dbc3d176a9a10aed791046a7f45d2d6cc5c5582b015ee01e25eff22f8ea67fdd",
 }
-# (blocking, extra options) -> (exit code, sha256 of each output file)
+# C v2 with duration 2 from demo_archive.json, swapped at t=0
+ARCHIVE = {
+    "events.jsonl": "aed6dcbac85621b11136d1b31bb2a12278eb934133897de2e6486b8d8e346f6b",
+    "metrics.json": "125b678cdd92a80da0c4530f3c3788c3e7c4e5d2d43d634f6f25bc063e1fd96e",
+    "report.json": "5d5a3ca1ea20929d06a6033dccdd031235dcd30c627f7a75efede03a1847a15f",
+}
+# (blocking, extra options) -> (exit code, sha256 of each output file); without
+# --archive the request is demo_request.json
 CLI_DIGESTS = {
     ("minimal", ()): (0, COMPLETED),
     ("whole-app", ()): (0, COMPLETED),
     ("minimal", ("--drain-timeout", "3")): (3, DRAIN_TIMEOUT),
     ("whole-app", ("--drain-timeout", "3")): (3, DRAIN_TIMEOUT),
+    ("minimal", ("--archive", "demo_archive.json")): (0, ARCHIVE),
+    ("whole-app", ("--archive", "demo_archive.json")): (0, ARCHIVE),
 }
 
 
@@ -86,9 +95,10 @@ def test_workload_outputs_are_pinned(workload, seed, tmp_path):
     "blocking, extra", sorted(CLI_DIGESTS), ids=[" ".join((b, *e)) for b, e in sorted(CLI_DIGESTS)]
 )
 def test_demo_redeploy_outputs_are_pinned(blocking, extra, tmp_path):
+    request = () if "--archive" in extra else ("demo_request.json",)
     result = run_cli(
         "--out", str(tmp_path / "out"), "redeploy", "demo_chain.json", "demo_scenario.json",
-        "demo_request.json", "--blocking", blocking, *extra, cwd=FIXTURES,
+        *request, "--blocking", blocking, *extra, cwd=FIXTURES,
     )
     files = {f.name: _sha(f.read_bytes()) for f in sorted((tmp_path / "out").iterdir())}
     assert (result.returncode, files) == CLI_DIGESTS[(blocking, extra)], result.stderr

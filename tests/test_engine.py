@@ -271,7 +271,7 @@ class TestSwap:
     def test_swap_requires_quiescence(self):
         engine = Engine(single_stateless())
         with pytest.raises(NotQuiescent):
-            engine.swap_component("S", self.new_s())
+            engine.swap_component("S", engine.config.with_component(self.new_s()))
 
     def test_stateless_swap_replays_held_after_swap_applied(self):
         engine = Engine(single_stateless(duration=5))
@@ -289,7 +289,7 @@ class TestSwap:
         engine.run(until=0)
         drain(engine, "S")  # immediate: nothing in flight yet
         engine.run(until=4)  # three arrivals held at the closed barrier
-        engine.swap_component("S", self.new_s())
+        engine.swap_component("S", engine.config.with_component(self.new_s()))
         engine.release_barrier("S")
         engine.run(until=100)
         events = [(e.t, e.kind, e.payload.get("id")) for e in engine.log
@@ -322,7 +322,7 @@ class TestSwap:
             comp("S", kind="StatefulSession", version=2, state_fields=["a", "b"],
                  operations=[op("work", duration=1)])
         )
-        engine.swap_component("S", new)
+        engine.swap_component("S", engine.config.with_component(new))
         engine.release_barrier("S")
         survivor = next(i for i in engine.containers["S"].instances if i.session == "alice")
         assert survivor.state == {"a": 1, "b": 2}
@@ -345,7 +345,7 @@ class TestSwap:
                  operations=[op("work", duration=2)])
         )
         with pytest.raises(StateShapeMismatch):
-            engine.swap_component("S", new)
+            engine.swap_component("S", engine.config.with_component(new))
         assert engine.config.components()["S"].version == 1  # swap refused, nothing changed
 
 
@@ -607,7 +607,7 @@ class TestSessionsAndRefs:
             comp("S", version=2, provided=[iface("IS", "other")],
                  operations=[op("other", duration=1)])
         )
-        engine.swap_component("S", gutted)
+        engine.swap_component("S", engine.config.with_component(gutted))
         engine.release_barrier("S")
         engine.run(until=20)
         invalidated = [e for e in engine.log if e.kind == "SessionInvalidated"]
@@ -639,7 +639,7 @@ class TestSessionsAndRefs:
             comp("B", version=2, provided=[iface("IB", "other")],
                  operations=[op("other", tx="Joins", duration=3)])
         )
-        engine.swap_component("B", gutted)
+        engine.swap_component("B", engine.config.with_component(gutted))
         engine.release_barrier("B")
         with pytest.raises(ProtocolViolation):
             engine.run(until=50)
@@ -819,7 +819,7 @@ class TestPoolServicing:
             # a drain never closes over queued waiters, so close the barrier
             # by hand to let the swap strand them
             engine.containers["S"].barrier_mode = BARRIER_CLOSED
-            engine.swap_component("S", gutted)
+            engine.swap_component("S", engine.config.with_component(gutted))
             engine.release_barrier("S")
             engine.run(until=400)
             return engine

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import quiesce.model as model_module
 from quiesce.engine import Engine
 from quiesce.errors import Rejection, SnapshotStale, UnknownComponent
 from quiesce.manager import (
@@ -228,7 +229,7 @@ class TestBuildPlan:
         kinds = [s.kind for s in plan.steps[:6]]
         assert kinds == ["ActivateBarrier"] * 3 + ["AwaitQuiescence"] * 3
         assert plan.affected == frozenset({"A", "B", "C"})
-        assert plan.steps[-1].kind == "PostCheck"
+        assert (plan.steps[-1].kind, plan.steps[-1].component) == ("ReleaseBarrier", "A")
 
     def test_affected_stays_inside_ancestor_closure(self, diamond_config):
         engine = Engine(diamond_config)
@@ -271,7 +272,7 @@ class TestBuildPlan:
         )
         plan = build_plan(request, chain_config, engine.snapshot())
         kinds = [s.kind for s in plan.steps]
-        assert kinds == ["SetPoolSize", "PostCheck"]
+        assert kinds == ["SetPoolSize"]
         assert plan.affected == frozenset()
 
     def test_whole_app_blocking_barricades_everything(self, chain_config):
@@ -310,6 +311,37 @@ class TestExecutePlan:
         assert report.outcome == "Completed"
         assert report.downtime == {"A": 10, "B": 10, "C": 10}
         assert engine.config.components()["C"].version == 2
+
+    def test_swaps_install_the_checked_target_configuration(self, chain_config, monkeypatch):
+        engine = Engine(chain_config)
+        deployed = chain_config.components()
+        request = ReconfigurationRequest(
+            id="r", targets=tuple(TargetChange(n, replace(deployed[n], version=2)) for n in "BC")
+        )
+        plan = build_plan(request, chain_config, engine.snapshot())
+        assert execute_plan(plan, engine).outcome == "Completed"
+        assert engine.config is plan.target
+        assert {n: d.version for n, d in engine.config.components().items()} == {"A": 1, "B": 2, "C": 2}
+        # the next plan's static graph reads the report the executor's check cached
+        reports, real = [], model_module.ConsistencyReport
+        monkeypatch.setattr(model_module, "ConsistencyReport", lambda *a: reports.append(a) or real(*a))
+        follow_up = ReconfigurationRequest(id="r2", targets=(TargetChange("A", None),), requested_at=engine.clock)
+        build_plan(follow_up, engine.config, engine.snapshot())
+        assert reports == []
+
+    def test_finished_plan_is_not_kept_alive_by_its_drain_deadline(self, chain_config):
+        engine = Engine(chain_config)
+        plan = build_plan(TestBuildPlan().functional_c_request(), chain_config, engine.snapshot())
+        executor = PlanExecutor(engine, plan)
+        executor.start()
+        executor.run_until_done()
+        finished, target = weakref.ref(executor), weakref.ref(plan.target)
+        del executor, plan
+        gc.collect()
+        assert finished() is None
+        assert engine.config is target()  # the swapped-in configuration stays, as the engine's own
+        engine.run()  # the deadline still fires, after the plan is gone
+        assert {name: engine.barrier_state(name) for name in "ABC"} == dict.fromkeys("ABC", "Open")
 
     def test_in_flight_transaction_adds_its_remainder_to_downtime(self):
         config = app([comp("S", operations=[op("work", duration=10)])])
@@ -386,7 +418,7 @@ class TestExecutePlan:
         synced = next(e for e in engine.log if e.kind == "StoreSynced")
         assert synced.payload["rows"] == 2
 
-    def test_post_check_flags_broken_wires_after_forced_structural_swap(self, chain_config):
+    def test_broken_target_is_rejected_before_any_barrier_goes_up(self, chain_config):
         # weakened-mode structural change that removes an operation a caller needs
         gutted = parse_component(
             comp("C", version=2, provided=[iface("IC", "other")],
@@ -398,6 +430,10 @@ class TestExecutePlan:
         report = execute_plan(plan, engine)
         assert report.outcome == "Rejected"
         assert any(f.kind == "signature-mismatch" for f in report.findings)
+        kinds = {e.kind for e in engine.log}
+        assert "BarrierActivated" not in kinds and "SwapApplied" not in kinds
+        assert engine.config is chain_config
+        assert {name: engine.barrier_state(name) for name in "ABC"} == dict.fromkeys("ABC", "Open")
 
     def test_held_call_to_removed_operation_is_an_orphan_finding(self):
         # weakened-mode structural swap drops `extra` while a call to it waits at the barrier

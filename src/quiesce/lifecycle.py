@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from .documents import decode, record
 from .engine import Engine
@@ -121,9 +122,10 @@ class DeploymentManager:
             self._progress("Distribute", archive.module, "Failed", "already distributed")
             raise IllegalTransition(f"module {archive.module!r} already distributed")
         try:
+            providers = self._providers(archive)
             for descriptor in archive.components:
                 descriptor.validate()
-                wiring = self._auto_wire(descriptor, archive)
+                wiring = _auto_wire(descriptor, providers)
                 self.engine.add_component(descriptor, ContainerSpec(descriptor.name), wiring)
         except ValidationError as exc:
             self._progress("Distribute", archive.module, "Failed", str(exc))
@@ -132,28 +134,19 @@ class DeploymentManager:
         self._progress("Distribute", archive.module, "Completed")
         return ModuleState.DISTRIBUTED
 
-    def _auto_wire(self, descriptor: ComponentDescriptor, archive: ModuleArchive) -> tuple[Wire, ...]:
-        """Wire each requirement to the unique provider in the module or the running system.
+    def _providers(self, archive: ModuleArchive) -> dict[str, list[str]]:
+        """Interface -> sorted names of the deployed or archived components that provide it.
 
-        No provider means the requirement is declared external; several
-        providers are ambiguous and rejected.
+        A deployed component shadows an archive entry of the same name.
         """
-        deployed = dict(self.engine.config.components())
+        candidates = self.engine.config.components()
         for candidate in archive.components:
-            deployed.setdefault(candidate.name, candidate)
-        wires = []
-        for interface in descriptor.required:
-            providers = sorted(
-                name
-                for name, other in deployed.items()
-                if name != descriptor.name and interface in other.provided_names()
-            )
-            if len(providers) > 1:
-                raise ValidationError(
-                    f"{descriptor.name!r} requires {interface!r} with ambiguous providers {providers}"
-                )
-            wires.append(Wire(descriptor.name, interface, providers[0] if providers else None))
-        return tuple(wires)
+            candidates.setdefault(candidate.name, candidate)
+        providers: dict[str, list[str]] = {}
+        for name in sorted(candidates):
+            for interface in candidates[name].provided_names():
+                providers.setdefault(interface, []).append(name)
+        return providers
 
     def start(self, module: str) -> ModuleState:
         self._progress("Start", module, "Running")
@@ -280,7 +273,48 @@ class DeploymentManager:
         return report
 
 
+def _auto_wire(descriptor: ComponentDescriptor, providers: dict[str, list[str]]) -> tuple[Wire, ...]:
+    """Wire each requirement to the unique provider other than ``descriptor`` itself.
+
+    No provider means the requirement is declared external; several
+    providers are ambiguous and rejected.
+    """
+    wires = []
+    for interface in descriptor.required:
+        names = [name for name in providers.get(interface, ()) if name != descriptor.name]
+        if len(names) > 1:
+            raise ValidationError(
+                f"{descriptor.name!r} requires {interface!r} with ambiguous providers {names}"
+            )
+        wires.append(Wire(descriptor.name, interface, names[0] if names else None))
+    return tuple(wires)
+
+
 _ARCHIVE_KEYS = frozenset({"module", "version", "components"})
+
+# Component name -> (document, descriptor) of the last archive component
+# parsed under that name.  A document == to the stored one passed every check
+# before and makes an equal descriptor, so it gets the stored descriptor back:
+# a rolling redeploy parses only the components that changed.  The documents
+# are decoded here and never reach a caller, and descriptors are immutable, so
+# an entry cannot go stale; there is one entry per name.  Every number the
+# parser keeps goes through int(), so 1 == 1.0 == True changes no field.
+# Values it keeps as raw JSON can differ that way: an interface operation's
+# params [1] after [true] reuse the (True,) tuple, and a non-string where a
+# name belongs can do the same.  Typed document scalars would close this.
+_LAST_PARSED: dict[str, tuple[dict, ComponentDescriptor]] = {}
+
+
+def _parse_archive_component(doc: Any) -> ComponentDescriptor:
+    name = doc.get("name") if isinstance(doc, dict) else None
+    if not isinstance(name, str):
+        return parse_component(doc)  # the parser names the fault, if there is one
+    last = _LAST_PARSED.get(name)
+    if last is not None and last[0] == doc:
+        return last[1]
+    descriptor = parse_component(doc)
+    _LAST_PARSED[name] = (doc, descriptor)
+    return descriptor
 
 
 def parse_archive(text: str) -> ModuleArchive:
@@ -288,7 +322,7 @@ def parse_archive(text: str) -> ModuleArchive:
     return ModuleArchive(
         module=doc["module"],
         version=int(doc.get("version", 1)),
-        components=tuple(parse_component(c) for c in doc.get("components", [])),
+        components=tuple(_parse_archive_component(c) for c in doc.get("components", [])),
     )
 
 

@@ -91,6 +91,15 @@ def test_workload_outputs_are_pinned(workload, seed, tmp_path):
     assert digests == WORKLOAD_DIGESTS[(workload, seed)]
 
 
+def test_rolling_redeploy_pins_hold_when_the_job_runs_again(tmp_path):
+    """The second job finds every archive component already parsed, as the benchmark's repeats do."""
+    docs = generate("rolling-redeploy", 1, DEFAULT_SIZES["rolling-redeploy"])
+    for run in ("first", "second"):
+        result = run_job(docs, tmp_path / run, Marks())
+        digests = (_sha(result.events_text.encode()), _sha(result.metrics_text.encode()))
+        assert digests == WORKLOAD_DIGESTS[("rolling-redeploy", 1)], run
+
+
 @pytest.mark.parametrize(
     "blocking, extra", sorted(CLI_DIGESTS), ids=[" ".join((b, *e)) for b, e in sorted(CLI_DIGESTS)]
 )

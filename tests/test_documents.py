@@ -170,6 +170,17 @@ def document_text(kind: str, name: str) -> str:
     return read_fixture(name)
 
 
+def refusal_fault(parse, text: str, ending: str) -> str | None:
+    """What is wrong with how ``parse`` refuses ``text``; None for a ParseError ending in ``ending``."""
+    try:
+        parse(text)
+    except ParseError as exc:
+        return None if str(exc).endswith(ending) else str(exc)
+    except Exception as exc:  # any other type is the defect under test
+        return f"{type(exc).__name__}: {exc}"
+    return "loaded"
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize("kind,name,app_fixture", CASES, ids=[f"{k}:{n}" for k, n, _ in CASES])
     def test_every_record_mutant_is_a_parse_error(self, kind, name, app_fixture):
@@ -179,15 +190,23 @@ class TestMalformedDocuments:
         wrong, count = [], 0
         for what, mutant, ending in mutants(kind, doc):
             count += 1
-            try:
-                parse(json.dumps(mutant))
-            except ParseError as exc:
-                if not str(exc).endswith(ending):
-                    wrong.append(f"{what}: {exc}")
-            except Exception as exc:  # any other type is the defect under test
-                wrong.append(f"{what}: {type(exc).__name__}: {exc}")
-            else:
-                wrong.append(f"{what}: loaded")
+            fault = refusal_fault(parse, json.dumps(mutant), ending)
+            if fault is not None:
+                wrong.append(f"{what}: {fault}")
+        assert count > 0
+        assert wrong == []
+
+    def test_archive_mutants_fail_alike_right_after_the_unmutated_archive(self):
+        """parse_archive reuses the descriptors of unchanged components; a mutant never is one."""
+        text = chain_archive()
+        wrong, count = [], 0
+        for what, mutant, ending in mutants("archive", json.loads(text)):
+            count += 1
+            parse_archive(text)  # each component's last parsed document is the unmutated one
+            for attempt in ("first", "again"):
+                fault = refusal_fault(parse_archive, json.dumps(mutant), ending)
+                if fault is not None:
+                    wrong.append(f"{what} ({attempt}): {fault}")
         assert count > 0
         assert wrong == []
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -19,6 +20,7 @@ from quiesce.lifecycle import (
     DeploymentManager,
     ModuleArchive,
     ModuleState,
+    ProgressEvent,
     archive_to_json,
     parse_archive,
 )
@@ -471,6 +473,75 @@ class TestRollingRedeployCost:
         assert counts["reports"] <= redeploys + 1
 
 
+def archive_text(module: str, version: int, docs: list) -> str:
+    return json.dumps({"module": module, "version": version, "components": docs})
+
+
+def chain_docs(prefix: str, n: int) -> list[dict]:
+    """Components prefix0 .. prefix(n-1); each one's work calls the next one's."""
+    names = [f"{prefix}{i}" for i in range(n)]
+    docs = []
+    for here, after in zip(names, names[1:] + [None]):
+        steps = [("q0", f"I{after}", "work", 1, "q1")] if after else []
+        docs.append(comp(here, required=[f"I{after}"] if after else [],
+                         operations=[op("work", duration=2, automaton=auto(steps) if steps else None)]))
+    return docs
+
+
+class TestArchiveReuse:
+    """``parse_archive`` parses only the component documents that differ from the last ones parsed.
+
+    Each test uses component names no other test parses, so the result does
+    not depend on the order the tests run in.
+    """
+
+    def test_twenty_redeploys_parse_one_archive_plus_the_changed_components(self, monkeypatch):
+        parsed: list[str] = []
+        real_parse = lifecycle_module.parse_component
+
+        def counting(doc):
+            parsed.append(doc["name"])
+            return real_parse(doc)
+
+        monkeypatch.setattr(lifecycle_module, "parse_component", counting)
+        docs = chain_docs("Roll", 8)
+        manager = fresh_manager()
+        manager.distribute(parse_archive(archive_text("roll", 1, docs)))
+        manager.start("roll")
+        manager.engine.load_scenario(parse_scenario(scenario_doc(
+            [client(f"c{k}", *(call_entry(3 * k + 7 * j, "Roll0") for j in range(20))) for k in range(3)]
+        )))
+        rng = random.Random(13)
+        changed = []
+        for version in range(2, 22):
+            manager.engine.run(until=5 * version)
+            k = rng.randrange(len(docs))
+            docs[k] = dict(docs[k], version=docs[k]["version"] + 1)
+            changed.append(docs[k]["name"])
+            report = manager.redeploy("roll", parse_archive(archive_text("roll", version, docs)))
+            assert report.outcome == "Completed"
+        assert [e.payload["component"] for e in manager.engine.log if e.kind == "SwapApplied"] == changed
+        assert len(parsed) <= len(docs) + len(changed)
+        assert parsed[-len(changed):] == changed
+
+    def test_an_unchanged_component_keeps_the_previous_descriptor(self):
+        docs = chain_docs("Keep", 3)
+        first = parse_archive(archive_text("keep", 1, docs))
+        docs[1] = dict(docs[1], version=2)
+        second = parse_archive(archive_text("keep", 2, docs))
+        assert second.components[0] is first.components[0]
+        assert second.components[2] is first.components[2]
+        assert second.components[1] is not first.components[1]
+        assert second.components[1] == parse_component(docs[1])
+        assert parse_archive(archive_text("keep", 3, docs)).components[1] is second.components[1]
+
+    def test_an_archive_of_unchanged_documents_with_a_duplicated_name_is_refused(self):
+        docs = chain_docs("Twice", 2)
+        parse_archive(archive_text("twice", 1, docs))
+        with pytest.raises(ValidationError, match="duplicate component names"):
+            parse_archive(archive_text("twice", 2, docs + docs[:1]))
+
+
 class TestArchiveDocuments:
     def test_round_trip(self):
         doc = json.dumps(archive_to_json(archive(version=3)))
@@ -508,3 +579,47 @@ class TestArchiveDocuments:
         )
         manager.distribute(lone)
         assert manager.engine.config.is_declared_external("F", "IZ")
+
+    @pytest.mark.parametrize("deployed", [(), ("G",)], ids=["both-in-the-module", "one-already-deployed"])
+    def test_two_providers_are_ambiguous(self, deployed):
+        def serving(name):
+            return parse_component(comp(name, provided=[iface("IG", "serve")], operations=[op("serve")]))
+
+        manager = fresh_manager()
+        if deployed:
+            manager.distribute(ModuleArchive("base", 1, tuple(serving(name) for name in deployed)))
+        providers = [serving(name) for name in ("H", "G") if name not in deployed]
+        module = ModuleArchive("m", 1, (parse_component(comp("F", required=["IG"])), *providers))
+        text = "'F' requires 'IG' with ambiguous providers ['G', 'H']"
+        with pytest.raises(ValidationError) as info:
+            manager.distribute(module)
+        assert str(info.value) == text
+        assert manager.events[-1] == ProgressEvent("Distribute", "m", "Failed", text)
+        assert "m" not in manager.modules
+
+    def test_a_component_is_never_its_own_provider(self):
+        manager = fresh_manager()
+        serving = dict(provided=[iface("IG", "serve")], operations=[op("serve")])
+        manager.distribute(ModuleArchive(
+            "m", 1, (parse_component(comp("F", required=["IG"], **serving)), parse_component(comp("G", **serving)))
+        ))
+        assert manager.engine.config.provider_of("F", "IG") == "G"
+
+    def test_distribute_builds_the_leaf_index_at_most_twice(self, monkeypatch):
+        builds = 0
+        leaves = model_module.ApplicationConfiguration._leaves.func
+
+        def counting(config):
+            nonlocal builds
+            builds += 1
+            return leaves(config)
+
+        counted = cached_property(counting)
+        counted.__set_name__(model_module.ApplicationConfiguration, "_leaves")
+        monkeypatch.setattr(model_module.ApplicationConfiguration, "_leaves", counted)
+        manager = fresh_manager()
+        docs = chain_docs("W", 200)
+        manager.distribute(ModuleArchive("wide", 1, tuple(parse_component(d) for d in docs[::-1])))
+        assert builds <= 2
+        config = manager.engine.config
+        assert [config.provider_of(f"W{i}", f"IW{i + 1}") for i in range(199)] == [f"W{i + 1}" for i in range(199)]

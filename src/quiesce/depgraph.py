@@ -11,6 +11,13 @@ only over-approximate, never miss, a dependency that fires inside the window.
 Earliest occurrences are read from each automaton's per-state table, which
 the immutable automaton computes once; the composition check behind the
 static graph is the report cached on the configuration instance.
+
+``build_runtime_graph`` covers every instance of the snapshot it is given.
+A plan (``manager.build_plan``) gives it only the instances of components
+that can reach its targets through a wire or an in-flight call: every
+runtime edge follows one of those, so no path to a target leaves that set
+and the affected set is the one the full graph gives.  ``analyze-deps``
+builds the full graph.
 """
 
 from __future__ import annotations

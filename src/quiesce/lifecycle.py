@@ -115,19 +115,27 @@ class DeploymentManager:
     # ------------------------------------------------------------------
 
     def distribute(self, archive: ModuleArchive) -> ModuleState:
-        """Create containers for the archive's components (not yet accepting calls)."""
+        """Create containers for the archive's components (not yet accepting calls).
+
+        All or nothing: when a descriptor fails, the components this call
+        already added are removed again before ``Failed`` is reported.
+        """
         self._progress("Distribute", archive.module, "Running")
         existing = self.modules.get(archive.module)
         if existing is not None and existing.state is not ModuleState.UNDEPLOYED:
             self._progress("Distribute", archive.module, "Failed", "already distributed")
             raise IllegalTransition(f"module {archive.module!r} already distributed")
+        added: list[str] = []
         try:
             providers = self._providers(archive)
             for descriptor in archive.components:
                 descriptor.validate()
                 wiring = _auto_wire(descriptor, providers)
                 self.engine.add_component(descriptor, ContainerSpec(descriptor.name), wiring)
+                added.append(descriptor.name)
         except ValidationError as exc:
+            for name in reversed(added):
+                self.engine.remove_component(name)
             self._progress("Distribute", archive.module, "Failed", str(exc))
             raise
         self.modules[archive.module] = _ModuleRecord(archive, ModuleState.DISTRIBUTED)

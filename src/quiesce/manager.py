@@ -24,12 +24,14 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from . import engine as rt
 from .depgraph import (
     ReconfigurationWindow,
     StaticDependencyGraph,
+    _callers_closure,
     affected_set,
     build_runtime_graph,
     build_static_graph,
@@ -497,6 +499,12 @@ def build_plan(
 ) -> ReconfigurationPlan:
     """Analyse, classify, and order the steps for a request.
 
+    Under minimal blocking the runtime graph is built only for the instances
+    of the components that can reach a target through a wire or through an
+    in-flight call in the snapshot.  Every runtime edge follows one of those,
+    so the affected set is the one the graph over every instance gives.
+    Whole-app blocking builds no runtime graph.
+
     Raises Rejection (carrying every verdict) when any component is unsafe
     to change, and SnapshotStale when the snapshot is not current.
     """
@@ -543,7 +551,17 @@ def build_plan(
         if blocking == "whole-app":
             affected = frozenset(components)
         else:
-            graph = build_runtime_graph(snapshot, window)
+            reach = _callers_closure(
+                chain(
+                    ((requirer, provider) for requirer, provider, _ in static.edges),
+                    ((i.component, i.in_flight[0]) for i in snapshot.instances if i.in_flight),
+                ),
+                frozenset(swap_targets),
+            )
+            callers = dc_replace(
+                snapshot, instances=tuple(i for i in snapshot.instances if i.component in reach)
+            )
+            graph = build_runtime_graph(callers, window)
             affected = affected_set(graph, static, frozenset(swap_targets))
         order = _client_first_order(static, affected)
         # all barriers go up at once (clients first) so minimal blocking holds
@@ -637,8 +655,12 @@ class PlanExecutor:
     yields only where the plan waits: for a timed step's cost and for a
     barrier that has not closed; ``_advance`` is its only wake-up.  One
     deadline guards the drain: if a barrier is still draining when it fires,
-    every barrier is released and the plan is abandoned with no swap applied
-    (the configuration is untouched, so rollback is trivial).
+    every barrier is released and the plan is abandoned (``DrainTimeout``).
+    Swaps are not undone.  A deadline that fires before the first swap leaves
+    the configuration untouched; one that fires while a later swap waits for
+    a re-opened drain leaves the earlier swaps applied, and because each swap
+    installs ``plan.target`` as ``engine.config``, the configuration then also
+    names the new descriptors of the swaps that never ran (ROADMAP item 2).
     """
 
     def __init__(self, engine: rt.Engine, plan: ReconfigurationPlan, costs: CostModel = CostModel()):

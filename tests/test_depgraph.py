@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
+import quiesce.automata as automata_module
+import quiesce.manager as manager_module
 from quiesce.depgraph import (
     ReconfigurationWindow,
     affected_set,
@@ -14,6 +17,7 @@ from quiesce.depgraph import (
 )
 from quiesce.engine import Engine
 from quiesce.errors import InconsistentConfiguration, SnapshotStale, UnknownTarget
+from quiesce.manager import ReconfigurationRequest, TargetChange, build_plan, estimate_window
 from quiesce.model import load_application, parse_component
 from quiesce.snapshot import load_snapshot
 from quiesce.workload import parse_scenario
@@ -358,3 +362,92 @@ class TestRuntimeGraphMatchesReference:
         for duration in WINDOWS:
             for target in ("B", "C"):
                 assert_graph_matches_reference(snapshot, ReconfigurationWindow(0, duration), {target})
+
+
+def plan_for(snapshot, targets):
+    request = ReconfigurationRequest(
+        "r", tuple(TargetChange(t, None) for t in targets), requested_at=snapshot.time
+    )
+    return build_plan(request, snapshot.config, snapshot)
+
+
+class TestPlanBuildsOnlyCallersOfTargets:
+    """A plan builds runtime edges only for the components that can reach its targets.
+
+    Its affected set must still be the one the graph over every instance gives.
+    """
+
+    @staticmethod
+    def assert_plan_matches_full_graph(monkeypatch, snapshot, target_sets) -> None:
+        static = build_static_graph(snapshot.config)
+        for duration in (0, 3, "auto", None):
+            if duration == "auto":
+                monkeypatch.setattr(manager_module, "estimate_window", estimate_window)
+            else:
+                window = ReconfigurationWindow(snapshot.time, duration)
+                monkeypatch.setattr(manager_module, "estimate_window", lambda *_, w=window: w)
+            for targets in target_sets:
+                plan = plan_for(snapshot, targets)
+                full = build_runtime_graph(snapshot, plan.window)
+                assert plan.affected == affected_set(full, static, frozenset(targets)), (duration, targets)
+
+    @pytest.mark.parametrize("seed", range(1, 101))
+    def test_generated_cases_at_several_instants(self, seed, monkeypatch):
+        case = generate_case(seed)
+        scenario = parse_scenario(case.scenario_text)
+        engine = Engine(load_application(case.config_text), seed=scenario.seed)
+        engine.load_scenario(scenario)
+        names = sorted(engine.config.components())
+        target_sets = [(name,) for name in names] + list(itertools.combinations(names, 2))[::3]
+        for t in (0, 30, 60, 100, 150, 220):
+            engine.run(until=t)
+            self.assert_plan_matches_full_graph(monkeypatch, engine.snapshot(), target_sets)
+
+    def test_in_flight_call_that_no_wire_names(self, monkeypatch):
+        # X calls A through a wire; A#0 is blocked on a call into B that no wire names
+        config = app(
+            [
+                comp("X", provided=[iface("IX", "run")], required=["IA"],
+                     operations=[op("run", automaton=auto([("q0", "IA", "go", 1, "q1")]))]),
+                comp("A", provided=[iface("IA", "go")], operations=[op("go", tx="Joins")]),
+                comp("B", provided=[iface("IB", "go")], operations=[op("go", tx="Joins")]),
+            ],
+            wiring=[("X", "IA", "A")],
+        )
+        snapshot = TestRuntimeGraphMatchesReference.snapshot_of(config, [
+            TestRuntimeGraphMatchesReference.instance("X#0", "X"),
+            TestRuntimeGraphMatchesReference.instance("A#0", "A", "go", in_flight=["B", "IB"]),
+            TestRuntimeGraphMatchesReference.instance("B#0", "B", "go"),
+        ])
+        assert plan_for(snapshot, ("B",)).affected == {"X", "A", "B"}
+        self.assert_plan_matches_full_graph(monkeypatch, snapshot, [("A",), ("B",), ("X",), ("A", "B")])
+
+    def test_one_plan_fills_tables_only_for_the_path_to_a_leaf(self, monkeypatch):
+        components, wiring, containers = tree_components(9)  # 511 components
+        engine = Engine(app(components, wiring=wiring, containers=containers))
+        engine.load_scenario(parse_scenario(scenario_doc([client("s", call_entry(0, "C0"), call_entry(2, "C0"))])))
+        engine.run(until=4)
+        snapshot = engine.snapshot()
+        tables = 0
+        fill = automata_module._earliest_from
+
+        def counting(automaton, state):
+            nonlocal tables
+            tables += 1
+            return fill(automaton, state)
+
+        monkeypatch.setattr(automata_module, "_earliest_from", counting)
+        leaf = 510
+        path = [leaf]
+        while path[-1]:
+            path.append((path[-1] - 1) // 2)
+        deployed = snapshot.config.components()
+        states = sum(
+            len(spec.effect_automaton.states)
+            for i in path
+            for spec in deployed[f"C{i}"].operations
+            if spec.effect_automaton is not None
+        )
+        assert len(path) == 9 and states > 0
+        assert plan_for(snapshot, (f"C{leaf}",)).affected <= {f"C{i}" for i in path}
+        assert 0 < tables <= states

@@ -597,6 +597,21 @@ class TestArchiveDocuments:
         assert manager.events[-1] == ProgressEvent("Distribute", "m", "Failed", text)
         assert "m" not in manager.modules
 
+    def test_a_failed_distribute_removes_what_it_added(self):
+        def serving(name):
+            return parse_component(comp(name, provided=[iface("IG", "serve")], operations=[op("serve")]))
+
+        manager = fresh_manager()
+        before = manager.engine.config
+        client_of_ig = parse_component(comp("F", required=["IG"]))
+        with pytest.raises(ValidationError, match="ambiguous providers"):
+            manager.distribute(ModuleArchive("m", 1, (serving("H"), serving("G"), client_of_ig)))
+        assert manager.engine.config == before
+        assert not manager.engine.containers
+        # the corrected module distributes: nothing of the failed attempt is left deployed
+        assert manager.distribute(ModuleArchive("m", 1, (serving("H"), client_of_ig))) is ModuleState.DISTRIBUTED
+        assert manager.engine.config.provider_of("F", "IG") == "H"
+
     def test_a_component_is_never_its_own_provider(self):
         manager = fresh_manager()
         serving = dict(provided=[iface("IG", "serve")], operations=[op("serve")])

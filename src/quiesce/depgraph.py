@@ -12,18 +12,24 @@ Earliest occurrences are read from each automaton's per-state table, which
 the immutable automaton computes once; the composition check behind the
 static graph is the report cached on the configuration instance.
 
-``build_runtime_graph`` covers every instance of the snapshot it is given.
-A plan (``manager.build_plan``) gives it only the instances of components
-that can reach its targets through a wire or an in-flight call: every
-runtime edge follows one of those, so no path to a target leaves that set
-and the affected set is the one the full graph gives.  ``analyze-deps``
-builds the full graph.
+``build_runtime_graph`` covers every instance of the snapshot it is given:
+each busy instance's record, and each idle key, whose edges are worked out
+once per component because every idle instance of a component has the same
+ones.  A plan (``manager.build_plan``) gives it only the instances of
+components that can reach its targets through a wire or an in-flight call:
+every runtime edge follows one of those, so no path to a target leaves that
+set and the affected set is the one the full graph gives.  ``analyze-deps``
+builds the full graph.  The walks toward callers (that reach, the window
+estimate's ancestors, the plan's client-first order) all read the static
+graph's reverse-wire index, ``StaticDependencyGraph.callers``, built once
+per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Mapping, Optional
 
 from .automata import earliest_occurrence  # noqa: F401 - bench/tracing.py wraps it here
 from .errors import (
@@ -67,23 +73,37 @@ class StaticDependencyGraph:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]  # (requirer, provider, interface)
 
+    @cached_property
+    def callers(self) -> dict[str, list[str]]:
+        """Reverse-wire index: provider -> the requirers wired to it, in edge order."""
+        return _reverse((requirer, provider) for requirer, provider, _ in self.edges)
+
     def ancestors_of(self, targets: frozenset[str]) -> frozenset[str]:
         """Components that can reach a target through uses-dependencies (excludes targets)."""
-        return _callers_closure(((r, p) for r, p, _ in self.edges), targets) - targets
+        return _callers_closure(targets, self.callers) - targets
 
 
-def _callers_closure(pairs: Iterable[tuple[str, str]], targets: frozenset[str]) -> frozenset[str]:
-    """``targets`` plus every caller that reaches one through (caller, callee) ``pairs``."""
-    callers: dict[str, set[str]] = {}
+def _reverse(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """callee -> its callers, from (caller, callee) ``pairs``."""
+    callers: dict[str, list[str]] = {}
     for caller, callee in pairs:
-        callers.setdefault(callee, set()).add(caller)
+        callers.setdefault(callee, []).append(caller)
+    return callers
+
+
+def _callers_closure(
+    targets: frozenset[str], *indexes: Mapping[str, Iterable[str]]
+) -> frozenset[str]:
+    """``targets`` plus every caller that reaches one through the callee -> callers ``indexes``."""
     closure = set(targets)
     stack = list(targets)
     while stack:
-        for caller in callers.get(stack.pop(), ()):
-            if caller not in closure:
-                closure.add(caller)
-                stack.append(caller)
+        callee = stack.pop()
+        for index in indexes:
+            for caller in index.get(callee, ()):
+                if caller not in closure:
+                    closure.add(caller)
+                    stack.append(caller)
     return frozenset(closure)
 
 
@@ -130,7 +150,9 @@ def build_runtime_graph(
       of the component — conservative fallback;
     * idle: edges for calls reachable from each provided operation's initial
       state, offset by the window start (the instance can be put to work at
-      any moment, but no sooner than now).
+      any moment, but no sooner than now).  Every idle instance of a
+      component has the same edges, so they are worked out once per
+      component.
     """
     if snapshot.time != window.start:
         raise SnapshotStale(
@@ -150,26 +172,34 @@ def build_runtime_graph(
         for interface in components[component].required:
             add_edge(instance, component, interface, window.start)
 
-    for inst in snapshot.instances:
-        descriptor = components.get(inst.component)
+    for component, keys in snapshot.idle:
+        descriptor = components.get(component)
         if descriptor is None:
             continue
-        if inst.idle:
-            fallback = False
-            labels: dict[tuple[str, str], int] = {}
-            for op in descriptor.operations:
-                automaton = op.effect_automaton
-                if automaton is None:
-                    fallback = True
-                    continue
-                for label, e in automaton.earliest_table(automaton.initial):
-                    if label not in labels or e < labels[label]:
-                        labels[label] = e
-            for (interface, _operation), e in sorted(labels.items()):
-                if window.contains(window.start + e):
-                    add_edge(inst.key, inst.component, interface, window.start + e)
-            if fallback:
-                add_static_fallback(inst.key, inst.component)
+        first = len(edges)
+        fallback = False
+        labels: dict[tuple[str, str], int] = {}
+        for op in descriptor.operations:
+            automaton = op.effect_automaton
+            if automaton is None:
+                fallback = True
+                continue
+            for label, e in automaton.earliest_table(automaton.initial):
+                if label not in labels or e < labels[label]:
+                    labels[label] = e
+        for (interface, _operation), e in sorted(labels.items()):
+            if window.contains(window.start + e):
+                add_edge(keys[0], component, interface, window.start + e)
+        if fallback:
+            add_static_fallback(keys[0], component)
+        template = edges[first:]
+        for key in keys[1:]:
+            edges.extend(
+                RuntimeEdge(key, component, e.callee, e.interface, e.earliest) for e in template
+            )
+
+    for inst in snapshot.busy:
+        if inst.component not in components:
             continue
         if inst.in_flight is not None:
             callee, interface = inst.in_flight
@@ -188,11 +218,12 @@ def build_runtime_graph(
         key = (edge.caller_instance, edge.callee, edge.interface)
         if key not in dedup or edge.earliest < dedup[key].earliest:
             dedup[key] = edge
-    nodes = tuple(sorted((inst.key, inst.component) for inst in snapshot.instances))
+    nodes = [(inst.key, inst.component) for inst in snapshot.busy]
+    nodes.extend((key, component) for component, keys in snapshot.idle for key in keys)
     ordered = tuple(
         sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface))
     )
-    return RuntimeDependencyGraph(nodes, ordered, window)
+    return RuntimeDependencyGraph(tuple(sorted(nodes)), ordered, window)
 
 
 def affected_set(
@@ -212,7 +243,7 @@ def affected_set(
     unknown = targets - set(static_graph.nodes)
     if unknown:
         raise UnknownTarget(f"unknown components: {sorted(unknown)}")
-    return _callers_closure(((e.caller_component, e.callee) for e in graph.edges), targets)
+    return _callers_closure(targets, _reverse((e.caller_component, e.callee) for e in graph.edges))
 
 
 def graph_to_json(

@@ -3,6 +3,7 @@
 A document is JSON text.  Each record in it is an object that names only keys
 its parser knows and holds every key its parser reads unconditionally; any
 other input is a ParseError.  Error text is built only when a check fails.
+A loader that types its fields checks each with ``typed``.
 """
 
 from __future__ import annotations
@@ -42,3 +43,34 @@ def record(
             raise ParseError(f"unknown keys in {label}: {sorted(unknown)}")
         raise ParseError(f"{label} missing keys: {sorted(required - doc.keys())}")
     return doc
+
+
+_JSON_TYPES = {
+    bool: "a boolean",
+    int: "an integer",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def typed(
+    doc: dict,
+    key: str,
+    types: tuple[type, ...],
+    what: str,
+    name: Optional[str] = None,
+    default: Any = None,
+) -> Any:
+    """``doc[key]`` (``default`` when absent), once its JSON type is one of ``types``.
+
+    Types match exactly, so JSON ``true`` is no integer.  ``what`` and
+    ``name`` label the record as in ``record``.
+    """
+    value = doc.get(key, default)
+    if type(value) not in types:
+        label = what if name is None else f"{what} {doc.get(name)!r}"
+        expected = " or ".join(_JSON_TYPES[t] for t in types)
+        raise ParseError(f"{label}: {key!r} must be {expected}")
+    return value

@@ -1090,33 +1090,36 @@ class Engine:
         return queue
 
     def snapshot(self) -> RuntimeSnapshot:
-        """Capture the current state as an immutable value."""
-        instances: list[InstanceSnapshot] = []
+        """Capture the current state as an immutable value.
+
+        Only busy instances become records; an idle instance is its key.
+        """
+        busy: list[InstanceSnapshot] = []
+        idle: list[tuple[str, tuple[str, ...]]] = []
+        active: list[tuple[str, tuple[str, ...]]] = []
         for name in sorted(self.containers):
             container = self.containers[name]
+            if container.touching_txs:
+                active.append((name, tuple(sorted(container.touching_txs))))
+            keys: list[str] = []
             for instance in container.instances:
                 execution = instance.current
                 if execution is None:
-                    instances.append(
-                        InstanceSnapshot(key=instance.key, component=name, idle=True)
+                    keys.append(instance.key)
+                    continue
+                child = execution.in_flight_child
+                busy.append(
+                    InstanceSnapshot(
+                        key=instance.key,
+                        component=name,
+                        idle=False,
+                        operation=execution.invocation.operation,
+                        cursor=execution.cursor,
+                        in_flight=(child.component, child.interface) if child else None,
                     )
-                else:
-                    child = execution.in_flight_child
-                    instances.append(
-                        InstanceSnapshot(
-                            key=instance.key,
-                            component=name,
-                            idle=False,
-                            operation=execution.invocation.operation,
-                            cursor=execution.cursor,
-                            in_flight=(child.component, child.interface) if child else None,
-                        )
-                    )
-        active = tuple(
-            (name, tuple(sorted(self.containers[name].touching_txs)))
-            for name in sorted(self.containers)
-            if self.containers[name].touching_txs
-        )
+                )
+            if keys:
+                idle.append((name, tuple(keys)))
         refs = tuple(
             (component, tuple(sorted(clients)))
             for component, clients in sorted(self.remote_refs.items())
@@ -1125,8 +1128,9 @@ class Engine:
         depths = tuple((name, len(q.items)) for name, q in sorted(self.queues.items()))
         return RuntimeSnapshot(
             time=self.clock,
-            instances=tuple(instances),
-            active_transactions=active,
+            busy=tuple(busy),
+            idle=tuple(idle),
+            active_transactions=tuple(active),
             remote_refs=refs,
             queue_depths=depths,
             config=self.config,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
-from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from . import engine as rt
@@ -32,6 +31,7 @@ from .depgraph import (
     ReconfigurationWindow,
     StaticDependencyGraph,
     _callers_closure,
+    _reverse,
     affected_set,
     build_runtime_graph,
     build_static_graph,
@@ -444,10 +444,9 @@ def _client_first_order(static: StaticDependencyGraph, members: frozenset[str]) 
     Kahn's algorithm over the uses-edges restricted to ``members``; ties and
     cycles are broken by name so plans are reproducible.
     """
-    incoming: dict[str, set[str]] = {m: set() for m in members}
-    for requirer, provider, _ in static.edges:
-        if requirer in members and provider in members and requirer != provider:
-            incoming[provider].add(requirer)
+    incoming = {
+        m: {r for r in static.callers.get(m, ()) if r in members and r != m} for m in members
+    }
     order: list[str] = []
     remaining = set(members)
     while remaining:
@@ -552,14 +551,14 @@ def build_plan(
             affected = frozenset(components)
         else:
             reach = _callers_closure(
-                chain(
-                    ((requirer, provider) for requirer, provider, _ in static.edges),
-                    ((i.component, i.in_flight[0]) for i in snapshot.instances if i.in_flight),
-                ),
                 frozenset(swap_targets),
+                static.callers,
+                _reverse((i.component, i.in_flight[0]) for i in snapshot.busy if i.in_flight),
             )
             callers = dc_replace(
-                snapshot, instances=tuple(i for i in snapshot.instances if i.component in reach)
+                snapshot,
+                busy=tuple(i for i in snapshot.busy if i.component in reach),
+                idle=tuple(entry for entry in snapshot.idle if entry[0] in reach),
             )
             graph = build_runtime_graph(callers, window)
             affected = affected_set(graph, static, frozenset(swap_targets))

@@ -1,10 +1,21 @@
 """Immutable snapshots of the running system.
 
-A snapshot captures, at one instant: which instances are live and what their
-effect automata still allow, which transactions touch which containers,
-which remote clients hold handles to which components, and queue depths.
-Snapshots are plain values; mutating the running system never changes an
-existing snapshot.
+A snapshot captures, at one instant: which instances are live, which
+transactions touch which containers, which remote clients hold handles to
+which components, and queue depths.  Snapshots are plain values; mutating
+the running system never changes an existing snapshot.
+
+Only a busy instance carries state worth a record: the operation it runs,
+the cursor its effect automaton has reached and the nested call it is
+blocked on.  An idle instance is just its key, so a snapshot keeps one
+``InstanceSnapshot`` per busy instance and, per component, the keys of its
+idle ones.  ``RuntimeSnapshot.instances`` lists both as records for the
+document form and for readers that want one instance at a time; the
+document format holds one record per instance, as it always has.
+
+Order is canonical, so equal states give equal values: components by name,
+and within a component the busy instances and then the idle keys, each in
+pool order (the order the engine created them in, or the document order).
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import AutomatonCursor
-from .documents import decode, record
+from .documents import decode, record, typed
 from .errors import ParseError
 from .model import ApplicationConfiguration
 
@@ -38,11 +49,30 @@ class InstanceSnapshot:
 @dataclass(frozen=True)
 class RuntimeSnapshot:
     time: int
-    instances: tuple[InstanceSnapshot, ...]
+    # one record per instance running an invocation, components in name order
+    busy: tuple[InstanceSnapshot, ...]
+    # (component, keys of its idle instances), components in name order; a
+    # component without idle instances has no entry
+    idle: tuple[tuple[str, tuple[str, ...]], ...]
     active_transactions: tuple[tuple[str, tuple[str, ...]], ...]
     remote_refs: tuple[tuple[str, tuple[str, ...]], ...]
     queue_depths: tuple[tuple[str, int], ...]
     config: ApplicationConfiguration
+
+    @property
+    def instances(self) -> tuple[InstanceSnapshot, ...]:
+        """Every instance as a record: per component, its busy ones and then its idle ones."""
+        busy: dict[str, list[InstanceSnapshot]] = {}
+        for inst in self.busy:
+            busy.setdefault(inst.component, []).append(inst)
+        idle = dict(self.idle)
+        out: list[InstanceSnapshot] = []
+        for component in sorted(busy.keys() | idle.keys()):
+            out.extend(busy.get(component, ()))
+            out.extend(
+                InstanceSnapshot(key, component, idle=True) for key in idle.get(component, ())
+            )
+        return tuple(out)
 
     def refs_for(self, component: str) -> frozenset[str]:
         for name, clients in self.remote_refs:
@@ -75,52 +105,80 @@ def snapshot_to_json(snap: RuntimeSnapshot) -> dict:
 _SNAPSHOT_KEYS = frozenset({"time", "instances", "active_transactions", "remote_refs", "queue_depths"})
 _INSTANCE_KEYS = frozenset({"key", "component", "idle", "operation", "cursor_state", "in_flight"})
 _INSTANCE_REQUIRED = frozenset({"key", "component"})
+_SNAPSHOT = "snapshot document"
+_INSTANCE = "instance document"
+_NULLABLE_STR = (str, type(None))
+
+
+def _is_strings(value: object) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
+
+
+def _name_map(doc: dict, key: str, valid, values: str) -> dict:
+    """The object under ``key`` once each of its values passes ``valid``."""
+    mapping = typed(doc, key, (dict,), _SNAPSHOT, default={})
+    if not all(valid(value) for value in mapping.values()):
+        raise ParseError(f"{_SNAPSHOT}: {key!r} must map each name to {values}")
+    return mapping
 
 
 def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSnapshot:
     """Rebuild a snapshot from its document form against a configuration.
 
-    Cursor states are resolved against the named operation's automaton in
-    ``config``; an instance running an operation with no automaton simply
-    has no cursor (the graph builder treats it conservatively).
+    Every field must have its JSON type: ``time`` an integer, ``key`` and
+    ``component`` strings, ``idle`` a boolean (absent: busy), ``operation``
+    and ``cursor_state`` a string or null, ``in_flight`` null or a
+    ``[component, interface]`` pair, and ``active_transactions``,
+    ``remote_refs`` and ``queue_depths`` objects; anything else is a
+    ParseError naming the record and the key.  Cursor states are resolved
+    against the named operation's automaton in ``config``; an instance
+    running an operation with no automaton simply has no cursor (the graph
+    builder treats it conservatively).  An idle instance keeps only its key.
     """
-    record(doc, _SNAPSHOT_KEYS, "snapshot document")
+    record(doc, _SNAPSHOT_KEYS, _SNAPSHOT)
+    time = typed(doc, "time", (int,), _SNAPSHOT, default=0)
     components = config.components()
-    instances = []
-    for idoc in doc.get("instances", []):
-        record(idoc, _INSTANCE_KEYS, "instance document", _INSTANCE_REQUIRED)
-        component = idoc["component"]
+    busy: list[InstanceSnapshot] = []
+    idle: dict[str, list[str]] = {}
+    for idoc in typed(doc, "instances", (list,), _SNAPSHOT, default=[]):
+        record(idoc, _INSTANCE_KEYS, _INSTANCE, _INSTANCE_REQUIRED)
+        key = typed(idoc, "key", (str,), _INSTANCE, "key")
+        component = typed(idoc, "component", (str,), _INSTANCE, "key")
+        is_idle = typed(idoc, "idle", (bool,), _INSTANCE, "key", default=False)
+        operation = typed(idoc, "operation", _NULLABLE_STR, _INSTANCE, "key")
+        state = typed(idoc, "cursor_state", _NULLABLE_STR, _INSTANCE, "key")
+        in_flight = idoc.get("in_flight")
+        if in_flight is not None and not (_is_strings(in_flight) and len(in_flight) == 2):
+            raise ParseError(
+                f"{_INSTANCE} {key!r}: 'in_flight' must be null or a list of two strings"
+            )
         if component not in components:
             raise ParseError(f"snapshot instance references unknown component {component!r}")
         cursor = None
-        operation = idoc.get("operation")
-        if operation is not None and idoc.get("cursor_state") is not None:
+        if operation is not None and state is not None:
             spec = components[component].operation_spec(operation)
             if spec is None:
                 raise ParseError(
                     f"snapshot instance references unknown operation {component}.{operation}"
                 )
             if spec.effect_automaton is not None:
-                cursor = AutomatonCursor(spec.effect_automaton, idoc["cursor_state"])
-        in_flight = idoc.get("in_flight")
-        instances.append(
-            InstanceSnapshot(
-                key=idoc["key"],
-                component=component,
-                idle=bool(idoc.get("idle", False)),
-                operation=operation,
-                cursor=cursor,
-                in_flight=tuple(in_flight) if in_flight else None,
-            )
-        )
+                cursor = AutomatonCursor(spec.effect_automaton, state)
+        if is_idle:
+            idle.setdefault(component, []).append(key)
+        else:
+            in_flight = None if in_flight is None else tuple(in_flight)
+            busy.append(InstanceSnapshot(key, component, False, operation, cursor, in_flight))
+    busy.sort(key=lambda inst: inst.component)  # stable: pool order within a component
+    active = _name_map(doc, "active_transactions", _is_strings, "a list of strings")
+    refs = _name_map(doc, "remote_refs", _is_strings, "a list of strings")
+    depths = _name_map(doc, "queue_depths", lambda v: type(v) is int, "an integer")
     return RuntimeSnapshot(
-        time=int(doc.get("time", 0)),
-        instances=tuple(instances),
-        active_transactions=tuple(
-            sorted((k, tuple(v)) for k, v in doc.get("active_transactions", {}).items())
-        ),
-        remote_refs=tuple(sorted((k, tuple(v)) for k, v in doc.get("remote_refs", {}).items())),
-        queue_depths=tuple(sorted(doc.get("queue_depths", {}).items())),
+        time=time,
+        busy=tuple(busy),
+        idle=tuple((component, tuple(keys)) for component, keys in sorted(idle.items())),
+        active_transactions=tuple(sorted((k, tuple(v)) for k, v in active.items())),
+        remote_refs=tuple(sorted((k, tuple(v)) for k, v in refs.items())),
+        queue_depths=tuple(sorted(depths.items())),
         config=config,
     )
 

@@ -297,6 +297,16 @@ def without(fixture: str, path: tuple, key: str) -> str:
     return json.dumps(doc)
 
 
+def with_value(fixture: str, path: tuple, key: str, value) -> str:
+    """The fixture's JSON with ``key`` of the object at ``path`` set to ``value``."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    holder = doc
+    for step in path:
+        holder = holder[step]
+    holder[key] = value
+    return json.dumps(doc)
+
+
 _INVALID_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 
 # one malformed document of each kind: (file text, command with the file as bad.json, error text)
@@ -332,6 +342,21 @@ MALFORMED = {
         without("chain_snapshot.json", ("instances", 0), "component"),
         ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
         "instance document missing keys: ['component']",
+    ),
+    "snapshot-time": (
+        '{"time": "abc", "instances": []}',
+        ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
+        "snapshot document: 'time' must be an integer",
+    ),
+    "snapshot-remote-refs": (
+        with_value("chain_snapshot.json", (), "remote_refs", []),
+        ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
+        "snapshot document: 'remote_refs' must be an object",
+    ),
+    "snapshot-idle": (
+        with_value("chain_snapshot.json", ("instances", 0), "idle", "no"),
+        ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
+        "instance document 'A#0': 'idle' must be a boolean",
     ),
     "descriptor": ("[]", ("classify", "bad.json", "--change", "Functional"), "component must be a JSON object"),
 }

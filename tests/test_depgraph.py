@@ -19,7 +19,7 @@ from quiesce.engine import Engine
 from quiesce.errors import InconsistentConfiguration, SnapshotStale, UnknownTarget
 from quiesce.manager import ReconfigurationRequest, TargetChange, build_plan, estimate_window
 from quiesce.model import load_application, parse_component
-from quiesce.snapshot import load_snapshot
+from quiesce.snapshot import load_snapshot, snapshot_to_json
 from quiesce.workload import parse_scenario
 
 from builders import app, auto, call_entry, client, comp, iface, op, scenario_doc, tree_components
@@ -451,3 +451,49 @@ class TestPlanBuildsOnlyCallersOfTargets:
         assert len(path) == 9 and states > 0
         assert plan_for(snapshot, (f"C{leaf}",)).affected <= {f"C{i}" for i in path}
         assert 0 < tables <= states
+
+
+class TestGroupedSnapshotMatchesOneRecordPerInstance:
+    """The engine's snapshot keeps idle instances as keys per component; no reader may tell.
+
+    At every instant of a run, the runtime graph equals the oracle's, which
+    reads one record per instance (``RuntimeSnapshot.instances``), and a plan
+    built from the engine's snapshot equals the plan built from its document
+    round trip.
+    """
+
+    @staticmethod
+    def assert_instant(snapshot, targets, seen: dict) -> None:
+        for duration in (0, 3, None):
+            window = ReconfigurationWindow(snapshot.time, duration)
+            assert build_runtime_graph(snapshot, window) == reference_runtime_graph(snapshot, window)
+        loaded = load_snapshot(json.dumps(snapshot_to_json(snapshot)), snapshot.config)
+        for target in targets:
+            assert plan_for(loaded, (target,)) == plan_for(snapshot, (target,)), (snapshot.time, target)
+        seen["busy"] += len(snapshot.busy)
+        seen["idle"] += sum(len(keys) for _, keys in snapshot.idle)
+        seen["mixed"] += bool({i.component for i in snapshot.busy} & {c for c, _ in snapshot.idle})
+
+    def run_every_instant(self, engine, until: int, targets, seen: dict) -> None:
+        for t in range(until + 1):
+            engine.run(until=t)
+            self.assert_instant(engine.snapshot(), targets, seen)
+
+    def test_fixture_run(self):
+        scenario = parse_scenario(read_fixture("demo_scenario.json"))
+        engine = Engine(load_application(read_fixture("demo_chain.json")), seed=scenario.seed)
+        engine.load_scenario(scenario)
+        seen = dict.fromkeys(("busy", "idle", "mixed"), 0)
+        self.run_every_instant(engine, 80, sorted(engine.config.components()), seen)
+        assert seen["busy"] and seen["idle"]
+
+    def test_generated_seeds(self):
+        seen = dict.fromkeys(("busy", "idle", "mixed"), 0)
+        for seed in range(1, 21):
+            case = generate_case(seed)
+            scenario = parse_scenario(case.scenario_text)
+            engine = Engine(load_application(case.config_text), seed=scenario.seed)
+            engine.load_scenario(scenario)
+            root = sorted(engine.config.components())[0]
+            self.run_every_instant(engine, 270, sorted({case.target, root}), seen)
+        assert all(seen.values()), seen

@@ -54,6 +54,32 @@ REQUIRED = {
 }
 ROOT_REQUIRED = {"application": {"components"}, "archive": {"module"}}
 
+# record role (the document kind for a root) -> key -> (a value of the wrong type,
+# the end of the expected error text); only the snapshot reader types its fields
+WRONG_TYPE = {
+    "snapshot": {
+        "time": ("abc", "'time' must be an integer"),
+        "instances": ({}, "'instances' must be a list"),
+        "active_transactions": ([], "'active_transactions' must be an object"),
+        "remote_refs": ([], "'remote_refs' must be an object"),
+        "queue_depths": ([], "'queue_depths' must be an object"),
+    },
+    "instances": {
+        "key": (1, "'key' must be a string"),
+        "component": (["A"], "'component' must be a string"),
+        "idle": ("no", "'idle' must be a boolean"),
+        "operation": (1, "'operation' must be a string or null"),
+        "cursor_state": (True, "'cursor_state' must be a string or null"),
+        "in_flight": (["C"], "'in_flight' must be null or a list of two strings"),
+    },
+}
+
+
+def role(kind: str, path: tuple) -> str:
+    """The key a record sits under; the document kind for the root record (a WRONG_TYPE key)."""
+    roles = [step for step in path if isinstance(step, str)]
+    return roles[-1] if roles else kind
+
 
 def required_keys(kind: str, path: tuple, rec: dict) -> set[str]:
     roles = [step for step in path if isinstance(step, str)]
@@ -96,6 +122,8 @@ def mutants(kind: str, doc):
             ending = "either 'call' or 'home'" if key in ("call", "home") else f"missing keys: [{key!r}]"
             yield f"{path} without {key!r}", replaced(doc, path, dropped), ending
         yield f"{path} with 'bogus'", replaced(doc, path, {**rec, "bogus": 1}), "['bogus']"
+        for key, (value, ending) in WRONG_TYPE.get(role(kind, path), {}).items():
+            yield f"{path} with {key!r} {value!r}", replaced(doc, path, {**rec, key: value}), ending
         for value in ([], 1):
             yield f"{path} as {value!r}", replaced(doc, path, value), "must be a JSON object"
 
@@ -227,6 +255,28 @@ class TestMalformedDocuments:
             (lambda text: parse_request(text, file_loader=lambda rel: "{nope"),
              '{"targets": [{"component": "C", "descriptor_file": "c.json"}]}',
              "invalid descriptor JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ]
+        snapshot = json.loads(read_fixture("chain_snapshot.json"))
+        chain_config = load_application(read_fixture("demo_chain.json"))
+        cases += [
+            (lambda text: load_snapshot(text, chain_config), json.dumps(doc), expected)
+            for doc, expected in [
+                ({"time": "abc", "instances": []}, "snapshot document: 'time' must be an integer"),
+                ({**snapshot, "time": True}, "snapshot document: 'time' must be an integer"),
+                ({**snapshot, "remote_refs": []}, "snapshot document: 'remote_refs' must be an object"),
+                ({**snapshot, "remote_refs": {"C": "r1"}},
+                 "snapshot document: 'remote_refs' must map each name to a list of strings"),
+                ({**snapshot, "active_transactions": {"C": [1]}},
+                 "snapshot document: 'active_transactions' must map each name to a list of strings"),
+                ({**snapshot, "queue_depths": {"q": "3"}},
+                 "snapshot document: 'queue_depths' must map each name to an integer"),
+                (replaced(snapshot, ("instances", 0, "idle"), "no"),
+                 "instance document 'A#0': 'idle' must be a boolean"),
+                (replaced(snapshot, ("instances", 1, "in_flight"), ["C", 1]),
+                 "instance document 'B#0': 'in_flight' must be null or a list of two strings"),
+                (replaced(snapshot, ("instances", 1, "in_flight"), []),
+                 "instance document 'B#0': 'in_flight' must be null or a list of two strings"),
+            ]
         ]
         for parse, text, expected in cases:
             with pytest.raises(ParseError) as info:

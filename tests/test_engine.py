@@ -37,6 +37,7 @@ from builders import (
     op,
     scenario_doc,
     store_contents,
+    tree_components,
 )
 from conftest import read_fixture
 from oracles import replay_committed_writes
@@ -657,6 +658,29 @@ class TestSnapshotCapture:
         # mutating the engine further must not disturb the captured value
         engine.run(until=50)
         assert snapshot.time == 2
+
+    def test_only_busy_instances_become_records(self, monkeypatch):
+        components, wiring, containers = tree_components(7)  # 127 containers, one warm instance each
+        engine = Engine(app(components, wiring=wiring, containers=containers))
+        built = []
+        record = engine_module.InstanceSnapshot
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("key", args[0] if args else None))
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "InstanceSnapshot", counting)
+        snapshot = engine.snapshot()
+        assert built == [] and snapshot.busy == ()
+        assert len(snapshot.idle) == 127
+        assert all(keys == (f"{name}#0",) for name, keys in snapshot.idle)
+        leaf = [client("s", call_entry(0, "C126"), access="Local")]
+        engine.load_scenario(parse_scenario(scenario_doc(leaf)))
+        engine.run(until=1)  # the leaf works for 4 units
+        snapshot = engine.snapshot()
+        assert built == ["C126#0"]
+        assert [(i.key, i.idle, i.operation) for i in snapshot.busy] == [("C126#0", False, "work")]
+        assert len(snapshot.idle) == 126 and "C126" not in dict(snapshot.idle)
 
 
 def _full_scan_service_pool_queue(self, container):

@@ -42,6 +42,7 @@ from builders import (
     state_of,
     tree_components,
 )
+from conftest import read_fixture
 from gen import generate_case
 
 EMPTY_APP = '{"components": [], "version": 1}'
@@ -638,3 +639,59 @@ class TestArchiveDocuments:
         assert builds <= 2
         config = manager.engine.config
         assert [config.provider_of(f"W{i}", f"IW{i + 1}") for i in range(199)] == [f"W{i + 1}" for i in range(199)]
+
+
+class TestPlanMeasurementBoundary:
+    """Each plan begins with one argument-free ``Engine.snapshot()`` and ends in ``build_plan``.
+
+    The pause at the request instant is timed from outside the package by
+    wrapping exactly these two calls: ``Engine.snapshot`` on the class and
+    ``build_plan`` as an attribute of the module that calls it.  A plan path
+    that captured its state another way, or held a reference to
+    ``build_plan`` bound at import, would drop out of that measurement
+    without any error.
+    """
+
+    @staticmethod
+    def recorded_calls(monkeypatch) -> list:
+        calls = []
+        snapshot = Engine.snapshot
+
+        def recorded_snapshot(self, *args, **kwargs):
+            calls.append(("snapshot", args, kwargs))
+            return snapshot(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "snapshot", recorded_snapshot)
+        for module in (manager_module, lifecycle_module):
+
+            def recorded_plan(*args, _build=module.build_plan, _caller=module.__name__, **kwargs):
+                calls.append(("build_plan", _caller))
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(module, "build_plan", recorded_plan)
+        return calls
+
+    def test_archive_redeploys(self, monkeypatch):
+        components, wiring, containers = tree_components(3)
+        manager = adopted(app(components, wiring=wiring, containers=containers))
+        engine = manager.engine
+        engine.load_scenario(parse_scenario(scenario_doc([client("s", *(call_entry(4 * j, "C0") for j in range(8)))])))
+        calls = self.recorded_calls(monkeypatch)
+        docs = {c["name"]: c for c in components}
+        for version, target in ((2, "C2"), (3, "C5")):
+            engine.run(until=10 * version)
+            docs[target] = dict(docs[target], version=docs[target]["version"] + 1)
+            archive = ModuleArchive("app", version, tuple(parse_component(d) for d in docs.values()))
+            assert manager.redeploy("app", archive).outcome == "Completed"
+        assert calls == [("snapshot", (), {}), ("build_plan", "quiesce.lifecycle")] * 2
+
+    def test_request_run(self, monkeypatch):
+        calls = self.recorded_calls(monkeypatch)
+        run = manager_module.run_scenario_with_request(
+            load_application(read_fixture("demo_chain.json")),
+            parse_scenario(read_fixture("demo_scenario.json")),
+            manager_module.parse_request(read_fixture("demo_request.json")),
+            until=120,
+        )
+        assert run.report is not None and run.report.outcome == "Completed"
+        assert calls == [("snapshot", (), {}), ("build_plan", "quiesce.manager")]

@@ -12,6 +12,13 @@ Earliest occurrences are read from each automaton's per-state table, which
 the immutable automaton computes once; the composition check behind the
 static graph is the report cached on the configuration instance.
 
+The static graph is a view over its configuration's indexes: its
+``callers`` is the configuration's reverse-wire index (provider -> the
+requirers wired to it), which a configuration made by ``with_component``
+inherits, and its sorted ``nodes`` and ``edges`` are built on first read,
+which only ``analyze-deps`` and whole-graph readers do.  A plan therefore
+never sorts or scans the wiring.
+
 ``build_runtime_graph`` covers every instance of the snapshot it is given:
 each busy instance's record, and each idle key, whose edges are worked out
 once per component because every idle instance of a component has the same
@@ -20,9 +27,7 @@ components that can reach its targets through a wire or an in-flight call:
 every runtime edge follows one of those, so no path to a target leaves that
 set and the affected set is the one the full graph gives.  ``analyze-deps``
 builds the full graph.  The walks toward callers (that reach, the window
-estimate's ancestors, the plan's client-first order) all read the static
-graph's reverse-wire index, ``StaticDependencyGraph.callers``, built once
-per graph.
+estimate's ancestors, the plan's client-first order) all read ``callers``.
 """
 
 from __future__ import annotations
@@ -68,15 +73,35 @@ class ReconfigurationWindow:
         return self.end is None or t <= self.end
 
 
-@dataclass(frozen=True)
 class StaticDependencyGraph:
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]  # (requirer, provider, interface)
+    """The uses-graph of a configuration: one edge per internal wire between leaf components.
+
+    A view over the configuration's indexes: ``callers`` is its reverse-wire
+    index, and the sorted ``nodes`` and ``edges`` are built on first read.
+    """
+
+    def __init__(self, config: ApplicationConfiguration) -> None:
+        self.config = config
+
+    @property
+    def callers(self) -> Mapping[str, list[str]]:
+        """Reverse-wire index: provider -> the requirer of each wire to it, in wiring order."""
+        return self.config._callers
 
     @cached_property
-    def callers(self) -> dict[str, list[str]]:
-        """Reverse-wire index: provider -> the requirers wired to it, in edge order."""
-        return _reverse((requirer, provider) for requirer, provider, _ in self.edges)
+    def nodes(self) -> tuple[str, ...]:
+        return tuple(sorted(self.config.components()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str, str], ...]:
+        """(requirer, provider, interface) per internal wire, lexicographically ordered."""
+        return tuple(
+            sorted(
+                (w.requirer, w.provider, w.interface)
+                for w in self.config.wiring()
+                if w.provider is not None
+            )
+        )
 
     def ancestors_of(self, targets: frozenset[str]) -> frozenset[str]:
         """Components that can reach a target through uses-dependencies (excludes targets)."""
@@ -124,16 +149,12 @@ class RuntimeDependencyGraph:
 
 
 def build_static_graph(config: ApplicationConfiguration) -> StaticDependencyGraph:
-    """One edge per internal wire between leaf components, lexicographically ordered."""
+    """The static graph of a consistent configuration; InconsistentConfiguration otherwise."""
     report = check_composition(config)
     if not report.consistent:
         first = report.findings[0]
         raise InconsistentConfiguration(f"{first.kind}: {first.subject}: {first.detail}")
-    nodes = tuple(sorted(config.components()))
-    edges = sorted(
-        (w.requirer, w.provider, w.interface) for w in config.wiring() if w.provider is not None
-    )
-    return StaticDependencyGraph(nodes, tuple(edges))
+    return StaticDependencyGraph(config)
 
 
 def build_runtime_graph(
@@ -159,7 +180,7 @@ def build_runtime_graph(
             f"snapshot taken at {snapshot.time}, window starts at {window.start}"
         )
     config = snapshot.config
-    components = config.components()
+    descriptors = {component: config.component(component) for component in snapshot.pools}
     edges: list[RuntimeEdge] = []
 
     def add_edge(instance: str, component: str, interface: str, earliest: int) -> None:
@@ -169,11 +190,11 @@ def build_runtime_graph(
         edges.append(RuntimeEdge(instance, component, provider, interface, earliest))
 
     def add_static_fallback(instance: str, component: str) -> None:
-        for interface in components[component].required:
+        for interface in descriptors[component].required:
             add_edge(instance, component, interface, window.start)
 
     for component, keys in snapshot.idle:
-        descriptor = components.get(component)
+        descriptor = descriptors[component]
         if descriptor is None:
             continue
         first = len(edges)
@@ -199,7 +220,7 @@ def build_runtime_graph(
             )
 
     for inst in snapshot.busy:
-        if inst.component not in components:
+        if descriptors.get(inst.component) is None:
             continue
         if inst.in_flight is not None:
             callee, interface = inst.in_flight
@@ -218,12 +239,11 @@ def build_runtime_graph(
         key = (edge.caller_instance, edge.callee, edge.interface)
         if key not in dedup or edge.earliest < dedup[key].earliest:
             dedup[key] = edge
-    nodes = [(inst.key, inst.component) for inst in snapshot.busy]
-    nodes.extend((key, component) for component, keys in snapshot.idle for key in keys)
+    nodes = sorted((key, component) for component, keys in snapshot.pools.items() for key in keys)
     ordered = tuple(
         sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface))
     )
-    return RuntimeDependencyGraph(tuple(sorted(nodes)), ordered, window)
+    return RuntimeDependencyGraph(tuple(nodes), ordered, window)
 
 
 def affected_set(
@@ -240,7 +260,7 @@ def affected_set(
     implicated instance barricades the whole container.
     """
     targets = frozenset(targets)
-    unknown = targets - set(static_graph.nodes)
+    unknown = {t for t in targets if static_graph.config.component(t) is None}
     if unknown:
         raise UnknownTarget(f"unknown components: {sorted(unknown)}")
     return _callers_closure(targets, _reverse((e.caller_component, e.callee) for e in graph.edges))

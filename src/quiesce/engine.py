@@ -57,6 +57,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .automata import AutomatonCursor, CallLabel, advance
@@ -342,6 +343,12 @@ class Engine:
         self.remote_refs: dict[str, set[str]] = {}
         self._invalidated_sessions: set[str] = set()
         self._violation: Optional[ProtocolViolation] = None
+        # what a snapshot reads, kept where it changes: the containers with a
+        # running execution, those a live transaction touches, and each
+        # container's instance keys in pool order (none before its first instance)
+        self._busy: set[str] = set()
+        self._touched: set[str] = set()
+        self._pool_keys: dict[str, tuple[str, ...]] = {}
         components = config.components()
         for spec in config.containers:
             self.containers[spec.hosted_component] = _Container(spec, components[spec.hosted_component])
@@ -569,6 +576,7 @@ class Engine:
         container.created += 1
         instance = _Instance(key, container.name)
         container.instances.append(instance)
+        self._pool_keys[container.name] = self._pool_keys.get(container.name, ()) + (key,)
         if warm:
             container.free.append(instance)
         return instance
@@ -622,7 +630,9 @@ class Engine:
             tx = self.transactions[inv.tx]
             tx.touched.add(container.name)
             container.touching_txs.add(tx.id)
+            self._touched.add(inv.component)
         container.executing += 1
+        self._busy.add(inv.component)
         instance.invocations_served += 1
         execution = _Execution(inv, instance, spec, self.seed, self.clock)
         instance.current = execution
@@ -732,6 +742,8 @@ class Engine:
         )
         instance.current = None
         container.executing -= 1
+        if not container.executing:
+            self._busy.discard(inv.component)
         if container.descriptor.kind is not ComponentKind.STATEFUL_SESSION:
             container.free.append(instance)
         if container.descriptor.kind is ComponentKind.STATEFUL_SESSION:
@@ -766,21 +778,23 @@ class Engine:
             root=tx.root_invocation,
             writes=[list(w) for w in tx.writes],
         )
-        for name in sorted(tx.touched):
-            container = self.containers.get(name)
-            if container is not None:
-                container.touching_txs.discard(tx.id)
-                self._maybe_check_quiescence(container)
+        self._untouch(tx)
 
     def abort_transaction(self, tx_id: str) -> None:
         """Fault injection hook: discard a transaction's writes. Never called by the engine."""
         tx = self.transactions[tx_id]
         tx.state = "Aborted"
         self._emit(TX_ABORT, tx=tx.id, root=tx.root_invocation)
+        self._untouch(tx)
+
+    def _untouch(self, tx: _Transaction) -> None:
+        """A transaction has ended: it no longer keeps any container from quiescence."""
         for name in sorted(tx.touched):
             container = self.containers.get(name)
             if container is not None:
                 container.touching_txs.discard(tx.id)
+                if not container.touching_txs:
+                    self._touched.discard(name)
                 self._maybe_check_quiescence(container)
 
     # ------------------------------------------------------------------
@@ -952,7 +966,7 @@ class Engine:
         container = self._container(component)
         if container.barrier_mode != BARRIER_CLOSED:
             raise NotQuiescent(f"container {component!r} barrier is {container.barrier_mode}")
-        old, new = container.descriptor, target.components()[component]
+        old, new = container.descriptor, target.component(component)
         if old.kind is ComponentKind.STATEFUL_SESSION:
             if tuple(old.state_fields) != tuple(new.state_fields):
                 raise StateShapeMismatch(
@@ -967,12 +981,13 @@ class Engine:
                 fresh.state = passivated
                 fresh.invocations_served = instance.invocations_served
                 survivors.append(fresh)
-            container.instances = survivors
+            container.instances = survivors  # the same keys, so _pool_keys stands
             container.free = [i for i in survivors if i.session is None]
         else:
             container.instances = []
             container.free = []
             container.created = 0
+            self._pool_keys.pop(component, None)
             self._create_instance(container, warm=True)
         if shadow_store is not None:
             if shadow_store not in self.stores:
@@ -1071,6 +1086,8 @@ class Engine:
         if container.executing:
             raise EngineFault(f"cannot remove {component!r} while invocations run")
         del self.containers[component]
+        self._touched.discard(component)
+        self._pool_keys.pop(component, None)
         self.config = self.config.without_component(component)
 
     # ------------------------------------------------------------------
@@ -1092,34 +1109,36 @@ class Engine:
     def snapshot(self) -> RuntimeSnapshot:
         """Capture the current state as an immutable value.
 
-        Only busy instances become records; an idle instance is its key.
+        Only the containers with a running execution are walked: each busy
+        instance becomes a record, listed with its key before the idle keys.
+        Every other container's keys are copied from the key index.
         """
         busy: list[InstanceSnapshot] = []
-        idle: list[tuple[str, tuple[str, ...]]] = []
-        active: list[tuple[str, tuple[str, ...]]] = []
-        for name in sorted(self.containers):
-            container = self.containers[name]
-            if container.touching_txs:
-                active.append((name, tuple(sorted(container.touching_txs))))
-            keys: list[str] = []
-            for instance in container.instances:
+        pools = dict(self._pool_keys)
+        for name in sorted(self._busy):
+            first = len(busy)
+            idle: list[str] = []
+            for instance in self.containers[name].instances:
                 execution = instance.current
                 if execution is None:
-                    keys.append(instance.key)
+                    idle.append(instance.key)
                     continue
                 child = execution.in_flight_child
                 busy.append(
                     InstanceSnapshot(
-                        key=instance.key,
-                        component=name,
-                        idle=False,
-                        operation=execution.invocation.operation,
-                        cursor=execution.cursor,
-                        in_flight=(child.component, child.interface) if child else None,
+                        instance.key,
+                        name,
+                        False,
+                        execution.invocation.operation,
+                        execution.cursor,
+                        (child.component, child.interface) if child else None,
                     )
                 )
-            if keys:
-                idle.append((name, tuple(keys)))
+            if idle:  # else the index already lists the busy keys in pool order
+                pools[name] = tuple([inst.key for inst in busy[first:]] + idle)
+        active = tuple(
+            (name, tuple(sorted(self.containers[name].touching_txs))) for name in sorted(self._touched)
+        )
         refs = tuple(
             (component, tuple(sorted(clients)))
             for component, clients in sorted(self.remote_refs.items())
@@ -1129,8 +1148,8 @@ class Engine:
         return RuntimeSnapshot(
             time=self.clock,
             busy=tuple(busy),
-            idle=tuple(idle),
-            active_transactions=tuple(active),
+            pools=MappingProxyType(pools),
+            active_transactions=active,
             remote_refs=refs,
             queue_depths=depths,
             config=self.config,

@@ -268,7 +268,7 @@ def resolved_target_descriptor(
     config: ApplicationConfiguration, target: TargetChange
 ) -> ComponentDescriptor:
     """The descriptor a target will run after the swap; in-place redeploys bump the version."""
-    old = config.components().get(target.component)
+    old = config.component(target.component)
     if old is None:
         raise UnknownComponent(f"target {target.component!r} is not deployed")
     if target.descriptor is None:
@@ -278,17 +278,16 @@ def resolved_target_descriptor(
 
 def analyse(request: ReconfigurationRequest, config: ApplicationConfiguration) -> AnalysisResult:
     """Per-target change kinds plus the granularity the request addresses."""
-    components = config.components()
     qos_components = {q.component for q in request.qos_changes}
     per_target: list[tuple[str, ChangeKind]] = []
     for target in request.targets:
         new = resolved_target_descriptor(config, target)
-        old = components[target.component]
+        old = config.component(target.component)
         per_target.append(
             (target.component, diff_versions(old, new, qos_change=target.component in qos_components))
         )
     for q in request.qos_changes:
-        if q.component not in components:
+        if config.component(q.component) is None:
             raise UnknownComponent(f"qos change names unknown component {q.component!r}")
         if q.component not in {name for name, _ in per_target}:
             per_target.append((q.component, ChangeKind.NON_FUNCTIONAL))
@@ -422,14 +421,13 @@ def unchanged_remote_refs(
     are never "changed": only component clients can be excluded this way.
     """
     holders: set[str] = set(snapshot.refs_for(component))
-    descriptor = config.components().get(component)
+    descriptor = config.component(component)
     if descriptor is None:
         raise UnknownComponent(component)
-    for wire in config.wiring():
-        if wire.provider != component:
-            continue
-        if descriptor.access_of(wire.interface) is Access.REMOTE:
-            holders.add(wire.requirer)
+    remote = [name for name, access in descriptor.access if access is Access.REMOTE]
+    for requirer in config._callers.get(component, ()):
+        if any(config.provider_of(requirer, interface) == component for interface in remote):
+            holders.add(requirer)
     return frozenset(holders - set(changed))
 
 
@@ -472,11 +470,9 @@ def estimate_window(
     """
     swap_targets = {t.component for t in request.targets}
     closure = static.ancestors_of(frozenset(swap_targets)) | swap_targets
-    components = config.components()
+    descriptors = [config.component(c) for c in swap_targets]
     md_queues = {
-        components[c].queue
-        for c in swap_targets
-        if c in components and components[c].kind is ComponentKind.MESSAGE_DRIVEN
+        d.queue for d in descriptors if d is not None and d.kind is ComponentKind.MESSAGE_DRIVEN
     }
     duration = (
         3 * costs.other * len(closure)  # activate + await + release
@@ -514,13 +510,12 @@ def build_plan(
     if blocking not in ("minimal", "whole-app"):
         raise ValidationError(f"unknown blocking mode {blocking!r}")
     analysis = analyse(request, config)
-    components = config.components()
     swap_targets = {t.component for t in request.targets}
 
     target = config
     verdicts: list[SafetyVerdict] = []
     for change in sorted(request.targets, key=lambda t: t.component):
-        old = components[change.component]
+        old = config.component(change.component)
         new = resolved_target_descriptor(config, change)
         target = target.with_component(new)
         refs = unchanged_remote_refs(change.component, config, snapshot, changed=swap_targets)
@@ -548,7 +543,7 @@ def build_plan(
     steps: list[PlanStep] = []
     if swap_targets:
         if blocking == "whole-app":
-            affected = frozenset(components)
+            affected = frozenset(config.components())
         else:
             reach = _callers_closure(
                 frozenset(swap_targets),
@@ -558,7 +553,7 @@ def build_plan(
             callers = dc_replace(
                 snapshot,
                 busy=tuple(i for i in snapshot.busy if i.component in reach),
-                idle=tuple(entry for entry in snapshot.idle if entry[0] in reach),
+                pools={c: snapshot.pools[c] for c in reach if c in snapshot.pools},
             )
             graph = build_runtime_graph(callers, window)
             affected = affected_set(graph, static, frozenset(swap_targets))
@@ -573,10 +568,10 @@ def build_plan(
         for name in order:
             steps.append(PlanStep(AWAIT_QUIESCENCE, component=name))
         md_targets = [
-            c for c in sorted(swap_targets) if components[c].kind is ComponentKind.MESSAGE_DRIVEN
+            c for c in sorted(swap_targets) if config.component(c).kind is ComponentKind.MESSAGE_DRIVEN
         ]
         for name in md_targets:
-            steps.append(PlanStep(PAUSE_QUEUE, component=name, queue=components[name].queue))
+            steps.append(PlanStep(PAUSE_QUEUE, component=name, queue=config.component(name).queue))
         for migration in sorted(request.entity_migration, key=lambda m: m.component):
             if migration.component in swap_targets:
                 steps.append(
@@ -588,7 +583,7 @@ def build_plan(
         for qos in sorted(request.qos_changes, key=lambda q: q.component):
             steps.append(PlanStep(SET_POOL_SIZE, component=qos.component, pool_size=qos.pool_size))
         for name in md_targets:
-            steps.append(PlanStep(RESUME_QUEUE, component=name, queue=components[name].queue))
+            steps.append(PlanStep(RESUME_QUEUE, component=name, queue=config.component(name).queue))
         for name in reversed(order):  # providers first
             steps.append(PlanStep(RELEASE_BARRIER, component=name))
     else:
@@ -738,7 +733,7 @@ class PlanExecutor:
         self._finish("Rejected" if self.findings else "Completed")
 
     def _collect_orphans(self, component: str) -> None:
-        descriptor = self.engine.config.components()[component]
+        descriptor = self.engine.config.component(component)
         for call_id, interface, operation in self.engine.held_calls(component):
             if not descriptor.provides_operation(interface, operation):
                 self.findings.append(

@@ -9,6 +9,13 @@ finding, and the same report judges a configuration after a swap.
 Configurations and component descriptors index themselves lazily, once per
 instance, and a configuration keeps its composition report the same way;
 every change makes a new instance, so an index or a report never goes stale.
+A configuration's indexes come from two passes, one over the tree (the leaf
+descriptors and each leaf's child-index path) and one over the wiring (the
+wires per requirement and the requirers per provider).  ``with_component``
+rebuilds only the composites on the leaf's path and hands the copy these
+indexes, the leaf map with one entry replaced: it changes no wiring and no
+tree shape, so they are what a fresh build would give.  The copy builds its
+own composition report, since the new descriptor may offer other calls.
 A descriptor keeps its access pairs sorted, so equal documents give equal
 descriptors and ``==`` alone tells a changed component from an unchanged one.
 """
@@ -25,7 +32,7 @@ from .automata import (
     automaton_from_json,
     automaton_to_json,
 )
-from .documents import decode, record
+from .documents import decode, record, typed
 from .errors import NameMismatch, ParseError, ValidationError, VersionError
 
 
@@ -218,13 +225,14 @@ class CompositeComponent:
     children: tuple[Union[ComponentDescriptor, "CompositeComponent"], ...]
     internal_wiring: tuple[Wire, ...] = ()
 
-    def leaves(self) -> tuple[ComponentDescriptor, ...]:
-        out: list[ComponentDescriptor] = []
-        for child in self.children:
+    def leaves(self) -> tuple[tuple[tuple[int, ...], ComponentDescriptor], ...]:
+        """(path, descriptor) per leaf in tree order; a path is the child indexes leading to it."""
+        out: list[tuple[tuple[int, ...], ComponentDescriptor]] = []
+        for index, child in enumerate(self.children):
             if isinstance(child, CompositeComponent):
-                out.extend(child.leaves())
+                out.extend(((index,) + path, leaf) for path, leaf in child.leaves())
             else:
-                out.append(child)
+                out.append(((index,), child))
         return tuple(out)
 
     def all_wiring(self) -> tuple[Wire, ...]:
@@ -293,12 +301,23 @@ class ApplicationConfiguration:
     queues: tuple[str, ...]
     version: int
 
-    # The index and the composition report: built on first use and kept in
-    # the instance ``__dict__``, outside the compared and hashed fields.
+    # The indexes and the composition report: built on first use and kept in
+    # the instance ``__dict__``, outside the compared and hashed fields.  The
+    # tree walk fills ``_leaves`` and ``_paths``; the wire pass fills
+    # ``_wires_by_requirement`` and ``_callers``.
 
     @cached_property
     def _leaves(self) -> dict[str, ComponentDescriptor]:
-        return {c.name: c for c in self.root.leaves()}
+        """name -> leaf descriptor, in tree order; the same walk records ``_paths``."""
+        leaves = self.root.leaves()
+        self.__dict__["_paths"] = {leaf.name: path for path, leaf in leaves}
+        return {leaf.name: leaf for _, leaf in leaves}
+
+    @cached_property
+    def _paths(self) -> dict[str, tuple[int, ...]]:
+        """name -> the child indexes that lead from the root to that leaf."""
+        self._leaves  # its walk records the paths
+        return self.__dict__["_paths"]
 
     @cached_property
     def _wires(self) -> tuple[Wire, ...]:
@@ -306,11 +325,24 @@ class ApplicationConfiguration:
 
     @cached_property
     def _wires_by_requirement(self) -> dict[tuple[str, str], list[Wire]]:
-        """(requirer, interface) -> its wires in wiring order; more than one only when invalid."""
+        """(requirer, interface) -> its wires in wiring order; more than one only when invalid.
+
+        The same pass records ``_callers``.
+        """
         out: dict[tuple[str, str], list[Wire]] = {}
+        callers: dict[str, list[str]] = {}
         for wire in self._wires:
             out.setdefault((wire.requirer, wire.interface), []).append(wire)
+            if wire.provider is not None:
+                callers.setdefault(wire.provider, []).append(wire.requirer)
+        self.__dict__["_callers"] = callers
         return out
+
+    @cached_property
+    def _callers(self) -> dict[str, list[str]]:
+        """Reverse-wire index: provider -> the requirer of each wire to it, in wiring order."""
+        self._wires_by_requirement  # its pass records the callers
+        return self.__dict__["_callers"]
 
     @cached_property
     def _composition(self) -> ConsistencyReport:
@@ -318,6 +350,10 @@ class ApplicationConfiguration:
 
     def components(self) -> dict[str, ComponentDescriptor]:
         return dict(self._leaves)
+
+    def component(self, name: str) -> Optional[ComponentDescriptor]:
+        """The leaf descriptor ``name``, or None; unlike ``components()`` it copies nothing."""
+        return self._leaves.get(name)
 
     def wiring(self) -> tuple[Wire, ...]:
         return self._wires
@@ -335,10 +371,25 @@ class ApplicationConfiguration:
         return any(wire.provider is None for wire in wires)
 
     def with_component(self, descriptor: ComponentDescriptor) -> "ApplicationConfiguration":
-        """Copy of this configuration with one leaf descriptor replaced and version bumped."""
-        return replace(
-            self, root=_rewrite_leaf(self.root, descriptor.name, descriptor), version=self.version + 1
+        """Copy of this configuration with one leaf descriptor replaced and version bumped.
+
+        Only the composites on the leaf's path are rebuilt.  The wiring does
+        not change, so the copy starts with this configuration's indexes, the
+        leaf index with one entry replaced; it builds its own composition
+        report.  A name that is not deployed leaves the tree as it is.
+        """
+        path = self._paths.get(descriptor.name)
+        if path is None:
+            return replace(self, version=self.version + 1)
+        child = replace(self, root=_replace_at(self.root, path, descriptor), version=self.version + 1)
+        child.__dict__.update(
+            _leaves={**self._leaves, descriptor.name: descriptor},
+            _paths=self._paths,
+            _wires=self._wires,
+            _wires_by_requirement=self._wires_by_requirement,
+            _callers=self._callers,
         )
+        return child
 
     def with_added(
         self, descriptor: ComponentDescriptor, spec: ContainerSpec, wiring: Iterable[Wire]
@@ -355,26 +406,29 @@ class ApplicationConfiguration:
         """Copy of this configuration without leaf ``name``, the wires naming it and its container."""
         return replace(
             self,
-            root=_rewrite_leaf(self.root, name, None),
+            root=_rewrite_leaf(self.root, name),
             containers=tuple(c for c in self.containers if c.hosted_component != name),
         )
 
 
-def _rewrite_leaf(
-    node: CompositeComponent, name: str, new: Optional[ComponentDescriptor]
+def _replace_at(
+    node: CompositeComponent, path: tuple[int, ...], new: ComponentDescriptor
 ) -> CompositeComponent:
-    """``node`` with leaf ``name`` replaced by ``new``, or dropped with every wire naming it."""
+    """``node`` with the leaf at child-index ``path`` replaced by ``new``."""
+    index = path[0]
+    child = new if len(path) == 1 else _replace_at(node.children[index], path[1:], new)
+    return replace(node, children=node.children[:index] + (child,) + node.children[index + 1:])
+
+
+def _rewrite_leaf(node: CompositeComponent, name: str) -> CompositeComponent:
+    """``node`` without leaf ``name`` and every wire naming it."""
     children: list[Union[ComponentDescriptor, CompositeComponent]] = []
     for child in node.children:
         if isinstance(child, CompositeComponent):
-            children.append(_rewrite_leaf(child, name, new))
+            children.append(_rewrite_leaf(child, name))
         elif child.name != name:
             children.append(child)
-        elif new is not None:
-            children.append(new)
-    wiring = node.internal_wiring
-    if new is None:
-        wiring = tuple(w for w in wiring if name not in (w.requirer, w.provider))
+    wiring = tuple(w for w in node.internal_wiring if name not in (w.requirer, w.provider))
     return replace(node, children=tuple(children), internal_wiring=wiring)
 
 
@@ -552,15 +606,16 @@ def load_application(document: str) -> ApplicationConfiguration:
     containers = []
     for cd in doc.get("containers", []):
         record(cd, _CONTAINER_KEYS, "container", frozenset({"hosted_component"}))
+        hosted = typed(cd, "hosted_component", (str,), "container", "hosted_component")
+        pool_size = typed(cd, "pool_size", (int,), "container", "hosted_component", default=4)
         chain = DEFAULT_INTERCEPTOR_CHAIN
         if "interceptor_chain" in cd:
+            kinds = typed(cd, "interceptor_chain", (list,), "container", "hosted_component")
             try:
-                chain = tuple(InterceptorKind(k) for k in cd["interceptor_chain"])
+                chain = tuple(InterceptorKind(k) for k in kinds)
             except ValueError:
-                raise ParseError(f"container {cd['hosted_component']!r}: unknown interceptor kind")
-        containers.append(
-            ContainerSpec(cd["hosted_component"], chain, int(cd.get("pool_size", 4)))
-        )
+                raise ParseError(f"container {hosted!r}: unknown interceptor kind")
+        containers.append(ContainerSpec(hosted, chain, pool_size))
 
     stores = []
     for sd in doc.get("data_stores", []):
@@ -591,8 +646,8 @@ def validate_configuration(config: ApplicationConfiguration) -> None:
         spec.validate()
         if spec.hosted_component not in components:
             raise ValidationError(f"container hosts unknown component {spec.hosted_component!r}")
-    hosted = [spec.hosted_component for spec in config.containers]
-    if len(hosted) != len(set(hosted)):
+    hosted = {spec.hosted_component for spec in config.containers}
+    if len(hosted) != len(config.containers):
         raise ValidationError("a component is hosted by more than one container")
     for name in components:
         if name not in hosted:

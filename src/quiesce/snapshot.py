@@ -7,21 +7,28 @@ the running system never changes an existing snapshot.
 
 Only a busy instance carries state worth a record: the operation it runs,
 the cursor its effect automaton has reached and the nested call it is
-blocked on.  An idle instance is just its key, so a snapshot keeps one
-``InstanceSnapshot`` per busy instance and, per component, the keys of its
-idle ones.  ``RuntimeSnapshot.instances`` lists both as records for the
-document form and for readers that want one instance at a time; the
-document format holds one record per instance, as it always has.
+blocked on.  An idle instance is just its key.  So a snapshot keeps one
+``InstanceSnapshot`` per busy instance (``busy``) and a read-only map from
+each component to all its instance keys (``pools``).  The engine keeps that
+map up to date as pools grow and swaps restart them, and it walks only the
+containers with a running execution, so taking a snapshot costs what is
+busy, not what is deployed.  ``idle`` and ``instances`` are derived from
+the two: ``instances`` lists every instance as a record for the document
+form and for readers that want one instance at a time; the document format
+holds one record per instance, as it always has.
 
 Order is canonical, so equal states give equal values: components by name,
 and within a component the busy instances and then the idle keys, each in
 pool order (the order the engine created them in, or the document order).
+A component's ``pools`` entry lists its keys in that same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import Counter
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .automata import AutomatonCursor
 from .documents import decode, record, typed
@@ -51,13 +58,27 @@ class RuntimeSnapshot:
     time: int
     # one record per instance running an invocation, components in name order
     busy: tuple[InstanceSnapshot, ...]
-    # (component, keys of its idle instances), components in name order; a
-    # component without idle instances has no entry
-    idle: tuple[tuple[str, tuple[str, ...]], ...]
+    # component -> the keys of all its instances, the busy ones first; a
+    # component without instances has no entry
+    pools: Mapping[str, tuple[str, ...]] = field(hash=False)
     active_transactions: tuple[tuple[str, tuple[str, ...]], ...]
     remote_refs: tuple[tuple[str, tuple[str, ...]], ...]
     queue_depths: tuple[tuple[str, int], ...]
     config: ApplicationConfiguration
+
+    @property
+    def idle(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """(component, keys of its idle instances), components in name order.
+
+        A component without idle instances has no entry.
+        """
+        busy = Counter(inst.component for inst in self.busy)
+        out = []
+        for component in sorted(self.pools):
+            keys = self.pools[component][busy[component]:]
+            if keys:
+                out.append((component, keys))
+        return tuple(out)
 
     @property
     def instances(self) -> tuple[InstanceSnapshot, ...]:
@@ -65,12 +86,13 @@ class RuntimeSnapshot:
         busy: dict[str, list[InstanceSnapshot]] = {}
         for inst in self.busy:
             busy.setdefault(inst.component, []).append(inst)
-        idle = dict(self.idle)
         out: list[InstanceSnapshot] = []
-        for component in sorted(busy.keys() | idle.keys()):
-            out.extend(busy.get(component, ()))
+        for component in sorted(self.pools):
+            records = busy.get(component, [])
+            out.extend(records)
             out.extend(
-                InstanceSnapshot(key, component, idle=True) for key in idle.get(component, ())
+                InstanceSnapshot(key, component, idle=True)
+                for key in self.pools[component][len(records):]
             )
         return tuple(out)
 
@@ -139,6 +161,7 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
     time = typed(doc, "time", (int,), _SNAPSHOT, default=0)
     components = config.components()
     busy: list[InstanceSnapshot] = []
+    busy_keys: dict[str, list[str]] = {}
     idle: dict[str, list[str]] = {}
     for idoc in typed(doc, "instances", (list,), _SNAPSHOT, default=[]):
         record(idoc, _INSTANCE_KEYS, _INSTANCE, _INSTANCE_REQUIRED)
@@ -168,6 +191,7 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
         else:
             in_flight = None if in_flight is None else tuple(in_flight)
             busy.append(InstanceSnapshot(key, component, False, operation, cursor, in_flight))
+            busy_keys.setdefault(component, []).append(key)
     busy.sort(key=lambda inst: inst.component)  # stable: pool order within a component
     active = _name_map(doc, "active_transactions", _is_strings, "a list of strings")
     refs = _name_map(doc, "remote_refs", _is_strings, "a list of strings")
@@ -175,7 +199,12 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
     return RuntimeSnapshot(
         time=time,
         busy=tuple(busy),
-        idle=tuple((component, tuple(keys)) for component, keys in sorted(idle.items())),
+        pools=MappingProxyType(
+            {
+                component: tuple(busy_keys.get(component, []) + idle.get(component, []))
+                for component in sorted(busy_keys.keys() | idle.keys())
+            }
+        ),
         active_transactions=tuple(sorted((k, tuple(v)) for k, v in active.items())),
         remote_refs=tuple(sorted((k, tuple(v)) for k, v in refs.items())),
         queue_depths=tuple(sorted(depths.items())),

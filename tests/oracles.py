@@ -6,11 +6,14 @@ semantics, sharing no code path with the operation it verifies.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from quiesce.automata import AutomatonCursor, CallLabel, ServiceEffectAutomaton
 from quiesce.depgraph import ReconfigurationWindow, RuntimeDependencyGraph, RuntimeEdge
+from quiesce.engine import Engine
 from quiesce.errors import ValidationError
 from quiesce.model import ApplicationConfiguration, ComponentKind
-from quiesce.snapshot import RuntimeSnapshot
+from quiesce.snapshot import InstanceSnapshot, RuntimeSnapshot
 
 
 def enumerate_earliest(cursor: AutomatonCursor, call: CallLabel) -> int | None:
@@ -336,3 +339,94 @@ def reference_validate_configuration(config: ApplicationConfiguration) -> None:
                 raise ValidationError(
                     f"message-driven component {c.name!r} references unknown queue {c.queue!r}"
                 )
+
+
+def full_scan_snapshot(engine: Engine) -> RuntimeSnapshot:
+    """The engine's state captured by visiting every container and every instance.
+
+    No index of the engine is read: busy instances, pool keys and the
+    containers a live transaction touches all come from the containers
+    themselves, in name order.
+    """
+    busy: list[InstanceSnapshot] = []
+    pools: dict[str, tuple[str, ...]] = {}
+    active: list[tuple[str, tuple[str, ...]]] = []
+    for name in sorted(engine.containers):
+        container = engine.containers[name]
+        if container.touching_txs:
+            active.append((name, tuple(sorted(container.touching_txs))))
+        busy_keys, idle_keys = [], []
+        for instance in container.instances:
+            execution = instance.current
+            if execution is None:
+                idle_keys.append(instance.key)
+                continue
+            busy_keys.append(instance.key)
+            child = execution.in_flight_child
+            busy.append(
+                InstanceSnapshot(
+                    instance.key,
+                    name,
+                    False,
+                    execution.invocation.operation,
+                    execution.cursor,
+                    (child.component, child.interface) if child else None,
+                )
+            )
+        if container.instances:
+            pools[name] = tuple(busy_keys + idle_keys)
+    return RuntimeSnapshot(
+        time=engine.clock,
+        busy=tuple(busy),
+        pools=MappingProxyType(pools),
+        active_transactions=tuple(active),
+        remote_refs=tuple(
+            (component, tuple(sorted(clients)))
+            for component, clients in sorted(engine.remote_refs.items())
+            if clients
+        ),
+        queue_depths=tuple((name, len(q.items)) for name, q in sorted(engine.queues.items())),
+        config=engine.config,
+    )
+
+
+# the indexes a configuration builds on first use and ``with_component`` hands on
+CONFIGURATION_INDEXES = ("_leaves", "_paths", "_wires", "_wires_by_requirement", "_callers")
+
+
+def carried_index_faults(config: ApplicationConfiguration) -> list[str]:
+    """Each index ``config`` holds that differs, order included, from a fresh build's.
+
+    The fresh configuration is made from the same fields and builds every
+    index from its own tree.
+    """
+    fresh = ApplicationConfiguration(
+        config.root, config.containers, config.data_stores, config.queues, config.version
+    )
+    faults = []
+    for name in CONFIGURATION_INDEXES:
+        if name not in config.__dict__:
+            continue
+        held, built = config.__dict__[name], getattr(fresh, name)
+        if isinstance(held, dict):
+            held, built = list(held.items()), list(built.items())
+        if held != built:
+            faults.append(name)
+    return faults
+
+
+def check_carried_indexes(monkeypatch) -> None:
+    """Patch ``with_component`` so each configuration it makes is checked against a fresh build.
+
+    The copy must hold every index a fresh build gives and no composition
+    report; the patch stays for the rest of the test.
+    """
+    with_component = ApplicationConfiguration.with_component
+
+    def checked(self, descriptor):
+        child = with_component(self, descriptor)
+        assert "_composition" not in child.__dict__
+        assert carried_index_faults(child) == []
+        return child
+
+    monkeypatch.setattr(ApplicationConfiguration, "with_component", checked)

@@ -316,6 +316,11 @@ MALFORMED = {
         ("simulate", "bad.json", "demo_scenario.json"),
         "component None missing keys: ['name']",
     ),
+    "application-pool-size": (
+        with_value("demo_chain.json", ("containers", 0), "pool_size", "x"),
+        ("simulate", "bad.json", "demo_scenario.json"),
+        "container 'A': 'pool_size' must be an integer",
+    ),
     "scenario": (
         without("demo_scenario.json", ("clients", 0, "script", 1, "call"), "interface"),
         ("simulate", "demo_chain.json", "bad.json"),

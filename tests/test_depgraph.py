@@ -7,6 +7,7 @@ import pytest
 
 import quiesce.automata as automata_module
 import quiesce.manager as manager_module
+import quiesce.model as model_module
 from quiesce.depgraph import (
     ReconfigurationWindow,
     affected_set,
@@ -18,7 +19,7 @@ from quiesce.depgraph import (
 from quiesce.engine import Engine
 from quiesce.errors import InconsistentConfiguration, SnapshotStale, UnknownTarget
 from quiesce.manager import ReconfigurationRequest, TargetChange, build_plan, estimate_window
-from quiesce.model import load_application, parse_component
+from quiesce.model import CompositeComponent, load_application, parse_component
 from quiesce.snapshot import load_snapshot, snapshot_to_json
 from quiesce.workload import parse_scenario
 
@@ -451,6 +452,41 @@ class TestPlanBuildsOnlyCallersOfTargets:
         assert len(path) == 9 and states > 0
         assert plan_for(snapshot, (f"C{leaf}",)).affected <= {f"C{i}" for i in path}
         assert 0 < tables <= states
+
+
+class TestRequestInstantWalksNoTree:
+    """At the request instant neither the snapshot nor the plan walks the tree or the wiring.
+
+    A 255-component tree runs to a request instant.  With the tree walks
+    and the leaf rewrite patched to raise, ``snapshot()`` and ``build_plan``
+    must still give what they give unpatched: both read indexes kept on the
+    engine and the configuration instead.
+    """
+
+    def test_plan_from_indexes_equals_the_unpatched_plan(self, monkeypatch):
+        components, wiring, containers = tree_components(8)  # 255 components
+        engine = Engine(app(components, wiring=wiring, containers=containers))
+        calls = [call_entry(2 * j, "C0") for j in range(6)]
+        engine.load_scenario(parse_scenario(scenario_doc([client("s", *calls), client("t", *calls)])))
+        engine.run(until=7)
+        targets = ("C1", "C9", "C200")
+
+        def plan():
+            return plan_for(engine.snapshot(), targets)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the request instant walked the tree")
+
+        expected = plan()
+        assert expected.affected > set(targets)
+        with monkeypatch.context() as patched:
+            patched.setattr(CompositeComponent, "leaves", refuse)
+            patched.setattr(CompositeComponent, "all_wiring", refuse)
+            patched.setattr(model_module, "_rewrite_leaf", refuse)
+            indexed = plan()
+        assert (indexed.affected, indexed.window, indexed.steps) == (
+            expected.affected, expected.window, expected.steps
+        )
 
 
 class TestGroupedSnapshotMatchesOneRecordPerInstance:

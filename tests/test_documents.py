@@ -24,7 +24,7 @@ from quiesce.model import load_application
 from quiesce.snapshot import load_snapshot, snapshot_to_json
 from quiesce.workload import parse_scenario
 
-from builders import appdoc, auto, comp, iface, op
+from builders import appdoc, auto, call_entry, client, comp, iface, op, scenario_doc
 from conftest import read_fixture
 from gen import generate_case
 
@@ -55,8 +55,13 @@ REQUIRED = {
 ROOT_REQUIRED = {"application": {"components"}, "archive": {"module"}}
 
 # record role (the document kind for a root) -> key -> (a value of the wrong type,
-# the end of the expected error text); only the snapshot reader types its fields
+# the end of the expected error text), for the fields their readers type
 WRONG_TYPE = {
+    "containers": {
+        "hosted_component": (1, "'hosted_component' must be a string"),
+        "pool_size": ("x", "'pool_size' must be an integer"),
+        "interceptor_chain": ("Pooling", "'interceptor_chain' must be a list"),
+    },
     "snapshot": {
         "time": ("abc", "'time' must be an integer"),
         "instances": ({}, "'instances' must be a list"),
@@ -247,6 +252,11 @@ class TestMalformedDocuments:
              "unknown keys in component 'A': ['x']"),
             (load_application, json.dumps(replaced(chain, ("components", 0, "kind"), None)),
              "component 'A': unknown kind None"),
+            *(
+                (load_application, json.dumps(replaced(chain, ("containers", 0, "pool_size"), size)),
+                 "container 'A': 'pool_size' must be an integer")
+                for size in ("4", 4.0, True)
+            ),
             (parse_archive, '{"components": []}', "archive document missing keys: ['module']"),
             (parse_scenario, '{"clients": [{"id": "c", "script": [{"at": 1}]}]}',
              "script entry needs either 'call' or 'home'"),
@@ -302,6 +312,21 @@ class TestSnapshotDocumentRoundTrip:
             seen["in_flight"] += sum(1 for inst in snap.instances if inst.in_flight is not None)
             seen["remote_refs"] += len(snap.remote_refs)
             seen["queued"] += sum(depth for _, depth in snap.queue_depths)
+
+    def test_a_busy_instance_behind_an_idle_one_in_pool_order(self):
+        engine = Engine(load_application(appdoc([comp("S", operations=[op("work", duration=5)])])))
+        clients = [client("c0", call_entry(0, "S")), client("c1", call_entry(2, "S"))]
+        engine.load_scenario(parse_scenario(scenario_doc(clients)))
+        engine.run(until=5)  # S#0 has finished c0's call, S#1 still runs c1's
+        assert [i.key for i in engine.containers["S"].instances] == ["S#0", "S#1"]
+        snap = engine.snapshot()
+        assert [i.key for i in snap.busy] == ["S#1"] and snap.pools["S"] == ("S#1", "S#0")
+        doc = snapshot_to_json(snap)
+        assert [(i["key"], i["idle"]) for i in doc["instances"]] == [("S#1", False), ("S#0", True)]
+        assert load_snapshot(json.dumps(doc), engine.config) == snap
+        # a document listing the idle instance first reads back in the same order
+        doc["instances"].reverse()
+        assert load_snapshot(json.dumps(doc), engine.config) == snap
 
     def test_demo_chain_mid_run(self):
         scenario = parse_scenario(read_fixture("demo_scenario.json"))

@@ -40,7 +40,7 @@ from builders import (
     tree_components,
 )
 from conftest import read_fixture
-from oracles import replay_committed_writes
+from oracles import full_scan_snapshot, replay_committed_writes
 
 
 def single_stateless(duration: int = 5, tx: str = "StartsNew"):
@@ -681,6 +681,86 @@ class TestSnapshotCapture:
         assert built == ["C126#0"]
         assert [(i.key, i.idle, i.operation) for i in snapshot.busy] == [("C126#0", False, "work")]
         assert len(snapshot.idle) == 126 and "C126" not in dict(snapshot.idle)
+
+
+class TestSnapshotMatchesFullScan:
+    """The snapshot read through the engine's indexes equals a visit of every container.
+
+    It is compared after every event of runs that grow pools, swap a
+    stateful and an interchangeable component, add and remove components,
+    and keep a transaction touching a container whose instance went idle.
+    """
+
+    @staticmethod
+    def assert_matches(engine: Engine, seen: dict) -> bool:
+        snapshot = engine.snapshot()
+        assert snapshot == full_scan_snapshot(engine), engine.clock
+        busy = {inst.component for inst in snapshot.busy}
+        seen["touched_idle"] += any(name not in busy for name, _ in snapshot.active_transactions)
+        seen["pool"] = max([seen["pool"], *map(len, snapshot.pools.values())])
+        return False
+
+    def run_checked(self, engine: Engine, until: int, seen: dict) -> None:
+        self.assert_matches(engine, seen)
+        engine.run(until=until, stop_when=lambda: self.assert_matches(engine, seen))
+
+    @staticmethod
+    def fresh_seen() -> dict:
+        return dict.fromkeys(("touched_idle", "pool"), 0)
+
+    def test_pools_grow_and_transactions_outlive_their_instances(self, chain_config):
+        scenario = parse_scenario(read_fixture("demo_scenario.json"))
+        engine = Engine(chain_config, seed=scenario.seed)
+        engine.load_scenario(scenario)
+        seen = self.fresh_seen()
+        self.run_checked(engine, 120, seen)
+        assert seen["touched_idle"] and seen["pool"] > 1
+
+    @pytest.mark.parametrize("kind", ["StatefulSession", "StatelessSession"])
+    def test_swaps(self, kind):
+        def s(version: int):
+            fields = ["a"] if kind == "StatefulSession" else []
+            return comp("S", kind=kind, version=version, state_fields=fields, operations=[op("work", duration=4)])
+
+        engine = Engine(app([s(1)]))
+        clients = [client(f"c{i}", call_entry(i, "S"), call_entry(30 + i, "S")) for i in range(3)]
+        engine.load_scenario(parse_scenario(scenario_doc(clients)))
+        seen = self.fresh_seen()
+        self.run_checked(engine, 3, seen)
+        engine.activate_barrier("S")
+        self.run_checked(engine, 20, seen)
+        assert engine.barrier_state("S") == BARRIER_CLOSED
+        assert engine.snapshot().pools["S"] == ("S#0", "S#1", "S#2")
+        engine.swap_component("S", engine.config.with_component(parse_component(s(2))))
+        self.assert_matches(engine, seen)
+        # survivors keep their keys; an interchangeable pool restarts at #0
+        expected = ("S#0", "S#1", "S#2") if kind == "StatefulSession" else ("S#0",)
+        assert engine.snapshot().pools["S"] == expected
+        engine.release_barrier("S")
+        self.run_checked(engine, 60, seen)
+        assert seen["pool"] == 3
+
+    def test_added_and_removed_components(self):
+        a = comp("A", required=["IX"], operations=[op("work", duration=10, automaton=auto([("q0", "IX", "work", 5, "q1")]))])
+        x = comp("X", operations=[op("work", tx="Joins", duration=1)])
+        engine = Engine(app([a, x], wiring=[("A", "IX", "X")]))
+        engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(1, "A"))])))
+        seen = self.fresh_seen()
+        self.run_checked(engine, 4, seen)
+        assert dict(engine.snapshot().active_transactions).keys() == {"A", "X"}
+        assert [inst.component for inst in engine.snapshot().busy] == ["A"]
+        engine.remove_component("X")  # idle, but A's transaction still touches it
+        self.assert_matches(engine, seen)
+        self.run_checked(engine, 20, seen)
+        engine.add_component(parse_component(comp("Y")))
+        self.assert_matches(engine, seen)
+        engine.start_container("Y")
+        self.assert_matches(engine, seen)
+        assert engine.snapshot().pools["Y"] == ("Y#0",)
+        engine.remove_component("Y")
+        self.assert_matches(engine, seen)
+        assert "Y" not in engine.snapshot().pools
+        assert seen["touched_idle"]
 
 
 def _full_scan_service_pool_queue(self, container):

@@ -44,6 +44,14 @@ from builders import (
 )
 from conftest import read_fixture
 from gen import generate_case
+from oracles import check_carried_indexes
+
+
+@pytest.fixture(autouse=True)
+def carried_indexes_match_a_fresh_build(monkeypatch):
+    """Every configuration ``with_component`` makes here holds the indexes a fresh build gives."""
+    check_carried_indexes(monkeypatch)
+
 
 EMPTY_APP = '{"components": [], "version": 1}'
 

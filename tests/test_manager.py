@@ -48,7 +48,13 @@ from builders import (
     store_contents,
 )
 from conftest import read_fixture
-from oracles import expected_shadow_contents
+from oracles import check_carried_indexes, expected_shadow_contents
+
+
+@pytest.fixture(autouse=True)
+def carried_indexes_match_a_fresh_build(monkeypatch):
+    """Every configuration ``with_component`` makes here holds the indexes a fresh build gives."""
+    check_carried_indexes(monkeypatch)
 
 
 def descriptor(kind: str, **kw):

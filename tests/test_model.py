@@ -27,7 +27,7 @@ from quiesce.model import (
 from builders import app, appdoc, auto, comp, iface, op, operation_names
 from conftest import read_fixture
 from gen import generate_case
-from oracles import reference_validate_configuration
+from oracles import CONFIGURATION_INDEXES, carried_index_faults, reference_validate_configuration
 
 
 class TestLoadApplication:
@@ -135,7 +135,7 @@ class TestLoadApplication:
             {"name": "inner", "children": ["S", "T"], "internal_wiring": []},
         ]
         config = load_application(json.dumps(doc))
-        assert {c.name for c in config.root.leaves()} == {"S", "T"}
+        assert {c.name for _, c in config.root.leaves()} == {"S", "T"}
         doc["composites"] = [
             {"name": "a", "children": ["b", "S", "T"], "internal_wiring": []},
             {"name": "b", "children": ["a"], "internal_wiring": []},
@@ -555,6 +555,26 @@ class TestIndexNeverStale:
         assert chain_config.components()["C"] is old_c
         assert_index_matches_scan(swapped)
         assert_index_matches_scan(chain_config)
+
+    def test_with_component_carries_fresh_indexes_down_a_nested_path(self):
+        config = nested_config()
+        assert config._paths["C"] == (1, 1, 1)  # root -> outer -> inner -> C
+        old_c = config.components()["C"]
+        swapped = config.with_component(replace(old_c, version=2))
+        assert swapped.root.children[1].children[1].children[1].version == 2
+        assert swapped.root.children[0] is config.root.children[0]  # off the path: shared
+        assert "_composition" not in swapped.__dict__
+        assert {name for name in CONFIGURATION_INDEXES if name in swapped.__dict__} == set(CONFIGURATION_INDEXES)
+        assert carried_index_faults(swapped) == []
+        assert swapped == replace(config, root=swapped.root, version=config.version + 1)
+        assert_index_matches_scan(swapped)
+
+    def test_with_component_of_a_name_not_deployed_only_bumps_the_version(self, chain_config):
+        ghost = replace(chain_config.components()["C"], name="Ghost")
+        bumped = chain_config.with_component(ghost)
+        assert bumped == replace(chain_config, version=chain_config.version + 1)
+        assert "Ghost" not in bumped.components()
+        assert carried_index_faults(bumped) == []
 
     def test_add_and_remove_component_answer_with_the_new_wiring(self):
         engine = Engine(nested_config())

@@ -13,7 +13,6 @@ from .automata import (
     Transition,
     advance,
     earliest_occurrence,
-    reachable_calls,
 )
 from .depgraph import (
     ReconfigurationWindow,

@@ -1,11 +1,13 @@
 """Reconfiguration management.
 
 Turns a reconfiguration request into an executable plan in four stages:
-classify what changed (request analysis), decide per component type whether
-the change is safe (consistency rules), compute the minimal set of
-components to barricade (dependency analysis), and run the ordered steps
-against the engine (plan execution).  ``check_mode`` is the one place the
-redeploy mode is applied: strict refuses structural diffs before planning.
+classify what changed (request analysis: ``analyse`` resolves each target
+once, to its deployed descriptor, the descriptor it runs after the swap and
+the change kind between them), decide per component type whether the
+change is safe (consistency rules), compute the minimal set of components
+to barricade (dependency analysis), and run the ordered steps against the
+engine (plan execution).  ``check_mode`` is the one place the redeploy mode
+is applied: strict refuses structural diffs before planning.
 The executor drives the engine through its public scheduling and barrier
 calls, and its report is a fold of the plan's own events.
 
@@ -36,7 +38,7 @@ from .depgraph import (
     build_runtime_graph,
     build_static_graph,
 )
-from .documents import decode, record
+from .documents import decode, record, typed
 from .errors import (
     EngineFault,
     ParseError,
@@ -51,11 +53,9 @@ from .model import (
     ChangeKind,
     ComponentDescriptor,
     ComponentKind,
-    CompositeComponent,
     ConsistencyFinding,
     check_composition,
     diff_versions,
-    dominant_change,
     parse_component,
 )
 from .snapshot import RuntimeSnapshot
@@ -95,12 +95,6 @@ class SafetyVerdict:
         }
 
 
-class Granularity(str, Enum):
-    SINGLE_COMPONENT = "SingleComponent"
-    SUBSYSTEM = "Subsystem"
-    ENTIRE_SYSTEM = "EntireSystem"
-
-
 @dataclass(frozen=True)
 class TargetChange:
     component: str
@@ -111,6 +105,10 @@ class TargetChange:
 class QosChange:
     component: str
     pool_size: int
+
+    def __post_init__(self) -> None:
+        if self.pool_size < 1:
+            raise ValidationError(f"qos change for {self.component!r}: pool_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,19 +138,6 @@ class ReconfigurationRequest:
             if m.component == component:
                 return m
         return None
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    per_target: tuple[tuple[str, ChangeKind], ...]
-    overall: ChangeKind
-    granularity: Granularity
-
-    def kind_of(self, component: str) -> ChangeKind:
-        for name, kind in self.per_target:
-            if name == component:
-                return kind
-        raise UnknownComponent(component)
 
 
 # Plan steps
@@ -251,62 +236,32 @@ class ReconfigurationReport:
 # ---------------------------------------------------------------------------
 
 
-def _parent_map(root: CompositeComponent) -> dict[str, str]:
-    parents: dict[str, str] = {}
+def analyse(
+    request: ReconfigurationRequest, config: ApplicationConfiguration
+) -> list[tuple[ComponentDescriptor, ComponentDescriptor, ChangeKind]]:
+    """One ``(deployed, new, kind)`` triple per target, in request order.
 
-    def walk(node: CompositeComponent) -> None:
-        for child in node.children:
-            parents[child.name] = node.name
-            if isinstance(child, CompositeComponent):
-                walk(child)
-
-    walk(root)
-    return parents
-
-
-def resolved_target_descriptor(
-    config: ApplicationConfiguration, target: TargetChange
-) -> ComponentDescriptor:
-    """The descriptor a target will run after the swap; in-place redeploys bump the version."""
-    old = config.component(target.component)
-    if old is None:
-        raise UnknownComponent(f"target {target.component!r} is not deployed")
-    if target.descriptor is None:
-        return dc_replace(old, version=old.version + 1)
-    return target.descriptor
-
-
-def analyse(request: ReconfigurationRequest, config: ApplicationConfiguration) -> AnalysisResult:
-    """Per-target change kinds plus the granularity the request addresses."""
+    ``new`` is the descriptor the target runs after its swap; an in-place
+    redeploy bumps the deployed version.  Raises UnknownComponent for a
+    target or QoS change that names no deployed component, and the
+    ``diff_versions`` errors for a descriptor that cannot replace the
+    deployed one; the first faulty target in request order wins.
+    """
     qos_components = {q.component for q in request.qos_changes}
-    per_target: list[tuple[str, ChangeKind]] = []
+    changes = []
     for target in request.targets:
-        new = resolved_target_descriptor(config, target)
-        old = config.component(target.component)
-        per_target.append(
-            (target.component, diff_versions(old, new, qos_change=target.component in qos_components))
-        )
+        deployed = config.component(target.component)
+        if deployed is None:
+            raise UnknownComponent(f"target {target.component!r} is not deployed")
+        new = target.descriptor
+        if new is None:
+            new = dc_replace(deployed, version=deployed.version + 1)
+        kind = diff_versions(deployed, new, qos_change=target.component in qos_components)
+        changes.append((deployed, new, kind))
     for q in request.qos_changes:
         if config.component(q.component) is None:
             raise UnknownComponent(f"qos change names unknown component {q.component!r}")
-        if q.component not in {name for name, _ in per_target}:
-            per_target.append((q.component, ChangeKind.NON_FUNCTIONAL))
-
-    names = [name for name, _ in per_target]
-    if len(names) == 1:
-        granularity = Granularity.SINGLE_COMPONENT
-    else:
-        parents = _parent_map(config.root)
-        parent_set = {parents.get(name, config.root.name) for name in names}
-        if len(parent_set) == 1 and parent_set != {config.root.name}:
-            granularity = Granularity.SUBSYSTEM
-        else:
-            granularity = Granularity.ENTIRE_SYSTEM
-    return AnalysisResult(
-        per_target=tuple(per_target),
-        overall=dominant_change(kind for _, kind in per_target),
-        granularity=granularity,
-    )
+    return changes
 
 
 def check_mode(request: ReconfigurationRequest, config: ApplicationConfiguration, mode: str) -> None:
@@ -321,7 +276,7 @@ def check_mode(request: ReconfigurationRequest, config: ApplicationConfiguration
     if mode != "strict":
         raise ValidationError(f"unknown redeploy mode {mode!r}")
     structural = sorted(
-        name for name, kind in analyse(request, config).per_target if kind is ChangeKind.STRUCTURAL
+        deployed.name for deployed, _, kind in analyse(request, config) if kind is ChangeKind.STRUCTURAL
     )
     if structural:
         raise Rejection(
@@ -509,23 +464,21 @@ def build_plan(
         )
     if blocking not in ("minimal", "whole-app"):
         raise ValidationError(f"unknown blocking mode {blocking!r}")
-    analysis = analyse(request, config)
-    swap_targets = {t.component for t in request.targets}
+    changes = sorted(analyse(request, config), key=lambda change: change[0].name)
+    swap_targets = {deployed.name for deployed, _, _ in changes}
 
     target = config
     verdicts: list[SafetyVerdict] = []
-    for change in sorted(request.targets, key=lambda t: t.component):
-        old = config.component(change.component)
-        new = resolved_target_descriptor(config, change)
+    for deployed, new, kind in changes:
         target = target.with_component(new)
-        refs = unchanged_remote_refs(change.component, config, snapshot, changed=swap_targets)
+        refs = unchanged_remote_refs(deployed.name, config, snapshot, changed=swap_targets)
         verdicts.append(
             classify_structural_safety(
-                old,
-                analysis.kind_of(change.component),
+                deployed,
+                kind,
                 refs,
-                migration_available=request.migration_for(change.component) is not None,
-                state_shape_changed=tuple(old.state_fields) != tuple(new.state_fields),
+                migration_available=request.migration_for(deployed.name) is not None,
+                state_shape_changed=tuple(deployed.state_fields) != tuple(new.state_fields),
             )
         )
     unsafe = [v for v in verdicts if v.verdict is Verdict.UNSAFE]
@@ -654,7 +607,7 @@ class PlanExecutor:
     the configuration untouched; one that fires while a later swap waits for
     a re-opened drain leaves the earlier swaps applied, and because each swap
     installs ``plan.target`` as ``engine.config``, the configuration then also
-    names the new descriptors of the swaps that never ran (ROADMAP item 2).
+    names the new descriptors of the swaps that never ran (ROADMAP item 3).
     """
 
     def __init__(self, engine: rt.Engine, plan: ReconfigurationPlan, costs: CostModel = CostModel()):
@@ -853,39 +806,50 @@ _TARGET_REQUIRED = frozenset({"component"})
 _QOS_KEYS = frozenset({"component", "pool_size"})
 _MIGRATION_KEYS = frozenset({"component", "shadow_store", "column_mapping"})
 _MIGRATION_REQUIRED = frozenset({"component", "shadow_store"})
+_REQUEST = "request document"
+_TARGET = "target document"
+_QOS = "qos document"
+_MIGRATION = "migration document"
 
 
 def parse_request(text: str, file_loader: Optional[Callable[[str], str]] = None) -> ReconfigurationRequest:
-    doc = record(decode(text, "request"), _REQUEST_KEYS, "request document")
+    """A request from its document; every field must have its JSON type (``typed``)."""
+    doc = record(decode(text, "request"), _REQUEST_KEYS, _REQUEST)
     targets = []
-    for tdoc in doc.get("targets", []):
-        record(tdoc, _TARGET_KEYS, "target document", _TARGET_REQUIRED)
+    for tdoc in typed(doc, "targets", (list,), _REQUEST, default=[]):
+        record(tdoc, _TARGET_KEYS, _TARGET, _TARGET_REQUIRED)
+        component = typed(tdoc, "component", (str,), _TARGET, "component")
+        descriptor_file = typed(tdoc, "descriptor_file", (str,), _TARGET, "component", default="")
         descriptor = None
         if tdoc.get("descriptor") is not None:
             descriptor = parse_component(tdoc["descriptor"])
-        elif tdoc.get("descriptor_file"):
+        elif descriptor_file:
             if file_loader is None:
                 raise ParseError("descriptor_file given but no file loader available")
-            descriptor = parse_component(decode(file_loader(tdoc["descriptor_file"]), "descriptor"))
-        targets.append(TargetChange(tdoc["component"], descriptor))
+            descriptor = parse_component(decode(file_loader(descriptor_file), "descriptor"))
+        targets.append(TargetChange(component, descriptor))
     qos = []
-    for qdoc in doc.get("qos_changes", []):
-        record(qdoc, _QOS_KEYS, "qos document", _QOS_KEYS)
-        qos.append(QosChange(qdoc["component"], int(qdoc["pool_size"])))
-    migrations = []
-    for mdoc in doc.get("entity_migration", []):
-        record(mdoc, _MIGRATION_KEYS, "migration document", _MIGRATION_REQUIRED)
-        migrations.append(
-            EntityMigration(
-                mdoc["component"],
-                mdoc["shadow_store"],
-                tuple(sorted(mdoc.get("column_mapping", {}).items())),
+    for qdoc in typed(doc, "qos_changes", (list,), _REQUEST, default=[]):
+        record(qdoc, _QOS_KEYS, _QOS, _QOS_KEYS)
+        qos.append(
+            QosChange(
+                typed(qdoc, "component", (str,), _QOS, "component"),
+                typed(qdoc, "pool_size", (int,), _QOS, "component"),
             )
         )
+    migrations = []
+    for mdoc in typed(doc, "entity_migration", (list,), _REQUEST, default=[]):
+        record(mdoc, _MIGRATION_KEYS, _MIGRATION, _MIGRATION_REQUIRED)
+        component = typed(mdoc, "component", (str,), _MIGRATION, "component")
+        shadow_store = typed(mdoc, "shadow_store", (str,), _MIGRATION, "component")
+        mapping = typed(mdoc, "column_mapping", (dict,), _MIGRATION, "component", default={})
+        if not all(type(column) is str for column in mapping.values()):
+            raise ParseError(f"{_MIGRATION} {component!r}: 'column_mapping' must map each column to a string")
+        migrations.append(EntityMigration(component, shadow_store, tuple(sorted(mapping.items()))))
     return ReconfigurationRequest(
-        id=doc.get("id", "request"),
+        id=typed(doc, "id", (str,), _REQUEST, default="request"),
         targets=tuple(targets),
         qos_changes=tuple(qos),
         entity_migration=tuple(migrations),
-        requested_at=int(doc.get("requested_at", 0)),
+        requested_at=typed(doc, "requested_at", (int,), _REQUEST, default=0),
     )

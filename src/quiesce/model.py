@@ -55,15 +55,11 @@ class Access(str, Enum):
 
 
 class ChangeKind(str, Enum):
-    """Reconfiguration effort classes, ordered Functional < NonFunctional < Structural."""
+    """Reconfiguration effort classes; ``diff_versions`` gives one per changed component."""
 
     FUNCTIONAL = "Functional"
     NON_FUNCTIONAL = "NonFunctional"
     STRUCTURAL = "Structural"
-
-    @property
-    def rank(self) -> int:
-        return {"Functional": 0, "NonFunctional": 1, "Structural": 2}[self.value]
 
 
 class InterceptorKind(str, Enum):
@@ -148,12 +144,6 @@ class ComponentDescriptor:
     def __post_init__(self) -> None:
         # one canonical order, so equal documents make equal descriptors
         object.__setattr__(self, "access", tuple(sorted(self.access)))
-
-    def access_of(self, interface: str) -> Access:
-        for name, acc in self.access:
-            if name == interface:
-                return acc
-        return Access.LOCAL
 
     def provided_names(self) -> frozenset[str]:
         return self._provided_names
@@ -784,13 +774,3 @@ def diff_versions(
     if same_behaviour and qos_change:
         return ChangeKind.NON_FUNCTIONAL
     return ChangeKind.FUNCTIONAL
-
-
-def dominant_change(kinds: Iterable[ChangeKind]) -> ChangeKind:
-    """The strongest kind present (Structural > NonFunctional > Functional)."""
-    best = ChangeKind.FUNCTIONAL
-    for kind in kinds:
-        if kind.rank > best.rank:
-            best = kind
-    return best
-

@@ -179,6 +179,21 @@ class TestRedeployCommand:
         )
         assert weakened.returncode == 0, weakened.stderr
 
+    @pytest.mark.parametrize("change,message", [
+        ({"qos_changes": [{"component": "B", "pool_size": 0}]}, "qos change for 'B': pool_size must be >= 1"),
+        ({"requested_at": "x"}, "request document: 'requested_at' must be an integer"),
+        ({"qos_changes": [{"component": "B", "pool_size": "x"}]}, "qos document 'B': 'pool_size' must be an integer"),
+    ])
+    def test_bad_request_field_exits_one_before_the_run(self, workdir, change, message):
+        request = json.loads((workdir / "demo_request.json").read_text())
+        (workdir / "bad_request.json").write_text(json.dumps({**request, **change}))
+        result = run_cli(
+            "--out", "o", "redeploy", "demo_chain.json", "demo_scenario.json", "bad_request.json", cwd=workdir,
+        )
+        assert result.returncode == 1
+        assert result.stderr == f"error: bad_request.json: {message}\n"
+        assert not (workdir / "o" / "events.jsonl").exists()
+
     def test_drain_timeout_explains_itself_on_stderr(self, workdir):
         result = run_cli(
             "--out", "o", "redeploy", "demo_chain.json", "demo_scenario.json", "demo_request.json",

@@ -77,6 +77,26 @@ WRONG_TYPE = {
         "cursor_state": (True, "'cursor_state' must be a string or null"),
         "in_flight": (["C"], "'in_flight' must be null or a list of two strings"),
     },
+    "request": {
+        "id": (1, "'id' must be a string"),
+        "requested_at": ("x", "'requested_at' must be an integer"),
+        "targets": ({}, "'targets' must be a list"),
+        "qos_changes": ("B", "'qos_changes' must be a list"),
+        "entity_migration": (None, "'entity_migration' must be a list"),
+    },
+    "targets": {
+        "component": (7, "'component' must be a string"),
+        "descriptor_file": (["c.json"], "'descriptor_file' must be a string"),
+    },
+    "qos_changes": {
+        "component": (["S"], "'component' must be a string"),
+        "pool_size": ("x", "'pool_size' must be an integer"),
+    },
+    "entity_migration": {
+        "component": (1, "'component' must be a string"),
+        "shadow_store": (2, "'shadow_store' must be a string"),
+        "column_mapping": ([["c", "c"]], "'column_mapping' must be an object"),
+    },
 }
 
 
@@ -265,6 +285,22 @@ class TestMalformedDocuments:
             (lambda text: parse_request(text, file_loader=lambda rel: "{nope"),
              '{"targets": [{"component": "C", "descriptor_file": "c.json"}]}',
              "invalid descriptor JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (parse_request, '{"targets": [{"component": 7}]}',
+             "target document 7: 'component' must be a string"),
+            *(
+                (parse_request, json.dumps({"requested_at": at, "targets": [{"component": "C"}]}),
+                 "request document: 'requested_at' must be an integer")
+                for at in ("8", 8.0, True)
+            ),
+            *(
+                (parse_request, json.dumps({"qos_changes": [{"component": "B", "pool_size": size}]}),
+                 "qos document 'B': 'pool_size' must be an integer")
+                for size in ("8", 8.0, True)
+            ),
+            (parse_request,
+             json.dumps({"qos_changes": [{"component": "B", "pool_size": 2}],
+                         "entity_migration": [{"component": "E", "shadow_store": "s", "column_mapping": {"c": 1}}]}),
+             "migration document 'E': 'column_mapping' must map each column to a string"),
         ]
         snapshot = json.loads(read_fixture("chain_snapshot.json"))
         chain_config = load_application(read_fixture("demo_chain.json"))

@@ -9,11 +9,17 @@ import pytest
 
 import quiesce.model as model_module
 from quiesce.engine import Engine
-from quiesce.errors import Rejection, SnapshotStale, UnknownComponent
+from quiesce.errors import (
+    NameMismatch,
+    Rejection,
+    SnapshotStale,
+    UnknownComponent,
+    ValidationError,
+    VersionError,
+)
 from quiesce.manager import (
     AWAIT_QUIESCENCE,
     EntityMigration,
-    Granularity,
     PlanExecutor,
     QosChange,
     Reason,
@@ -22,6 +28,7 @@ from quiesce.manager import (
     Verdict,
     analyse,
     build_plan,
+    check_mode,
     classify_structural_safety,
     execute_plan,
     parse_request,
@@ -178,20 +185,23 @@ class TestAnalyse:
     def test_functional_single_component(self, chain_config):
         new_c = parse_component(json.loads(read_fixture("demo_request.json"))["targets"][0]["descriptor"])
         request = ReconfigurationRequest(id="r", targets=(TargetChange("C", new_c),))
-        result = analyse(request, chain_config)
-        assert result.kind_of("C") is ChangeKind.FUNCTIONAL
-        assert result.granularity is Granularity.SINGLE_COMPONENT
+        assert analyse(request, chain_config) == [
+            (chain_config.component("C"), new_c, ChangeKind.FUNCTIONAL)
+        ]
 
-    def test_pool_size_only_is_non_functional(self, chain_config):
-        request = ReconfigurationRequest(id="r", targets=(), qos_changes=(QosChange("B", 8),))
-        result = analyse(request, chain_config)
-        assert result.per_target == (("B", ChangeKind.NON_FUNCTIONAL),)
-        assert result.granularity is Granularity.SINGLE_COMPONENT
+    def test_pool_size_makes_an_in_place_redeploy_non_functional(self, chain_config):
+        deployed = chain_config.component("B")
+        request = ReconfigurationRequest(
+            id="r", targets=(TargetChange("B", None),), qos_changes=(QosChange("B", 8),)
+        )
+        assert analyse(request, chain_config) == [
+            (deployed, replace(deployed, version=deployed.version + 1), ChangeKind.NON_FUNCTIONAL)
+        ]
+        qos_only = ReconfigurationRequest(id="r", targets=(), qos_changes=(QosChange("B", 8),))
+        assert analyse(qos_only, chain_config) == []
 
-    def test_subsystem_when_targets_share_a_composite(self):
-        doc = json.loads(appdoc([comp("S"), comp("T"), comp("U")]))
-        doc["composites"] = [{"name": "grp", "children": ["S", "T"], "internal_wiring": []}]
-        config = load_application(json.dumps(doc))
+    def test_each_target_keeps_its_own_kind(self):
+        config = load_application(appdoc([comp("S"), comp("T")]))
         request = ReconfigurationRequest(
             id="r",
             targets=(
@@ -200,20 +210,86 @@ class TestAnalyse:
                 TargetChange("T", None),
             ),
         )
-        result = analyse(request, config)
-        assert result.overall is ChangeKind.STRUCTURAL  # dominance
-        assert result.granularity is Granularity.SUBSYSTEM
+        assert [kind for _, _, kind in analyse(request, config)] == [
+            ChangeKind.STRUCTURAL,
+            ChangeKind.FUNCTIONAL,
+        ]
 
-    def test_targets_spanning_root_are_entire_system(self, chain_config):
+    def test_in_place_targets_bump_their_version_in_request_order(self, chain_config):
         request = ReconfigurationRequest(
-            id="r", targets=(TargetChange("A", None), TargetChange("C", None))
+            id="r", targets=(TargetChange("C", None), TargetChange("A", None))
         )
-        assert analyse(request, chain_config).granularity is Granularity.ENTIRE_SYSTEM
+        assert [(deployed.name, deployed.version, new.version) for deployed, new, _ in analyse(
+            request, chain_config
+        )] == [("C", 1, 2), ("A", 1, 2)]
 
     def test_unknown_target_rejected(self, chain_config):
         request = ReconfigurationRequest(id="r", targets=(TargetChange("Z", None),))
         with pytest.raises(UnknownComponent):
             analyse(request, chain_config)
+
+    FAULTS = {
+        "unknown target": (
+            [("Z", None)], [], UnknownComponent, "target 'Z' is not deployed",
+        ),
+        "unknown qos component": (
+            [("C", None)], [("Z", 2)], UnknownComponent, "qos change names unknown component 'Z'",
+        ),
+        "stale version": (
+            [("C", 1)], [], VersionError, "'C': new version 1 not greater than 1",
+        ),
+        "descriptor of another component": (
+            [("C", "B")], [], NameMismatch, "cannot diff 'C' against 'B'",
+        ),
+        "first faulty target wins": (
+            [("C", 1), ("Z", None)], [("Y", 2)], VersionError, "'C': new version 1 not greater than 1",
+        ),
+        "first faulty target wins, either way round": (
+            [("Z", None), ("C", 1)], [], UnknownComponent, "target 'Z' is not deployed",
+        ),
+    }
+
+    @staticmethod
+    def faulty_request(config, targets, qos) -> ReconfigurationRequest:
+        """Each target as (component, None | a version of it | the deployed component whose descriptor it gets)."""
+
+        def descriptor(name, spec):
+            if spec is None:
+                return None
+            if isinstance(spec, int):
+                return replace(config.component(name), version=spec)
+            return config.component(spec)
+
+        return ReconfigurationRequest(
+            id="r",
+            targets=tuple(TargetChange(name, descriptor(name, spec)) for name, spec in targets),
+            qos_changes=tuple(QosChange(name, size) for name, size in qos),
+        )
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_planning_and_strict_mode_raise_the_same_error(self, chain_config, fault):
+        targets, qos, error, text = self.FAULTS[fault]
+        request = self.faulty_request(chain_config, targets, qos)
+        snapshot = Engine(chain_config).snapshot()
+        for attempt in (
+            lambda: build_plan(request, chain_config, snapshot),
+            lambda: check_mode(request, chain_config, "strict"),
+        ):
+            with pytest.raises(error) as info:
+                attempt()
+            assert type(info.value) is error
+            assert str(info.value) == text
+
+
+class TestQosChange:
+    def test_pool_size_below_one_is_refused_before_planning(self):
+        for size in (0, -1):
+            with pytest.raises(ValidationError, match=r"qos change for 'B': pool_size must be >= 1"):
+                QosChange("B", size)
+        doc = json.loads(read_fixture("demo_request.json"))
+        doc["qos_changes"] = [{"component": "B", "pool_size": 0}]
+        with pytest.raises(ValidationError, match=r"qos change for 'B': pool_size must be >= 1"):
+            parse_request(json.dumps(doc))
 
 
 class TestBuildPlan:

@@ -19,7 +19,6 @@ from quiesce.model import (
     Wire,
     check_composition,
     diff_versions,
-    dominant_change,
     load_application,
     parse_component,
 )
@@ -406,12 +405,6 @@ class TestDiffVersions:
         new = parse_component(comp("S", version=2, operations=[op("work", duration=8)]))
         kinds = {diff_versions(old, new) for _ in range(5)}
         assert kinds == {ChangeKind.FUNCTIONAL}
-
-    def test_dominance_order_is_total(self):
-        assert dominant_change(
-            [ChangeKind.FUNCTIONAL, ChangeKind.STRUCTURAL, ChangeKind.NON_FUNCTIONAL]
-        ) is ChangeKind.STRUCTURAL
-        assert dominant_change([ChangeKind.FUNCTIONAL]) is ChangeKind.FUNCTIONAL
 
 
 class TestCheckComposition:

@@ -142,11 +142,14 @@ def _toward_final(automaton, state):
     return None
 
 
-# the encoder json.dumps(..., sort_keys=True) would build per event, built once
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# the C encoder json.dumps(..., sort_keys=True) would build per call, built
+# once; it returns the chunks of one value's JSON text
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     t: int
     kind: str
@@ -160,9 +163,10 @@ class EventLog:
         self.events: list[Event] = []
 
     def append(self, t: int, kind: str, payload: dict) -> None:
+        """Record one event; the log takes ownership of ``payload`` and keeps it as is."""
         if self.events and t < self.events[-1].t:
             raise EngineFault("event log time went backwards")
-        self.events.append(Event(t, kind, dict(payload)))
+        self.events.append(Event(t, kind, payload))
 
     def __iter__(self):
         return iter(self.events)
@@ -171,8 +175,14 @@ class EventLog:
         return len(self.events)
 
     def to_jsonl(self) -> str:
-        lines = [_ENCODER.encode({"t": e.t, "kind": e.kind, "payload": e.payload}) for e in self.events]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One ``json.dumps({"t", "kind", "payload"}, sort_keys=True)`` line per event."""
+        quote, encode = json.encoder.encode_basestring_ascii, _ENCODE
+        lines = [
+            '{"kind": %s, "payload": %s, "t": %d}' % (quote(e.kind), "".join(encode(e.payload, 0)), e.t)
+            for e in self.events
+        ]
+        lines.append("")
+        return "\n".join(lines)
 
 
 class _Invocation:
@@ -313,7 +323,7 @@ class _Queue:
 class _Transaction:
     id: str
     root_invocation: str
-    state: str = "Active"  # Active | Committed | Aborted
+    state: str = "Active"  # Active | Aborted; a committed one is dropped
     writes: list = field(default_factory=list)  # (store, key, column, value)
     touched: set = field(default_factory=set)
 
@@ -764,24 +774,26 @@ class Engine:
         if store is None or store not in self.stores:
             raise EngineFault(f"entity container {container.name!r} has no bound store")
         key = inv.session or inv.id.split(".")[0]
+        value = f"{inv.operation}:{inv.id}"
         tx = self.transactions[inv.tx]
         for column in container.descriptor.entity_schema:
-            tx.writes.append((store, key, column, f"{inv.operation}:{inv.id}"))
+            tx.writes.append((store, key, column, value))
 
     def _commit_transaction(self, tx: _Transaction) -> None:
-        tx.state = "Committed"
+        """Apply a transaction's writes and forget it: only live and aborted ids stay."""
+        del self.transactions[tx.id]
         for store, key, column, value in tx.writes:
             self.stores[store].setdefault(key, {})[column] = value
-        self._emit(
-            TX_COMMIT,
-            tx=tx.id,
-            root=tx.root_invocation,
-            writes=[list(w) for w in tx.writes],
-        )
+        # the log takes the list itself; JSON writes each tuple as an array
+        self._emit(TX_COMMIT, tx=tx.id, root=tx.root_invocation, writes=tx.writes)
         self._untouch(tx)
 
     def abort_transaction(self, tx_id: str) -> None:
-        """Fault injection hook: discard a transaction's writes. Never called by the engine."""
+        """Fault injection hook: discard a live transaction's writes. Never called by the engine.
+
+        ``tx_id`` must name a live transaction: a committed one is no longer
+        kept, so its id raises ``KeyError``.
+        """
         tx = self.transactions[tx_id]
         tx.state = "Aborted"
         self._emit(TX_ABORT, tx=tx.id, root=tx.root_invocation)

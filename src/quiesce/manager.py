@@ -132,6 +132,12 @@ class ReconfigurationRequest:
     def __post_init__(self) -> None:
         if not self.targets and not self.qos_changes:
             raise ValidationError("request needs targets or qos_changes")
+        for field_name, changes in (("targets", self.targets), ("qos_changes", self.qos_changes)):
+            seen: set[str] = set()
+            for change in changes:
+                if change.component in seen:
+                    raise ValidationError(f"request {field_name} name component {change.component!r} twice")
+                seen.add(change.component)
 
     def migration_for(self, component: str) -> Optional[EntityMigration]:
         for m in self.entity_migration:

@@ -183,6 +183,11 @@ class TestRedeployCommand:
         ({"qos_changes": [{"component": "B", "pool_size": 0}]}, "qos change for 'B': pool_size must be >= 1"),
         ({"requested_at": "x"}, "request document: 'requested_at' must be an integer"),
         ({"qos_changes": [{"component": "B", "pool_size": "x"}]}, "qos document 'B': 'pool_size' must be an integer"),
+        ({"targets": [{"component": "C"}, {"component": "C"}]}, "request targets name component 'C' twice"),
+        (
+            {"qos_changes": [{"component": "B", "pool_size": 2}, {"component": "B", "pool_size": 3}]},
+            "request qos_changes name component 'B' twice",
+        ),
     ])
     def test_bad_request_field_exits_one_before_the_run(self, workdir, change, message):
         request = json.loads((workdir / "demo_request.json").read_text())

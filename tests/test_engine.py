@@ -13,17 +13,20 @@ from quiesce.engine import (
     BARRIER_DRAINING,
     BARRIER_OPEN,
     Engine,
+    EventLog,
     run,
 )
 from quiesce.errors import (
     AlreadyBarricaded,
     DrainTimeout,
+    EngineFault,
     NotQuiescent,
     ProtocolViolation,
     ScenarioError,
     StateShapeMismatch,
 )
-from quiesce.model import parse_component
+from quiesce.manager import parse_request, run_scenario_with_request
+from quiesce.model import load_application, parse_component
 from quiesce.workload import parse_scenario
 
 from builders import (
@@ -40,6 +43,7 @@ from builders import (
     tree_components,
 )
 from conftest import read_fixture
+from gen import generate_case
 from oracles import full_scan_snapshot, replay_committed_writes
 
 
@@ -121,6 +125,73 @@ class TestBasicRuns:
         log, _ = run(config, scenario, until=100)
         starts = [(e.t, e.payload["id"]) for e in log if e.kind == "InvocationStart"]
         assert starts == [(0, "c1:0"), (10, "c2:0")]
+
+
+class TestEventLog:
+    AWKWARD = [
+        (0, "TxCommit", {"tx": "tx:c:0", "root": "c:0", "writes": [("db", "k", "c1", "save:c:0"), ("db", "k", "c2", None)]}),
+        (0, "InvocationEnd", {"tx": None, "submitted_at": 0, "delta": -7, "big": 2**70, "ok": True, "ratio": 1.5}),
+        (3, "Text", {"name": "é日本\U0001f600", "quoted": 'say "hi"', "path": "a\\b", "lines": "one\ntwo\r\t", "pct": "100%s%d%%"}),
+        (3, 'Odd%s"Kind\\\n%d', {"z": {"b": [1, {"y": 2, "x": None}], "a": []}, "ü": 1, "A": 0}),
+        (9, "Empty", {}),
+    ]
+
+    def test_awkward_payloads_serialise_like_json_dumps(self):
+        log = EventLog()
+        for t, kind, payload in self.AWKWARD:
+            log.append(t, kind, payload)
+        lines = log.to_jsonl().split("\n")
+        assert lines.pop() == ""
+        assert lines == [
+            json.dumps({"t": t, "kind": kind, "payload": payload}, sort_keys=True) for t, kind, payload in self.AWKWARD
+        ]
+
+    def test_empty_log_is_empty_text_and_each_line_ends_once(self):
+        log = EventLog()
+        assert log.to_jsonl() == ""
+        log.append(0, "Empty", {})
+        assert log.to_jsonl() == '{"kind": "Empty", "payload": {}, "t": 0}\n'
+
+    def test_time_going_backwards_is_an_engine_fault(self):
+        log = EventLog()
+        log.append(5, "A", {})
+        log.append(5, "B", {})
+        with pytest.raises(EngineFault, match="event log time went backwards"):
+            log.append(4, "C", {})
+        assert [e.kind for e in log] == ["A", "B"]
+
+    def test_log_keeps_the_payload_it_is_handed(self):
+        log = EventLog()
+        payload = {"id": "c:0"}
+        log.append(0, "InvocationStart", payload)
+        assert log.events[0].payload is payload
+
+
+class TestTransactionsKept:
+    """The engine keeps a transaction only while it is active (or aborted)."""
+
+    @staticmethod
+    def assert_only_active(engine) -> None:
+        assert any(e.kind == "TxCommit" for e in engine.log)
+        assert {tx.state for tx in engine.transactions.values()} <= {"Active"}
+
+    def test_demo_runs(self):
+        scenario = parse_scenario(read_fixture("demo_scenario.json"))
+        _, engine = run(load_application(read_fixture("demo_chain.json")), scenario, until=300)
+        self.assert_only_active(engine)
+        result = run_scenario_with_request(
+            load_application(read_fixture("demo_chain.json")), scenario, parse_request(read_fixture("demo_request.json")), 300
+        )
+        assert result.report.outcome == "Completed"
+        self.assert_only_active(result.engine)
+
+    def test_generated_cases(self):
+        for seed in range(1, 21):
+            case = generate_case(seed)
+            result = run_scenario_with_request(
+                load_application(case.config_text), parse_scenario(case.scenario_text), case.request, 500
+            )
+            self.assert_only_active(result.engine)
 
 
 class TestBarrier:

@@ -783,3 +783,12 @@ class TestRequestDocuments:
 
         with pytest.raises(ValidationError):
             ReconfigurationRequest(id="r", targets=(), qos_changes=())
+
+    def test_component_named_twice_is_refused_before_planning(self):
+        doc = json.loads(read_fixture("demo_request.json"))
+        doc["requested_at"] = 0
+        doc["targets"].append({"component": "C"})
+        with pytest.raises(ValidationError, match=r"^request targets name component 'C' twice$"):
+            parse_request(json.dumps(doc))
+        # one target and one QoS change may name the same component
+        ReconfigurationRequest(id="r", targets=(TargetChange("C", None),), qos_changes=(QosChange("C", 2),))

@@ -11,7 +11,10 @@ conservative side.
 
 An automaton is immutable, so it computes its sorted labels and, per state on
 first use, its earliest-occurrence table once, outside the compared fields: a
-changed automaton is a new instance, so no cached answer goes stale.
+changed automaton is a new instance, so no cached answer goes stale.  At
+construction it also builds, per state, the tuple of its outgoing transitions
+and the tuple of choices a running operation has there, so a simulation step
+copies neither.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class Transition:
     target: str
 
 
+# the choice to stop, which a final state offers after its transitions
+_STOP: tuple[None] = (None,)
+
+
 @dataclass(frozen=True)
 class ServiceEffectAutomaton:
     """Deterministic finite automaton describing one operation's call behaviour.
@@ -59,6 +66,7 @@ class ServiceEffectAutomaton:
     finals: frozenset[str]
     transitions: tuple[Transition, ...]
     _outgoing: dict = field(default=None, compare=False, repr=False)
+    _choices: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -81,9 +89,10 @@ class ServiceEffectAutomaton:
                 )
             seen.add(key)
             outgoing[t.source].append(t)
-        for s in outgoing:
-            outgoing[s].sort(key=lambda t: (t.label, t.target))
-        object.__setattr__(self, "_outgoing", outgoing)
+        steps = {s: tuple(sorted(ts, key=lambda t: (t.label, t.target))) for s, ts in outgoing.items()}
+        object.__setattr__(self, "_outgoing", steps)
+        choices = {s: ts + _STOP if s in self.finals or not ts else ts for s, ts in steps.items()}
+        object.__setattr__(self, "_choices", choices)
         self._check_no_dead_states()
 
     def _check_no_dead_states(self) -> None:
@@ -115,7 +124,12 @@ class ServiceEffectAutomaton:
 
     def outgoing(self, state: str) -> tuple[Transition, ...]:
         """Transitions leaving ``state``, in (label, target) order."""
-        return tuple(self._outgoing[state])
+        return self._outgoing[state]
+
+    def choices(self, state: str) -> tuple[Optional[Transition], ...]:
+        """What a running operation may do in ``state``: each outgoing transition in order,
+        then ``None`` (stop) when ``state`` is final or has no transition."""
+        return self._choices[state]
 
     def alphabet(self) -> frozenset[CallLabel]:
         return frozenset(t.label for t in self.transitions)

@@ -56,6 +56,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Optional
@@ -126,8 +127,6 @@ def _toward_final(automaton, state):
     """First transition on a fewest-hops path from ``state`` to a final, or None."""
     if state in automaton.finals:
         return None
-    from collections import deque
-
     queue = deque([(state, None)])
     seen = {state}
     while queue:
@@ -314,7 +313,7 @@ class _Container:
 class _Queue:
     def __init__(self, name: str) -> None:
         self.name = name
-        self.items: list[tuple[int, str]] = []  # (enqueue seq, payload)
+        self.items: deque[tuple[int, str]] = deque()  # (enqueue seq, payload)
         self.paused = False
         self.enqueued = 0
 
@@ -342,7 +341,8 @@ class Engine:
         self.drain_timeout = drain_timeout
         self.clock = 0
         self.log = EventLog()
-        self._heap: list[tuple[int, int, int, Callable[[], None]]] = []
+        # (time, priority class, sequence number, function, its arguments)
+        self._heap: list[tuple[int, int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self.containers: dict[str, _Container] = {}
         self.stores: dict[str, dict[str, dict[str, str]]] = {
@@ -359,20 +359,26 @@ class Engine:
         self._busy: set[str] = set()
         self._touched: set[str] = set()
         self._pool_keys: dict[str, tuple[str, ...]] = {}
+        # queue -> its receiver: the first container, in deployment order, bound to it
+        self._receivers: dict[str, _Container] = {}
         components = config.components()
         for spec in config.containers:
-            self.containers[spec.hosted_component] = _Container(spec, components[spec.hosted_component])
+            container = _Container(spec, components[spec.hosted_component])
+            self.containers[spec.hosted_component] = container
+            if container.bound_queue is not None:
+                self._receivers.setdefault(container.bound_queue, container)
         self.start_all()
 
     # ------------------------------------------------------------------
     # Scheduling core
     # ------------------------------------------------------------------
 
-    def _at(self, time: int, prio: int, fn: Callable[[], None]) -> None:
+    def _at(self, time: int, prio: int, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` at ``time`` in priority class ``prio``."""
         if time < self.clock:
             raise EngineFault(f"cannot schedule into the past ({time} < {self.clock})")
         self._seq += 1
-        heapq.heappush(self._heap, (time, prio, self._seq, fn))
+        heapq.heappush(self._heap, (time, prio, self._seq, fn, args))
 
     def schedule(self, time: int, fn: Callable[[], None]) -> None:
         """Run ``fn`` at ``time`` with the barrier transitions of that instant."""
@@ -386,14 +392,14 @@ class Engine:
         Raises the pending ProtocolViolation, if one was detected, after the
         offending event has been logged.
         """
+        heap = self._heap
         stopped = stop_when() if stop_when is not None else False
-        while self._heap and not stopped:
-            time, prio, seq, fn = self._heap[0]
-            if until is not None and time > until:
+        while heap and not stopped:
+            if until is not None and heap[0][0] > until:
                 break
-            heapq.heappop(self._heap)
+            time, _, _, fn, args = heapq.heappop(heap)
             self.clock = time
-            fn()
+            fn(*args)
             if self._violation is not None:
                 raise self._violation
             stopped = stop_when() if stop_when is not None else False
@@ -425,19 +431,11 @@ class Engine:
                         submitted_at=entry.at,
                         parent=None,
                     )
-                    self._at(entry.at, PRIO_DISPATCH, lambda inv=inv: self._dispatch(inv))
+                    self._at(entry.at, PRIO_DISPATCH, self._dispatch, inv)
                 else:
-                    self._at(
-                        entry.at,
-                        PRIO_DISPATCH,
-                        lambda c=client, e=entry: self._home_action(c, e),
-                    )
-        for idx, message in enumerate(scenario.messages):
-            self._at(
-                message.at,
-                PRIO_DISPATCH,
-                lambda m=message: self.enqueue_message(m.queue, m.payload),
-            )
+                    self._at(entry.at, PRIO_DISPATCH, self._home_action, client, entry)
+        for message in scenario.messages:
+            self._at(message.at, PRIO_DISPATCH, self.enqueue_message, message.queue, message.payload)
 
     def _home_action(self, client: ClientSession, action: HomeAction) -> None:
         container = self.containers.get(action.component)
@@ -460,9 +458,8 @@ class Engine:
         if container is None or not container.started:
             self._deny(inv, "container-not-started")
             return
-        descriptor = container.descriptor
-        spec = descriptor.operation_spec(inv.operation)
-        if spec is None or not descriptor.provides_operation(inv.interface, inv.operation):
+        spec = container.descriptor.provided_spec(inv.interface, inv.operation)
+        if spec is None:
             self._missing_operation(inv)
             return
         for kind in container.spec.interceptor_chain:
@@ -661,23 +658,13 @@ class Engine:
         self._continue_execution(execution)
 
     def _continue_execution(self, execution: _Execution) -> None:
-        spec = execution.spec
-        if execution.cursor is None:
-            self._at(
-                execution.started_at + spec.duration,
-                PRIO_COMPLETION,
-                lambda: self._complete(execution),
-            )
+        cursor = execution.cursor
+        if cursor is None:
+            self._at(execution.started_at + execution.spec.duration, PRIO_COMPLETION, self._complete, execution)
             return
-        automaton = execution.cursor.automaton
-        options = list(automaton.outgoing(execution.cursor.current))
-        choices: list = list(options)
-        if execution.cursor.current in automaton.finals:
-            choices.append(None)
-        if not choices:
-            choices = [None]
+        choices = cursor.automaton.choices(cursor.current)
         if execution.emitted >= _WALK_CAP:
-            pick = _toward_final(automaton, execution.cursor.current)
+            pick = _toward_final(cursor.automaton, cursor.current)
         elif len(choices) > 1:
             if execution.rng is None:
                 execution.rng = random.Random(f"{execution.seed}|{execution.invocation.id}")
@@ -685,8 +672,8 @@ class Engine:
         else:
             pick = choices[0]
         if pick is None:
-            tail = max(0, spec.duration - execution.delays_spent)
-            self._at(self.clock + tail, PRIO_COMPLETION, lambda: self._complete(execution))
+            tail = max(0, execution.spec.duration - execution.delays_spent)
+            self._at(self.clock + tail, PRIO_COMPLETION, self._complete, execution)
             return
         # the call fires now; the transition's min_delay elapses after it returns
         execution.delays_spent += pick.min_delay
@@ -730,7 +717,7 @@ class Engine:
         execution.in_flight_child = None
         gap, execution.pending_gap = execution.pending_gap, 0
         if gap:
-            self._at(self.clock + gap, PRIO_DISPATCH, lambda: self._continue_execution(execution))
+            self._at(self.clock + gap, PRIO_DISPATCH, self._continue_execution, execution)
         else:
             self._continue_execution(execution)
 
@@ -764,8 +751,10 @@ class Engine:
             tx = self.transactions[inv.tx]
             if tx.state == "Active":  # a fault-injected abort wins over commit
                 self._commit_transaction(tx)
-        self._service_pool_queue(container)
-        self._maybe_check_quiescence(container)
+        if container.pool_wait:
+            self._service_pool_queue(container)
+        if container.barrier_mode == BARRIER_DRAINING:
+            self._maybe_check_quiescence(container)
         if inv.parent is not None:
             self._child_returned(inv.parent)
 
@@ -876,9 +865,9 @@ class Engine:
         held, container.barrier_held = container.barrier_held, []
         held.sort(key=lambda inv: (inv.submitted_at, inv.id))  # FIFO, ties by id
         for inv in held:
-            self._at(self.clock, PRIO_DISPATCH, lambda inv=inv: self._dispatch(inv))
+            self._at(self.clock, PRIO_DISPATCH, self._dispatch, inv)
         if container.bound_queue:
-            self._at(self.clock, PRIO_DISPATCH, lambda q=container.bound_queue: self._pump_queue(q))
+            self._at(self.clock, PRIO_DISPATCH, self._pump_queue, container.bound_queue)
 
     # ------------------------------------------------------------------
     # Clean shutdown (lifecycle stop)
@@ -922,17 +911,21 @@ class Engine:
             self._emit(QUEUE_RESUMED, queue=queue)
         self._pump_queue(queue)
 
-    def _receiver_for(self, queue: str) -> Optional[_Container]:
+    def _index_receiver(self, queue: Optional[str]) -> None:
+        """Re-point ``queue`` at the first container, in deployment order, bound to it."""
+        if queue is None:
+            return
         for container in self.containers.values():
             if container.bound_queue == queue:
-                return container
-        return None
+                self._receivers[queue] = container
+                return
+        self._receivers.pop(queue, None)
 
     def _pump_queue(self, queue: str) -> None:
         q = self._queue(queue)
         if q.paused:
             return
-        container = self._receiver_for(queue)
+        container = self._receivers.get(queue)
         if container is None or not container.started or container.clean_shutdown:
             return
         if container.barrier_mode != BARRIER_OPEN:
@@ -942,7 +935,7 @@ class Engine:
             raise EngineFault(f"receiver interface of {container.name!r} has no operations")
         operation = receiver.operations[0].name
         while q.items and not q.paused and container.barrier_mode == BARRIER_OPEN:
-            seq, payload = q.items.pop(0)
+            seq, payload = q.items.popleft()
             self._emit(MESSAGE_DELIVERED, queue=queue, payload=payload, seq=seq)
             inv = _Invocation(
                 id=f"msg:{queue}:{seq}",
@@ -1009,8 +1002,10 @@ class Engine:
             if new.data_store not in self.stores:
                 raise EngineFault(f"data store {new.data_store!r} does not exist")
             container.bound_store = new.data_store
-        if new.queue is not None:
-            container.bound_queue = new.queue
+        if new.queue is not None and new.queue != container.bound_queue:
+            old_queue, container.bound_queue = container.bound_queue, new.queue
+            self._index_receiver(old_queue)
+            self._index_receiver(new.queue)
         container.descriptor = new
         self.config = target
         self._emit(
@@ -1089,7 +1084,9 @@ class Engine:
             raise ValidationError(f"component {descriptor.name!r} already deployed")
         spec = container_spec or ContainerSpec(hosted_component=descriptor.name)
         self.config = self.config.with_added(descriptor, spec, wiring)
-        self.containers[descriptor.name] = _Container(spec, descriptor)
+        container = self.containers[descriptor.name] = _Container(spec, descriptor)
+        if container.bound_queue is not None:
+            self._receivers.setdefault(container.bound_queue, container)
         if started:
             self.start_container(descriptor.name)
 
@@ -1100,6 +1097,8 @@ class Engine:
         del self.containers[component]
         self._touched.discard(component)
         self._pool_keys.pop(component, None)
+        if self._receivers.get(container.bound_queue) is container:
+            self._index_receiver(container.bound_queue)
         self.config = self.config.without_component(component)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .documents import decode, record
+from .documents import decode, record, typed
 from .engine import Engine
 from .errors import DrainTimeout, IllegalTransition, Rejection, ValidationError
 from .manager import (
@@ -85,6 +85,9 @@ class DeploymentManager:
         self.engine = engine
         self.modules: dict[str, _ModuleRecord] = {}
         self.events: list[ProgressEvent] = []
+        # component name -> the (deployed, archive) descriptors a redeploy last found
+        # equal; both are immutable, so the same two objects are equal again
+        self._equal: dict[str, tuple[ComponentDescriptor, ComponentDescriptor]] = {}
 
     def _progress(self, operation: str, module: str, status: str, detail: str = "") -> None:
         self.events.append(ProgressEvent(operation, module, status, detail))
@@ -247,13 +250,19 @@ class DeploymentManager:
                 f"module {module!r}: components added or removed; "
                 "redeploy swaps existing components only"
             )
-        deployed = self.engine.config.components()
+        config = self.engine.config
         targets = []
-        for new_descriptor in sorted(new_archive.components, key=lambda c: c.name):
-            old_descriptor = deployed[new_descriptor.name]
+        for new_descriptor in new_archive.components:
+            name = new_descriptor.name
+            old_descriptor = config.component(name)
+            equal = self._equal.get(name)
+            if equal is not None and equal[0] is old_descriptor and equal[1] is new_descriptor:
+                continue  # the pair found equal last time
             if old_descriptor == new_descriptor:
+                self._equal[name] = (old_descriptor, new_descriptor)
                 continue  # untouched component
-            targets.append(TargetChange(new_descriptor.name, new_descriptor))
+            targets.append(TargetChange(name, new_descriptor))
+        targets.sort(key=lambda target: target.component)
         if not targets:
             record.archive = new_archive
             self._progress("Redeploy", module, "Completed", "no component changed")
@@ -309,7 +318,7 @@ _ARCHIVE_KEYS = frozenset({"module", "version", "components"})
 # parser keeps goes through int(), so 1 == 1.0 == True changes no field.
 # Values it keeps as raw JSON can differ that way: an interface operation's
 # params [1] after [true] reuse the (True,) tuple, and a non-string where a
-# name belongs can do the same.  Typed document scalars would close this.
+# name belongs can do the same.  Typed component scalars would close this.
 _LAST_PARSED: dict[str, tuple[dict, ComponentDescriptor]] = {}
 
 
@@ -326,11 +335,14 @@ def _parse_archive_component(doc: Any) -> ComponentDescriptor:
 
 
 def parse_archive(text: str) -> ModuleArchive:
-    doc = record(decode(text, "archive"), _ARCHIVE_KEYS, "archive document", frozenset({"module"}))
+    what = "archive document"
+    doc = record(decode(text, "archive"), _ARCHIVE_KEYS, what, frozenset({"module"}))
     return ModuleArchive(
-        module=doc["module"],
-        version=int(doc.get("version", 1)),
-        components=tuple(_parse_archive_component(c) for c in doc.get("components", [])),
+        module=typed(doc, "module", (str,), what),
+        version=typed(doc, "version", (int,), what, default=1),
+        components=tuple(
+            _parse_archive_component(c) for c in typed(doc, "components", (list,), what, default=[])
+        ),
     )
 
 

@@ -14,8 +14,11 @@ descriptors and each leaf's child-index path) and one over the wiring (the
 wires per requirement and the requirers per provider).  ``with_component``
 rebuilds only the composites on the leaf's path and hands the copy these
 indexes, the leaf map with one entry replaced: it changes no wiring and no
-tree shape, so they are what a fresh build would give.  The copy builds its
-own composition report, since the new descriptor may offer other calls.
+tree shape, so they are what a fresh build would give.  The copy's composition
+report is built on first read.  When it descends, through copies like it, from
+a configuration whose report was consistent, only the findings about the
+replaced components can be new, so only those are checked; the copy keeps
+their names for that, never the configuration it came from.
 A descriptor keeps its access pairs sorted, so equal documents give equal
 descriptors and ``==`` alone tells a changed component from an unchanged one.
 """
@@ -160,14 +163,20 @@ class ComponentDescriptor:
         return specs
 
     @cached_property
-    def _provided_operations(self) -> frozenset[tuple[str, str]]:
-        return frozenset((sig.name, op.name) for sig in self.provided for op in sig.operations)
+    def _provided_operations(self) -> dict[tuple[str, str], Optional[OperationSpec]]:
+        """(interface, operation) -> the operation's spec, or None when it has none."""
+        specs = self._specs_by_name
+        return {(sig.name, op.name): specs.get(op.name) for sig in self.provided for op in sig.operations}
 
     def operation_spec(self, name: str) -> Optional[OperationSpec]:
         return self._specs_by_name.get(name)
 
     def provides_operation(self, interface: str, operation: str) -> bool:
         return (interface, operation) in self._provided_operations
+
+    def provided_spec(self, interface: str, operation: str) -> Optional[OperationSpec]:
+        """The spec of ``interface.operation`` when the component provides it and has one, else None."""
+        return self._provided_operations.get((interface, operation))
 
     def validate(self) -> None:
         if self.version < 0:
@@ -294,7 +303,9 @@ class ApplicationConfiguration:
     # The indexes and the composition report: built on first use and kept in
     # the instance ``__dict__``, outside the compared and hashed fields.  The
     # tree walk fills ``_leaves`` and ``_paths``; the wire pass fills
-    # ``_wires_by_requirement`` and ``_callers``.
+    # ``_wires_by_requirement`` and ``_callers``.  ``with_component`` may also
+    # leave ``_changed``: the leaves replaced since a consistent report, the
+    # only ones the copy's report has to check.
 
     @cached_property
     def _leaves(self) -> dict[str, ComponentDescriptor]:
@@ -336,7 +347,7 @@ class ApplicationConfiguration:
 
     @cached_property
     def _composition(self) -> ConsistencyReport:
-        return _check_composition(self)
+        return _check_composition(self, self.__dict__.pop("_changed", None))
 
     def components(self) -> dict[str, ComponentDescriptor]:
         return dict(self._leaves)
@@ -365,8 +376,10 @@ class ApplicationConfiguration:
 
         Only the composites on the leaf's path are rebuilt.  The wiring does
         not change, so the copy starts with this configuration's indexes, the
-        leaf index with one entry replaced; it builds its own composition
-        report.  A name that is not deployed leaves the tree as it is.
+        leaf index with one entry replaced.  Its composition report is built
+        on first read, from the replaced names only when this configuration's
+        report is consistent or is itself to be built that way.  A name that
+        is not deployed leaves the tree as it is.
         """
         path = self._paths.get(descriptor.name)
         if path is None:
@@ -379,6 +392,13 @@ class ApplicationConfiguration:
             _wires_by_requirement=self._wires_by_requirement,
             _callers=self._callers,
         )
+        report = self.__dict__.get("_composition")
+        if report is None:
+            changed = self.__dict__.get("_changed")  # None: nothing consistent to build on
+        else:
+            changed = frozenset() if report.consistent else None
+        if changed is not None:
+            child.__dict__["_changed"] = changed | {descriptor.name}
         return child
 
     def with_added(
@@ -673,13 +693,22 @@ def check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
     return config._composition
 
 
-def _check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
+def _check_composition(
+    config: ApplicationConfiguration, names: Optional[frozenset[str]] = None
+) -> ConsistencyReport:
+    """The findings about every component, or only about the components in ``names``.
+
+    A finding is about a component when it is its subject or, for a wire, its
+    requirer or provider.  With ``names``, the result is the whole report of a
+    configuration that differs from a consistent one only in those leaves.
+    """
     findings: list[ConsistencyFinding] = []
-    components = config.components()
-    wires = config.wiring()
+    components = config._leaves
+    checked = components.keys() if names is None else names & components.keys()
+    subjects = [components[name] for name in sorted(checked)]  # in name order
 
     by_requirement = config._wires_by_requirement
-    for c in sorted(components.values(), key=lambda c: c.name):
+    for c in subjects:
         for interface in c.required:
             if (c.name, interface) not in by_requirement:
                 findings.append(
@@ -688,9 +717,11 @@ def _check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
                     )
                 )
 
-    for wire in wires:
+    for wire in config._wires:
         if wire.provider is None:
             continue
+        if names is not None and wire.requirer not in names and wire.provider not in names:
+            continue  # a wire between components outside ``names``
         provider = components.get(wire.provider)
         if provider is None:
             findings.append(
@@ -728,7 +759,7 @@ def _check_composition(config: ApplicationConfiguration) -> ConsistencyReport:
                     )
 
     store_names = config.store_names()
-    for c in sorted(components.values(), key=lambda c: c.name):
+    for c in subjects:
         if c.kind is ComponentKind.ENTITY and (c.data_store is None or c.data_store not in store_names):
             findings.append(
                 ConsistencyFinding("dangling-store", c.name, f"data store {c.data_store!r} missing")

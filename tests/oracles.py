@@ -6,13 +6,14 @@ semantics, sharing no code path with the operation it verifies.
 
 from __future__ import annotations
 
+import copy
 from types import MappingProxyType
 
 from quiesce.automata import AutomatonCursor, CallLabel, ServiceEffectAutomaton
 from quiesce.depgraph import ReconfigurationWindow, RuntimeDependencyGraph, RuntimeEdge
 from quiesce.engine import Engine
 from quiesce.errors import ValidationError
-from quiesce.model import ApplicationConfiguration, ComponentKind
+from quiesce.model import ApplicationConfiguration, ComponentKind, ConsistencyReport, check_composition
 from quiesce.snapshot import InstanceSnapshot, RuntimeSnapshot
 
 
@@ -394,15 +395,23 @@ def full_scan_snapshot(engine: Engine) -> RuntimeSnapshot:
 CONFIGURATION_INDEXES = ("_leaves", "_paths", "_wires", "_wires_by_requirement", "_callers")
 
 
+def fresh_build(config: ApplicationConfiguration) -> ApplicationConfiguration:
+    """A configuration made from the same fields, which builds every index from its own tree."""
+    return ApplicationConfiguration(config.root, config.containers, config.data_stores, config.queues, config.version)
+
+
+def read_report(config: ApplicationConfiguration) -> ConsistencyReport:
+    """The composition report ``config`` would read, built on a shallow copy so ``config`` keeps its state."""
+    return check_composition(copy.copy(config))
+
+
 def carried_index_faults(config: ApplicationConfiguration) -> list[str]:
     """Each index ``config`` holds that differs, order included, from a fresh build's.
 
-    The fresh configuration is made from the same fields and builds every
-    index from its own tree.
+    ``_composition`` is listed when the report ``config`` reads differs from
+    the one the fresh build computes in full, findings and order included.
     """
-    fresh = ApplicationConfiguration(
-        config.root, config.containers, config.data_stores, config.queues, config.version
-    )
+    fresh = fresh_build(config)
     faults = []
     for name in CONFIGURATION_INDEXES:
         if name not in config.__dict__:
@@ -412,20 +421,25 @@ def carried_index_faults(config: ApplicationConfiguration) -> list[str]:
             held, built = list(held.items()), list(built.items())
         if held != built:
             faults.append(name)
+    if read_report(config) != check_composition(fresh):
+        faults.append("_composition")
     return faults
 
 
 def check_carried_indexes(monkeypatch) -> None:
     """Patch ``with_component`` so each configuration it makes is checked against a fresh build.
 
-    The copy must hold every index a fresh build gives and no composition
-    report; the patch stays for the rest of the test.
+    The copy must hold every index a fresh build gives, must not have built
+    its composition report yet, must keep no configuration, and must read
+    the report a fresh build computes in full, findings and order included.
+    The patch stays for the rest of the test.
     """
     with_component = ApplicationConfiguration.with_component
 
     def checked(self, descriptor):
         child = with_component(self, descriptor)
         assert "_composition" not in child.__dict__
+        assert not any(isinstance(value, ApplicationConfiguration) for value in child.__dict__.values())
         assert carried_index_faults(child) == []
         return child
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiesce.automata import (
+    AutomatonCursor,
     CallLabel,
     ServiceEffectAutomaton,
     Transition,
@@ -16,6 +20,7 @@ from quiesce.automata import (
 )
 from quiesce.errors import ProtocolViolation, ValidationError
 
+from gen import generate_case
 from oracles import enumerate_earliest, enumerate_reachable
 
 CALL_B = CallLabel("IB", "callB")
@@ -241,3 +246,77 @@ def test_earliest_tables_list_reachable_labels_in_order(auto: ServiceEffectAutom
                 expected.append((label, e))
         assert auto.earliest_table(state) == tuple(expected)
         assert auto.earliest_table(state) is auto.earliest_table(state)  # computed once per state
+
+
+# ---------------------------------------------------------------------------
+# Step tables: what a simulation step reads, built once per state
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def automaton_documents(doc):
+    """Every automaton document nested anywhere in ``doc``."""
+    if isinstance(doc, dict):
+        if "transitions" in doc and "states" in doc:
+            yield doc
+        for value in doc.values():
+            yield from automaton_documents(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from automaton_documents(value)
+
+
+def corpus() -> list[ServiceEffectAutomaton]:
+    """The automata of every fixture and of generated cases 1-20 (application and request)."""
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.json"))]
+    found = []
+    for seed in range(1, 21):
+        case = generate_case(seed)
+        texts.append(case.config_text)
+        for target in case.request.targets:
+            if target.descriptor is not None:
+                found += [spec.effect_automaton for spec in target.descriptor.operations if spec.effect_automaton]
+    return found + [automaton_from_json(doc) for text in texts for doc in automaton_documents(json.loads(text))]
+
+
+def listed_choices(auto: ServiceEffectAutomaton, state: str) -> list:
+    """The choices a step used to build as lists: transitions in (label, target) order, then None."""
+    choices = sorted((t for t in auto.transitions if t.source == state), key=lambda t: (t.label, t.target))
+    if state in auto.finals:
+        choices.append(None)
+    return choices or [None]
+
+
+def step_table_faults(auto: ServiceEffectAutomaton) -> list[str]:
+    faults = []
+    labels = sorted(auto.alphabet() | {CallLabel("INowhere", "never")})
+    for state in sorted(auto.states):
+        if list(auto.choices(state)) != listed_choices(auto, state):
+            faults.append(f"choices({state!r})")
+        cursor = auto.cursor(state)
+        for label in labels:
+            target = next((t.target for t in auto.transitions if t.source == state and t.label == label), None)
+            if target is None:
+                with pytest.raises(ProtocolViolation) as info:
+                    advance(cursor, label)
+                expected = f"call {label.interface}.{label.operation} not allowed from state {state!r}"
+                if str(info.value) != expected:
+                    faults.append(f"advance({state!r}, {label}) says {info.value}")
+                continue
+            moved = advance(cursor, label)
+            if moved != AutomatonCursor(auto, target):
+                faults.append(f"advance({state!r}, {label})")
+    return faults
+
+
+def test_step_tables_match_the_step_built_each_time_on_every_corpus_automaton():
+    automata_seen = corpus()
+    assert len(automata_seen) > 40
+    assert [fault for auto in automata_seen for fault in step_table_faults(auto)] == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata())  # unlike the corpus, these have final states with transitions
+def test_step_tables_match_the_step_built_each_time(auto: ServiceEffectAutomaton):
+    assert step_table_faults(auto) == []

@@ -361,6 +361,11 @@ MALFORMED = {
         ("redeploy", "demo_chain.json", "demo_scenario.json", "--archive", "bad.json"),
         "archive document must be a JSON object",
     ),
+    "archive-version": (
+        json.dumps({"module": "chain", "version": 2.5, "components": []}),
+        ("redeploy", "demo_chain.json", "demo_scenario.json", "--archive", "bad.json"),
+        "archive document: 'version' must be an integer",
+    ),
     "snapshot": ("[]", ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
                  "snapshot document must be a JSON object"),
     "snapshot-instance": (

@@ -92,6 +92,11 @@ WRONG_TYPE = {
         "component": (["S"], "'component' must be a string"),
         "pool_size": ("x", "'pool_size' must be an integer"),
     },
+    "archive": {
+        "module": (7, "'module' must be a string"),
+        "version": ("x", "'version' must be an integer"),
+        "components": ({}, "'components' must be a list"),
+    },
     "entity_migration": {
         "component": (1, "'component' must be a string"),
         "shadow_store": (2, "'shadow_store' must be a string"),
@@ -278,6 +283,14 @@ class TestMalformedDocuments:
                 for size in ("4", 4.0, True)
             ),
             (parse_archive, '{"components": []}', "archive document missing keys: ['module']"),
+            (parse_archive, '{"module": 7}', "archive document: 'module' must be a string"),
+            *(
+                (parse_archive, json.dumps({"module": "m", "version": version}),
+                 "archive document: 'version' must be an integer")
+                for version in ("x", "2", 2.5, 2.0, True)
+            ),
+            (parse_archive, '{"module": "m", "components": {"A": {}}}',
+             "archive document: 'components' must be a list"),
             (parse_scenario, '{"clients": [{"id": "c", "script": [{"at": 1}]}]}',
              "script entry needs either 'call' or 'home'"),
             (parse_request, '{"targets": [{"component": "C", "descriptor_file": "c.json"}]}',

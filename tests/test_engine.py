@@ -515,6 +515,52 @@ class TestQueues:
         assert delivered == sent  # nothing lost, nothing reordered
 
 
+def scanned_receivers(engine: Engine) -> dict:
+    """Queue -> the first container, in deployment order, bound to it, by a scan of every container."""
+    receivers = {}
+    for container in engine.containers.values():
+        if container.bound_queue is not None:
+            receivers.setdefault(container.bound_queue, container)
+    return receivers
+
+
+class TestQueueReceivers:
+    """The queue -> receiver index follows every change of a container's queue binding."""
+
+    @staticmethod
+    def receiver(name: str, queue: str, version: int = 1) -> dict:
+        return comp(name, kind="MessageDriven", version=version, provided=[iface(f"I{name}", "on")],
+                    operations=[op("on", duration=2)], queue=queue)
+
+    def test_index_equals_a_full_scan_after_swaps_a_removal_and_an_addition(self):
+        engine = Engine(app([self.receiver("M", "q"), self.receiver("N", "r")], queues=["q", "r"]))
+        assert engine._receivers == scanned_receivers(engine)
+        assert engine._receivers["q"].name == "M" and engine._receivers["r"].name == "N"
+
+        def rebind(name: str, queue: str, version: int) -> None:
+            drain(engine, name)
+            new = parse_component(self.receiver(name, queue, version))
+            engine.swap_component(name, engine.config.with_component(new))
+            engine.release_barrier(name)
+            assert engine._receivers == scanned_receivers(engine)
+
+        rebind("N", "q", 2)  # both bound to q: M, first in deployment order, receives
+        assert engine._receivers["q"].name == "M" and "r" not in engine._receivers
+        rebind("M", "r", 2)  # M leaves q for r: N receives q
+        assert engine._receivers["q"].name == "N" and engine._receivers["r"].name == "M"
+        engine.remove_component("N")
+        assert engine._receivers == scanned_receivers(engine)
+        assert "q" not in engine._receivers
+        engine.add_component(parse_component(self.receiver("P", "q")), started=True)
+        assert engine._receivers == scanned_receivers(engine)
+        assert engine._receivers["q"].name == "P"
+        engine.enqueue_message("q", "m")
+        engine.enqueue_message("r", "n")
+        engine.run(until=engine.clock + 10)
+        started = [(e.payload["id"], e.payload["component"]) for e in engine.log if e.kind == "InvocationStart"]
+        assert started == [("msg:q:0", "P"), ("msg:r:0", "M")]
+
+
 class TestEntityStores:
     def entity_app(self):
         return app(

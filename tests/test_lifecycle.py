@@ -15,7 +15,7 @@ import quiesce.manager as manager_module
 import quiesce.model as model_module
 from quiesce.automata import ServiceEffectAutomaton
 from quiesce.engine import Engine
-from quiesce.errors import IllegalTransition, Rejection, ValidationError
+from quiesce.errors import IllegalTransition, Rejection, ValidationError, VersionError
 from quiesce.lifecycle import (
     DeploymentManager,
     ModuleArchive,
@@ -24,8 +24,9 @@ from quiesce.lifecycle import (
     archive_to_json,
     parse_archive,
 )
+from quiesce.manager import ReconfigurationRequest, TargetChange, build_plan, execute_plan
 from quiesce.metrics import compute_metrics
-from quiesce.model import component_to_json, load_application, parse_component
+from quiesce.model import ComponentDescriptor, component_to_json, load_application, parse_component
 from quiesce.workload import parse_scenario
 
 from builders import (
@@ -430,7 +431,7 @@ class TestRollingRedeployCost:
         sessions = [client(f"s{k}", *(call_entry(1 + 9 * k + 25 * j, "C0") for j in range(24))) for k in range(6)]
         engine.load_scenario(parse_scenario(scenario_doc(sessions)))
 
-        counts = {"dijkstra": 0, "reports": 0}
+        counts = {"dijkstra": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -444,8 +445,14 @@ class TestRollingRedeployCost:
                             counting("dijkstra", depgraph_module.earliest_occurrence))
         monkeypatch.setattr(automata_module, "_earliest_from",
                             counting("dijkstra", automata_module._earliest_from))
-        # every composition-check computation builds exactly one report
-        monkeypatch.setattr(model_module, "ConsistencyReport", counting("reports", model_module.ConsistencyReport))
+        checks = []  # (configuration, the names its check covers; None for all) per report computed
+        real_check = model_module._check_composition
+
+        def recording_check(config, names=None):
+            checks.append((config, names))
+            return real_check(config, names)
+
+        monkeypatch.setattr(model_module, "_check_composition", recording_check)
 
         pairs: dict[tuple[int, str], ServiceEffectAutomaton] = {}  # values keep the ids unique
         busy = 0
@@ -469,17 +476,91 @@ class TestRollingRedeployCost:
         docs = {c["name"]: c for c in components}
         rng = random.Random(6)
         redeploys = 20
-        targets = []
+        targets, installed = [], []
         for k in range(redeploys):
             engine.run(until=30 + 25 * k)
             targets.append(f"C{rng.randrange(len(docs))}")
             docs[targets[-1]] = dict(docs[targets[-1]], version=docs[targets[-1]]["version"] + 1)
             archive = ModuleArchive("app", k + 2, tuple(parse_component(d) for d in docs.values()))
             assert manager.redeploy("app", archive).outcome == "Completed"
+            installed.append(engine.config)
         assert [e.payload["component"] for e in engine.log if e.kind == "SwapApplied"] == targets
         assert busy > 0 and pairs
         assert counts["dijkstra"] <= len(pairs)
-        assert counts["reports"] <= redeploys + 1
+        # each installed configuration checked its composition once, and only for its swapped component
+        for target_config, target in zip(installed, targets):
+            assert [names for checked, names in checks if checked is target_config] == [frozenset({target})]
+
+
+class TestRememberedDiff:
+    """``redeploy`` skips comparing a (deployed, archive) pair only when both are the pair it found equal."""
+
+    @staticmethod
+    def component(name: str, version: int = 1, duration: int = 5) -> ComponentDescriptor:
+        return parse_component(comp(name, version=version, operations=[op("work", duration=duration)]))
+
+    def swaps(self, manager: DeploymentManager) -> list[tuple[str, int, int]]:
+        return [(e.payload["component"], e.payload["from_version"], e.payload["to_version"])
+                for e in manager.engine.log if e.kind == "SwapApplied"]
+
+    def test_a_component_moved_on_by_a_request_plan_is_diffed_again(self):
+        manager = fresh_manager()
+        manager.distribute(ModuleArchive("shop", 1, (self.component("S"), self.component("T"))))
+        manager.start("shop")
+        equal_s = self.component("S")  # == the deployed S, another object
+        second = ModuleArchive("shop", 2, (equal_s, self.component("T", 2, duration=6)))
+        assert manager.redeploy("shop", second).outcome == "Completed"
+        assert self.swaps(manager) == [("T", 1, 2)]
+        # the request form moves S on behind the module's back
+        engine = manager.engine
+        request = ReconfigurationRequest("r", (TargetChange("S", self.component("S", 2, duration=7)),),
+                                         requested_at=engine.clock)
+        assert execute_plan(build_plan(request, engine.config, engine.snapshot()), engine).outcome == "Completed"
+        # the next archive hands back the very S found equal before; the deployed S now differs from it
+        with pytest.raises(VersionError, match="new version 1 not greater than 2"):
+            manager.redeploy("shop", ModuleArchive("shop", 3, (equal_s, second.components[1])))
+        assert engine.config.component("S").version == 2
+
+    def test_a_component_deployed_again_by_a_second_module_is_swapped(self):
+        manager = fresh_manager()
+        manager.distribute(ModuleArchive("first", 1, (self.component("S"),)))
+        manager.start("first")
+        equal_s = self.component("S")
+        assert manager.redeploy("first", ModuleArchive("first", 2, (equal_s,))).outcome == "Completed"
+        assert manager.events[-1].detail == "no component changed"
+        manager.stop("first")
+        manager.undeploy("first")
+        manager.distribute(ModuleArchive("second", 1, (self.component("S", 0, duration=9),)))
+        manager.start("second")
+        assert manager.redeploy("second", ModuleArchive("second", 2, (equal_s,))).outcome == "Completed"
+        assert self.swaps(manager) == [("S", 0, 1)]
+        assert manager.engine.config.component("S") is equal_s
+
+    def test_a_rolling_redeploy_compares_only_the_pairs_it_has_not_seen(self, monkeypatch):
+        compared = []
+        real_eq = ComponentDescriptor.__eq__
+
+        def counting(self, other):
+            if self is not other:
+                compared.append(self.name)
+            return real_eq(self, other)
+
+        monkeypatch.setattr(ComponentDescriptor, "__eq__", counting)
+        docs = chain_docs("Memo", 8)
+        manager = fresh_manager()
+        manager.distribute(ModuleArchive("memo", 1, tuple(parse_component(d) for d in docs)))
+        manager.start("memo")
+        rng = random.Random(5)
+        changed = []
+        for version in range(2, 12):
+            k = rng.randrange(len(docs))
+            docs[k] = dict(docs[k], version=docs[k]["version"] + 1)
+            changed.append(docs[k]["name"])
+            compared.clear()
+            assert manager.redeploy("memo", parse_archive(archive_text("memo", version, docs))).outcome == "Completed"
+            # the first archive meets every deployed descriptor once; after that, the changed one
+            assert compared == ([d["name"] for d in docs] if version == 2 else [changed[-1]])
+        assert [swap[0] for swap in self.swaps(manager)] == changed
 
 
 def archive_text(module: str, version: int, docs: list) -> str:

@@ -405,11 +405,12 @@ class TestExecutePlan:
         assert engine.config is plan.target
         assert {n: d.version for n, d in engine.config.components().items()} == {"A": 1, "B": 2, "C": 2}
         # the next plan's static graph reads the report the executor's check cached
-        reports, real = [], model_module.ConsistencyReport
-        monkeypatch.setattr(model_module, "ConsistencyReport", lambda *a: reports.append(a) or real(*a))
+        checked, real = [], model_module._check_composition
+        monkeypatch.setattr(model_module, "_check_composition", lambda config, names=None: checked.append(config)
+                            or real(config, names))
         follow_up = ReconfigurationRequest(id="r2", targets=(TargetChange("A", None),), requested_at=engine.clock)
         build_plan(follow_up, engine.config, engine.snapshot())
-        assert reports == []
+        assert not any(config is engine.config for config in checked)
 
     def test_finished_plan_is_not_kept_alive_by_its_drain_deadline(self, chain_config):
         engine = Engine(chain_config)

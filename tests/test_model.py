@@ -16,6 +16,7 @@ from quiesce.model import (
     ChangeKind,
     CompositeComponent,
     ContainerSpec,
+    InterfaceSignature,
     Wire,
     check_composition,
     diff_versions,
@@ -26,7 +27,13 @@ from quiesce.model import (
 from builders import app, appdoc, auto, comp, iface, op, operation_names
 from conftest import read_fixture
 from gen import generate_case
-from oracles import CONFIGURATION_INDEXES, carried_index_faults, reference_validate_configuration
+from oracles import (
+    CONFIGURATION_INDEXES,
+    carried_index_faults,
+    fresh_build,
+    read_report,
+    reference_validate_configuration,
+)
 
 
 class TestLoadApplication:
@@ -436,6 +443,79 @@ class TestCheckComposition:
     def test_loaded_documents_always_check_clean(self, chain_config, diamond_config, late_config):
         for config in (chain_config, diamond_config, late_config):
             assert check_composition(config).consistent
+
+
+def without_last_operation(descriptor):
+    """The next version of ``descriptor`` with the last operation of each provided interface gone."""
+    provided = tuple(InterfaceSignature(sig.name, sig.operations[:-1]) for sig in descriptor.provided)
+    return replace(descriptor, version=descriptor.version + 1, provided=provided)
+
+
+class TestDerivedReport:
+    """A copy made by ``with_component`` reads the report a fresh build computes in full."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The ``names`` of each composition check computed from here on (None: every component)."""
+        seen = []
+        real_check = model_module._check_composition
+
+        def recording(config, names=None):
+            seen.append(names)
+            return real_check(config, names)
+
+        monkeypatch.setattr(model_module, "_check_composition", recording)
+        return seen
+
+    def test_a_consistent_parent_hands_on_only_the_replaced_name(self, chain_config, checks):
+        assert check_composition(chain_config).consistent
+        swapped = chain_config.with_component(without_last_operation(chain_config.component("C")))
+        report = check_composition(swapped)
+        assert checks == [frozenset({"C"})]
+        # B's automaton calls C.backWork: the finding sits on a wire into the replaced component
+        assert [(f.kind, f.subject, f.detail) for f in report.findings] == [
+            ("signature-mismatch", "B", "calls IC.backWork which provider 'C' does not offer")
+        ]
+        assert report == check_composition(fresh_build(swapped))
+        assert "_changed" not in swapped.__dict__ and check_composition(swapped) is report
+
+    def test_an_inconsistent_parent_makes_the_copy_check_everything(self, chain_config, checks):
+        broken = chain_config.with_component(without_last_operation(chain_config.component("C")))
+        assert not check_composition(broken).consistent
+        child = broken.with_component(replace(chain_config.component("A"), version=2))
+        assert "_changed" not in child.__dict__
+        assert check_composition(child) == check_composition(fresh_build(child))
+        assert checks == [frozenset({"C"}), None, None]  # the broken copy, the child, the fresh build
+
+    def test_a_chain_of_unread_copies_checks_every_replaced_name(self, checks):
+        config = nested_config()
+        assert check_composition(config).consistent
+        first = config.with_component(without_last_operation(config.component("B")))
+        second = first.with_component(without_last_operation(config.component("C")))
+        assert second.__dict__["_changed"] == {"B", "C"}
+        report = check_composition(second)
+        assert [(f.kind, f.subject) for f in report.findings] == [
+            ("signature-mismatch", "A"),  # calls B.work, which B no longer offers
+        ]
+        assert report == check_composition(fresh_build(second))
+        assert read_report(first) == check_composition(fresh_build(first))
+        assert checks[:2] == [None, frozenset({"B", "C"})]  # loading, then the chain's end
+
+    @pytest.mark.parametrize("seed", range(1, 31))
+    def test_generated_chains_read_what_a_fresh_build_computes(self, seed):
+        config = load_application(generate_case(seed).config_text)
+        rng = random.Random(seed)
+        for _ in range(4):
+            name = rng.choice(sorted(config.components()))
+            descriptor = config.component(name)
+            if rng.random() < 0.5:
+                descriptor = without_last_operation(descriptor)
+            else:
+                descriptor = replace(descriptor, version=descriptor.version + 1)
+            config = config.with_component(descriptor)
+            if rng.random() < 0.5:  # some copies are read, so the next one derives from a computed report
+                assert check_composition(config) == check_composition(fresh_build(config))
+        assert check_composition(config) == check_composition(fresh_build(config))
 
 
 def scan_tree(node: CompositeComponent) -> tuple[list, list[Wire]]:

@@ -183,16 +183,6 @@ def advance(cursor: AutomatonCursor, call: CallLabel) -> AutomatonCursor:
     )
 
 
-def reachable_calls(cursor: AutomatonCursor) -> frozenset[CallLabel]:
-    """All call labels on transitions still reachable from the cursor.
-
-    A label whose transitions all lie strictly behind the cursor is absent:
-    that dependency is in the past.  These are the labels of the cursor
-    state's earliest table.
-    """
-    return frozenset(label for label, _ in cursor.automaton.earliest_table(cursor.current))
-
-
 def _earliest_from(automaton: ServiceEffectAutomaton, state: str) -> dict[CallLabel, int]:
     """Earliest occurrence of each label reachable from ``state``: one Dijkstra over states.
 

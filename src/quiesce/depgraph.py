@@ -98,7 +98,7 @@ class StaticDependencyGraph:
         return tuple(
             sorted(
                 (w.requirer, w.provider, w.interface)
-                for w in self.config.wiring()
+                for w in self.config.wires
                 if w.provider is not None
             )
         )

@@ -322,7 +322,6 @@ class _Queue:
 class _Transaction:
     id: str
     root_invocation: str
-    state: str = "Active"  # Active | Aborted; a committed one is dropped
     writes: list = field(default_factory=list)  # (store, key, column, value)
     touched: set = field(default_factory=set)
 
@@ -493,10 +492,7 @@ class Engine:
         raise EngineFault(f"container {container.name!r} chain has no Pooling stage")
 
     def _joins_active_tx(self, inv: _Invocation, spec: OperationSpec) -> bool:
-        if spec.tx_attribute is not TxAttribute.JOINS or inv.ambient_tx is None:
-            return False
-        tx = self.transactions.get(inv.ambient_tx)
-        return tx is not None and tx.state == "Active"
+        return spec.tx_attribute is TxAttribute.JOINS and inv.ambient_tx in self.transactions
 
     def _tx_inside_barricade(self, tx_id: Optional[str]) -> bool:
         """Whether some barricaded container's drain depends on this transaction."""
@@ -748,9 +744,7 @@ class Engine:
             for field_name in container.descriptor.state_fields:
                 instance.state[field_name] = f"{inv.operation}#{instance.invocations_served}"
         if inv.started_tx and inv.tx is not None:
-            tx = self.transactions[inv.tx]
-            if tx.state == "Active":  # a fault-injected abort wins over commit
-                self._commit_transaction(tx)
+            self._commit_transaction(self.transactions[inv.tx])
         if container.pool_wait:
             self._service_pool_queue(container)
         if container.barrier_mode == BARRIER_DRAINING:
@@ -769,23 +763,12 @@ class Engine:
             tx.writes.append((store, key, column, value))
 
     def _commit_transaction(self, tx: _Transaction) -> None:
-        """Apply a transaction's writes and forget it: only live and aborted ids stay."""
+        """Apply a transaction's writes and forget it: only live ids stay."""
         del self.transactions[tx.id]
         for store, key, column, value in tx.writes:
             self.stores[store].setdefault(key, {})[column] = value
         # the log takes the list itself; JSON writes each tuple as an array
         self._emit(TX_COMMIT, tx=tx.id, root=tx.root_invocation, writes=tx.writes)
-        self._untouch(tx)
-
-    def abort_transaction(self, tx_id: str) -> None:
-        """Fault injection hook: discard a live transaction's writes. Never called by the engine.
-
-        ``tx_id`` must name a live transaction: a committed one is no longer
-        kept, so its id raises ``KeyError``.
-        """
-        tx = self.transactions[tx_id]
-        tx.state = "Aborted"
-        self._emit(TX_ABORT, tx=tx.id, root=tx.root_invocation)
         self._untouch(tx)
 
     def _untouch(self, tx: _Transaction) -> None:

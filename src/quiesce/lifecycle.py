@@ -17,10 +17,9 @@ from typing import Any
 
 from .documents import decode, record, typed
 from .engine import Engine
-from .errors import DrainTimeout, IllegalTransition, Rejection, ValidationError
+from .errors import DrainTimeout, IllegalTransition, QuiesceError, Rejection, ValidationError
 from .manager import (
     CostModel,
-    EntityMigration,
     ReconfigurationReport,
     ReconfigurationRequest,
     TargetChange,
@@ -217,7 +216,6 @@ class DeploymentManager:
         self,
         module: str,
         new_archive: ModuleArchive,
-        migration: tuple[EntityMigration, ...] = (),
         mode: str = "weakened",
         blocking: str = "minimal",
         costs: CostModel = CostModel(),
@@ -270,7 +268,6 @@ class DeploymentManager:
         request = ReconfigurationRequest(
             id=f"redeploy:{module}:{new_archive.version}",
             targets=tuple(targets),
-            entity_migration=tuple(migration),
             requested_at=self.engine.clock,
         )
         try:
@@ -278,7 +275,7 @@ class DeploymentManager:
             plan = build_plan(
                 request, self.engine.config, self.engine.snapshot(), blocking=blocking, costs=costs
             )
-        except (Rejection, ValidationError) as exc:
+        except QuiesceError as exc:
             self._progress("Redeploy", module, "Failed", str(exc))
             raise
         report = execute_plan(plan, self.engine, costs)

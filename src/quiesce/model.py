@@ -9,16 +9,17 @@ finding, and the same report judges a configuration after a swap.
 Configurations and component descriptors index themselves lazily, once per
 instance, and a configuration keeps its composition report the same way;
 every change makes a new instance, so an index or a report never goes stale.
-A configuration's indexes come from two passes, one over the tree (the leaf
-descriptors and each leaf's child-index path) and one over the wiring (the
-wires per requirement and the requirers per provider).  ``with_component``
-rebuilds only the composites on the leaf's path and hands the copy these
-indexes, the leaf map with one entry replaced: it changes no wiring and no
-tree shape, so they are what a fresh build would give.  The copy's composition
-report is built on first read.  When it descends, through copies like it, from
-a configuration whose report was consistent, only the findings about the
-replaced components can be new, so only those are checked; the copy keeps
-their names for that, never the configuration it came from.
+Composites exist only in the document: loading expands them once, and a
+configuration holds its leaf descriptors and its wires as two flat tuples.
+Its indexes come from two passes, one over the leaves (the leaf map) and one
+over the wires (the wires per requirement and the requirers per provider).
+``with_component`` replaces one entry of the leaf map and hands the copy
+these indexes: it changes no wiring, so they are what a fresh build would
+give.  The copy's composition report is built on first read.  When it
+descends, through copies like it, from a configuration whose report was
+consistent, only the findings about the replaced components can be new, so
+only those are checked; the copy keeps their names for that, never the
+configuration it came from.
 A descriptor keeps its access pairs sorted, so equal documents give equal
 descriptors and ``==`` alone tells a changed component from an unchanged one.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .automata import (
     ServiceEffectAutomaton,
@@ -217,32 +218,6 @@ class Wire:
 
 
 @dataclass(frozen=True)
-class CompositeComponent:
-    """Hierarchical grouping of components; wiring lives on the owning composite."""
-
-    name: str
-    children: tuple[Union[ComponentDescriptor, "CompositeComponent"], ...]
-    internal_wiring: tuple[Wire, ...] = ()
-
-    def leaves(self) -> tuple[tuple[tuple[int, ...], ComponentDescriptor], ...]:
-        """(path, descriptor) per leaf in tree order; a path is the child indexes leading to it."""
-        out: list[tuple[tuple[int, ...], ComponentDescriptor]] = []
-        for index, child in enumerate(self.children):
-            if isinstance(child, CompositeComponent):
-                out.extend(((index,) + path, leaf) for path, leaf in child.leaves())
-            else:
-                out.append(((index,), child))
-        return tuple(out)
-
-    def all_wiring(self) -> tuple[Wire, ...]:
-        out = list(self.internal_wiring)
-        for child in self.children:
-            if isinstance(child, CompositeComponent):
-                out.extend(child.all_wiring())
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class ContainerSpec:
     hosted_component: str
     interceptor_chain: tuple[InterceptorKind, ...] = DEFAULT_INTERCEPTOR_CHAIN
@@ -292,9 +267,17 @@ class ConsistencyReport:
 
 @dataclass(frozen=True)
 class ApplicationConfiguration:
-    """The deployed application: structure, containers, stores, queues."""
+    """The deployed application: leaf components, wires, containers, stores, queues.
 
-    root: CompositeComponent
+    Composites group components in the document only.  Loading expands them
+    into ``leaves`` (the components outside any composite, then each
+    composite's leaves in child order, a nested composite's in its place) and
+    ``wires`` (the top-level wiring, then each composite's own wiring before
+    that of the composites inside it).
+    """
+
+    leaves: tuple[ComponentDescriptor, ...]
+    wires: tuple[Wire, ...]
     containers: tuple[ContainerSpec, ...]
     data_stores: tuple[tuple[str, tuple[str, ...]], ...]
     queues: tuple[str, ...]
@@ -302,27 +285,15 @@ class ApplicationConfiguration:
 
     # The indexes and the composition report: built on first use and kept in
     # the instance ``__dict__``, outside the compared and hashed fields.  The
-    # tree walk fills ``_leaves`` and ``_paths``; the wire pass fills
-    # ``_wires_by_requirement`` and ``_callers``.  ``with_component`` may also
-    # leave ``_changed``: the leaves replaced since a consistent report, the
-    # only ones the copy's report has to check.
+    # leaf pass fills ``_leaves``; the wire pass fills ``_wires_by_requirement``
+    # and ``_callers``.  ``with_component`` may also leave ``_changed``: the
+    # leaves replaced since a consistent report, the only ones the copy's
+    # report has to check.
 
     @cached_property
     def _leaves(self) -> dict[str, ComponentDescriptor]:
-        """name -> leaf descriptor, in tree order; the same walk records ``_paths``."""
-        leaves = self.root.leaves()
-        self.__dict__["_paths"] = {leaf.name: path for path, leaf in leaves}
-        return {leaf.name: leaf for _, leaf in leaves}
-
-    @cached_property
-    def _paths(self) -> dict[str, tuple[int, ...]]:
-        """name -> the child indexes that lead from the root to that leaf."""
-        self._leaves  # its walk records the paths
-        return self.__dict__["_paths"]
-
-    @cached_property
-    def _wires(self) -> tuple[Wire, ...]:
-        return self.root.all_wiring()
+        """name -> leaf descriptor, in ``leaves`` order."""
+        return {leaf.name: leaf for leaf in self.leaves}
 
     @cached_property
     def _wires_by_requirement(self) -> dict[tuple[str, str], list[Wire]]:
@@ -332,7 +303,7 @@ class ApplicationConfiguration:
         """
         out: dict[tuple[str, str], list[Wire]] = {}
         callers: dict[str, list[str]] = {}
-        for wire in self._wires:
+        for wire in self.wires:
             out.setdefault((wire.requirer, wire.interface), []).append(wire)
             if wire.provider is not None:
                 callers.setdefault(wire.provider, []).append(wire.requirer)
@@ -356,9 +327,6 @@ class ApplicationConfiguration:
         """The leaf descriptor ``name``, or None; unlike ``components()`` it copies nothing."""
         return self._leaves.get(name)
 
-    def wiring(self) -> tuple[Wire, ...]:
-        return self._wires
-
     def store_names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.data_stores)
 
@@ -374,21 +342,18 @@ class ApplicationConfiguration:
     def with_component(self, descriptor: ComponentDescriptor) -> "ApplicationConfiguration":
         """Copy of this configuration with one leaf descriptor replaced and version bumped.
 
-        Only the composites on the leaf's path are rebuilt.  The wiring does
-        not change, so the copy starts with this configuration's indexes, the
-        leaf index with one entry replaced.  Its composition report is built
-        on first read, from the replaced names only when this configuration's
-        report is consistent or is itself to be built that way.  A name that
-        is not deployed leaves the tree as it is.
+        The wiring does not change, so the copy starts with this
+        configuration's indexes, the leaf map with one entry replaced.  Its
+        composition report is built on first read, from the replaced names
+        only when this configuration's report is consistent or is itself to be
+        built that way.  A name that is not deployed changes only the version.
         """
-        path = self._paths.get(descriptor.name)
-        if path is None:
+        if descriptor.name not in self._leaves:
             return replace(self, version=self.version + 1)
-        child = replace(self, root=_replace_at(self.root, path, descriptor), version=self.version + 1)
+        leaves = {**self._leaves, descriptor.name: descriptor}
+        child = replace(self, leaves=tuple(leaves.values()), version=self.version + 1)
         child.__dict__.update(
-            _leaves={**self._leaves, descriptor.name: descriptor},
-            _paths=self._paths,
-            _wires=self._wires,
+            _leaves=leaves,
             _wires_by_requirement=self._wires_by_requirement,
             _callers=self._callers,
         )
@@ -404,42 +369,22 @@ class ApplicationConfiguration:
     def with_added(
         self, descriptor: ComponentDescriptor, spec: ContainerSpec, wiring: Iterable[Wire]
     ) -> "ApplicationConfiguration":
-        """Copy of this configuration with a new root leaf, its wires and its container; same version."""
-        root = replace(
-            self.root,
-            children=self.root.children + (descriptor,),
-            internal_wiring=self.root.internal_wiring + tuple(wiring),
+        """Copy of this configuration with a new last leaf, its wires last and its container; same version."""
+        return replace(
+            self,
+            leaves=self.leaves + (descriptor,),
+            wires=self.wires + tuple(wiring),
+            containers=self.containers + (spec,),
         )
-        return replace(self, root=root, containers=self.containers + (spec,))
 
     def without_component(self, name: str) -> "ApplicationConfiguration":
         """Copy of this configuration without leaf ``name``, the wires naming it and its container."""
         return replace(
             self,
-            root=_rewrite_leaf(self.root, name),
+            leaves=tuple(leaf for leaf in self.leaves if leaf.name != name),
+            wires=tuple(w for w in self.wires if name not in (w.requirer, w.provider)),
             containers=tuple(c for c in self.containers if c.hosted_component != name),
         )
-
-
-def _replace_at(
-    node: CompositeComponent, path: tuple[int, ...], new: ComponentDescriptor
-) -> CompositeComponent:
-    """``node`` with the leaf at child-index ``path`` replaced by ``new``."""
-    index = path[0]
-    child = new if len(path) == 1 else _replace_at(node.children[index], path[1:], new)
-    return replace(node, children=node.children[:index] + (child,) + node.children[index + 1:])
-
-
-def _rewrite_leaf(node: CompositeComponent, name: str) -> CompositeComponent:
-    """``node`` without leaf ``name`` and every wire naming it."""
-    children: list[Union[ComponentDescriptor, CompositeComponent]] = []
-    for child in node.children:
-        if isinstance(child, CompositeComponent):
-            children.append(_rewrite_leaf(child, name))
-        elif child.name != name:
-            children.append(child)
-    wiring = tuple(w for w in node.internal_wiring if name not in (w.requirer, w.provider))
-    return replace(node, children=tuple(children), internal_wiring=wiring)
 
 
 # ---------------------------------------------------------------------------
@@ -587,31 +532,33 @@ def load_application(document: str) -> ApplicationConfiguration:
                 raise ValidationError(f"{child!r} is a child of two composites")
             claimed[child] = name
 
-    def build_composite(name: str, building: tuple[str, ...]) -> CompositeComponent:
-        if name in building:
-            raise ValidationError(f"composite cycle through {name!r}")
-        children: list[Union[ComponentDescriptor, CompositeComponent]] = []
+    leaves = [c for c in components if c.name not in claimed]
+    nested_wires: list[Wire] = []
+    reached: set[str] = set()
+
+    def expand(name: str) -> None:
+        """Append composite ``name``'s leaves in tree order, and its wiring before its composites'."""
+        reached.add(name)
+        nested_wires.extend(comp_wiring[name])
         for child in comp_children[name]:
             if child in by_name:
-                children.append(by_name[child])
+                leaves.append(by_name[child])
             elif child in comp_children:
-                children.append(build_composite(child, building + (name,)))
+                expand(child)
             else:
                 raise ValidationError(f"composite {name!r} references unknown child {child!r}")
-        return CompositeComponent(name, tuple(children), tuple(comp_wiring[name]))
 
-    root_children: list[Union[ComponentDescriptor, CompositeComponent]] = []
-    for c in components:
-        if c.name not in claimed:
-            root_children.append(c)
     for name in comp_children:
         if name not in claimed:
-            root_children.append(build_composite(name, ()))
-    root = CompositeComponent(
-        "root",
-        tuple(root_children),
-        tuple(_parse_wire(w) for w in doc.get("wiring", [])),
-    )
+            expand(name)
+    unreached = [name for name in comp_children if name not in reached]
+    if unreached:  # each is claimed by another unreached one, so its claims lead round a cycle
+        seen, name = set(), unreached[0]
+        while name not in seen:
+            seen.add(name)
+            name = claimed[name]
+        raise ValidationError(f"composite cycle through {name!r}")
+    wires = tuple(_parse_wire(w) for w in doc.get("wiring", [])) + tuple(nested_wires)
 
     containers = []
     for cd in doc.get("containers", []):
@@ -633,7 +580,8 @@ def load_application(document: str) -> ApplicationConfiguration:
         stores.append((sd["name"], tuple(sd.get("schema", []))))
 
     config = ApplicationConfiguration(
-        root=root,
+        leaves=tuple(leaves),
+        wires=wires,
         containers=tuple(containers),
         data_stores=tuple(stores),
         queues=tuple(doc.get("queues", [])),
@@ -663,7 +611,7 @@ def validate_configuration(config: ApplicationConfiguration) -> None:
         if name not in hosted:
             raise ValidationError(f"component {name!r} has no container")
 
-    for wire in config.wiring():
+    for wire in config.wires:
         if wire.requirer not in components:
             raise ValidationError(f"wire requirer {wire.requirer!r} is not a deployed component")
         if wire.interface not in components[wire.requirer].required:
@@ -717,7 +665,7 @@ def _check_composition(
                     )
                 )
 
-    for wire in config._wires:
+    for wire in config.wires:
         if wire.provider is None:
             continue
         if names is not None and wire.requirer not in names and wire.provider not in names:

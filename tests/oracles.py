@@ -7,6 +7,7 @@ semantics, sharing no code path with the operation it verifies.
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 from types import MappingProxyType
 
 from quiesce.automata import AutomatonCursor, CallLabel, ServiceEffectAutomaton
@@ -278,7 +279,7 @@ def reference_validate_configuration(config: ApplicationConfiguration) -> None:
         if name not in hosted:
             raise ValidationError(f"component {name!r} has no container")
 
-    wires = config.wiring()
+    wires = config.wires
     for wire in wires:
         if wire.requirer not in components:
             raise ValidationError(f"wire requirer {wire.requirer!r} is not a deployed component")
@@ -392,12 +393,14 @@ def full_scan_snapshot(engine: Engine) -> RuntimeSnapshot:
 
 
 # the indexes a configuration builds on first use and ``with_component`` hands on
-CONFIGURATION_INDEXES = ("_leaves", "_paths", "_wires", "_wires_by_requirement", "_callers")
+CONFIGURATION_INDEXES = ("_leaves", "_wires_by_requirement", "_callers")
 
 
 def fresh_build(config: ApplicationConfiguration) -> ApplicationConfiguration:
-    """A configuration made from the same fields, which builds every index from its own tree."""
-    return ApplicationConfiguration(config.root, config.containers, config.data_stores, config.queues, config.version)
+    """A configuration made from the same fields, which builds every index from its own leaves and wires."""
+    return ApplicationConfiguration(
+        config.leaves, config.wires, config.containers, config.data_stores, config.queues, config.version
+    )
 
 
 def read_report(config: ApplicationConfiguration) -> ConsistencyReport:
@@ -444,3 +447,25 @@ def check_carried_indexes(monkeypatch) -> None:
         return child
 
     monkeypatch.setattr(ApplicationConfiguration, "with_component", checked)
+
+
+# what a configuration computes by a pass over its leaves or its wires: the two
+# index passes (the wire pass also fills ``_callers``) and ``components()``, which
+# copies the leaf map
+CONFIGURATION_SCANS = ("_leaves", "_wires_by_requirement", "components")
+
+
+def patch_configuration_scans(monkeypatch, wrap) -> None:
+    """Replace each of ``CONFIGURATION_SCANS`` with ``wrap(name, original function)``.
+
+    An index stays built at most once per configuration; the patch stays for
+    the rest of the test (or of the ``monkeypatch.context()`` given).
+    """
+    for name in CONFIGURATION_SCANS:
+        original = ApplicationConfiguration.__dict__[name]
+        if isinstance(original, cached_property):
+            patched = cached_property(wrap(name, original.func))
+            patched.__set_name__(ApplicationConfiguration, name)
+        else:
+            patched = wrap(name, original)
+        monkeypatch.setattr(ApplicationConfiguration, name, patched)

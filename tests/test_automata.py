@@ -16,7 +16,6 @@ from quiesce.automata import (
     automaton_from_json,
     automaton_to_json,
     earliest_occurrence,
-    reachable_calls,
 )
 from quiesce.errors import ProtocolViolation, ValidationError
 
@@ -25,6 +24,16 @@ from oracles import enumerate_earliest, enumerate_reachable
 
 CALL_B = CallLabel("IB", "callB")
 CALL_C = CallLabel("IC", "callC")
+
+
+def reachable_calls(cursor: AutomatonCursor) -> frozenset[CallLabel]:
+    """All call labels on transitions still reachable from the cursor.
+
+    A label whose transitions all lie strictly behind the cursor is absent:
+    that dependency is in the past.  These are the labels of the cursor
+    state's earliest table.
+    """
+    return frozenset(label for label, _ in cursor.automaton.earliest_table(cursor.current))
 
 
 def linear(*steps: tuple[CallLabel, int]) -> ServiceEffectAutomaton:

@@ -341,6 +341,12 @@ MALFORMED = {
         ("simulate", "bad.json", "demo_scenario.json"),
         "container 'A': 'pool_size' must be an integer",
     ),
+    "application-composite-cycle": (
+        with_value("demo_chain.json", (), "composites", [{"name": "a", "children": ["b", "C"]},
+                                                          {"name": "b", "children": ["a"]}]),
+        ("simulate", "bad.json", "demo_scenario.json"),
+        "composite cycle through 'a'",
+    ),
     "scenario": (
         without("demo_scenario.json", ("clients", 0, "script", 1, "call"), "interface"),
         ("simulate", "demo_chain.json", "bad.json"),

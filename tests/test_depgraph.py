@@ -7,7 +7,6 @@ import pytest
 
 import quiesce.automata as automata_module
 import quiesce.manager as manager_module
-import quiesce.model as model_module
 from quiesce.depgraph import (
     ReconfigurationWindow,
     affected_set,
@@ -19,14 +18,14 @@ from quiesce.depgraph import (
 from quiesce.engine import Engine
 from quiesce.errors import InconsistentConfiguration, SnapshotStale, UnknownTarget
 from quiesce.manager import ReconfigurationRequest, TargetChange, build_plan, estimate_window
-from quiesce.model import CompositeComponent, load_application, parse_component
+from quiesce.model import load_application, parse_component
 from quiesce.snapshot import load_snapshot, snapshot_to_json
 from quiesce.workload import parse_scenario
 
 from builders import app, auto, call_entry, client, comp, iface, op, scenario_doc, tree_components
 from conftest import read_fixture
 from gen import generate_case
-from oracles import forward_simulation_affected, reference_runtime_graph
+from oracles import forward_simulation_affected, patch_configuration_scans, reference_runtime_graph
 
 
 def snap(app_name: str, snap_name: str, config):
@@ -454,11 +453,11 @@ class TestPlanBuildsOnlyCallersOfTargets:
         assert 0 < tables <= states
 
 
-class TestRequestInstantWalksNoTree:
-    """At the request instant neither the snapshot nor the plan walks the tree or the wiring.
+class TestRequestInstantScansNoConfiguration:
+    """At the request instant neither the snapshot nor the plan scans the leaves or the wiring.
 
-    A 255-component tree runs to a request instant.  With the tree walks
-    and the leaf rewrite patched to raise, ``snapshot()`` and ``build_plan``
+    A 255-component tree runs to a request instant.  With every index build
+    and ``components()`` patched to raise, ``snapshot()`` and ``build_plan``
     must still give what they give unpatched: both read indexes kept on the
     engine and the configuration instead.
     """
@@ -474,15 +473,16 @@ class TestRequestInstantWalksNoTree:
         def plan():
             return plan_for(engine.snapshot(), targets)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the request instant walked the tree")
+        def refusing(name, original):
+            def refuse(config):
+                raise AssertionError(f"the request instant ran {name}")
+
+            return refuse
 
         expected = plan()
         assert expected.affected > set(targets)
         with monkeypatch.context() as patched:
-            patched.setattr(CompositeComponent, "leaves", refuse)
-            patched.setattr(CompositeComponent, "all_wiring", refuse)
-            patched.setattr(model_module, "_rewrite_leaf", refuse)
+            patch_configuration_scans(patched, refusing)
             indexed = plan()
         assert (indexed.affected, indexed.window, indexed.steps) == (
             expected.affected, expected.window, expected.steps

@@ -9,7 +9,6 @@ from functools import cached_property
 import pytest
 
 import quiesce.automata as automata_module
-import quiesce.depgraph as depgraph_module
 import quiesce.lifecycle as lifecycle_module
 import quiesce.manager as manager_module
 import quiesce.model as model_module
@@ -161,6 +160,9 @@ class TestLifecycleTransitions:
         manager.redeploy("shop", archive(version=2, duration=7))
         with pytest.raises(ValidationError, match="unknown redeploy mode"):
             manager.redeploy("shop", archive(version=3, duration=9), mode="lenient")
+        # a changed component whose version is not above the deployed one
+        with pytest.raises(VersionError, match="new version 1 not greater than 2"):
+            manager.redeploy("shop", replace(archive(version=1, duration=9), version=3))
         manager.stop("shop")
         manager.undeploy("shop")
         runs: list[tuple[str, list[str]]] = []
@@ -174,10 +176,12 @@ class TestLifecycleTransitions:
             ("Start", ["Running", "Completed"]),
             ("Redeploy", ["Running", "Completed"]),
             ("Redeploy", ["Running", "Failed"]),
+            ("Redeploy", ["Running", "Failed"]),
             ("Stop", ["Running", "Completed"]),
             ("Undeploy", ["Running", "Completed"]),
         ]
-        assert "lenient" in manager.events[-5].detail
+        assert "lenient" in manager.events[-7].detail
+        assert "not greater than" in manager.events[-5].detail
 
     def test_command_sequences_up_to_length_six_respect_the_relation(self):
         """Exhaustive model check of the lifecycle state machine."""
@@ -440,9 +444,7 @@ class TestRollingRedeployCost:
 
             return wrapper
 
-        # the per-label path and the per-state table fill both run one Dijkstra per call
-        monkeypatch.setattr(depgraph_module, "earliest_occurrence",
-                            counting("dijkstra", depgraph_module.earliest_occurrence))
+        # the per-state table fill runs one Dijkstra per call
         monkeypatch.setattr(automata_module, "_earliest_from",
                             counting("dijkstra", automata_module._earliest_from))
         checks = []  # (configuration, the names its check covers; None for all) per report computed

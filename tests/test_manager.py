@@ -37,7 +37,7 @@ from quiesce.manager import (
     unchanged_remote_refs,
 )
 from quiesce.metrics import compute_metrics
-from quiesce.model import ChangeKind, CompositeComponent, load_application, parse_component
+from quiesce.model import ChangeKind, load_application, parse_component
 from quiesce.workload import WorkloadScenario, parse_scenario
 
 from builders import (
@@ -55,7 +55,7 @@ from builders import (
     store_contents,
 )
 from conftest import read_fixture
-from oracles import check_carried_indexes, expected_shadow_contents
+from oracles import CONFIGURATION_SCANS, check_carried_indexes, expected_shadow_contents, patch_configuration_scans
 
 
 @pytest.fixture(autouse=True)
@@ -717,7 +717,7 @@ class TestScenarioWithRequest:
         assert [e for e in result.log if e.kind == "BarrierActivated"] == []
 
     def test_lookups_do_not_rescan_the_configuration_per_invocation(self, monkeypatch):
-        """Each configuration walks its composite tree once, however many calls it routes."""
+        """Each configuration scans its leaves and its wires once, however many calls it routes."""
         n = 63  # binary tree: C_i calls C_{2i+1} then C_{2i+2}
         components = []
         for i in range(n):
@@ -738,22 +738,25 @@ class TestScenarioWithRequest:
         )
         request = ReconfigurationRequest(id="swap-c5", targets=(TargetChange("C5", new_c5),), requested_at=15)
 
-        calls = {"leaves": 0, "all_wiring": 0}
-        for name in calls:
-            original = getattr(CompositeComponent, name)
+        calls = dict.fromkeys(CONFIGURATION_SCANS, 0)
 
-            def counted(node, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(node)
+        def counting(name, original):
+            def counted(config):
+                calls[name] += 1
+                return original(config)
 
-            monkeypatch.setattr(CompositeComponent, name, counted)
+            return counted
+
+        patch_configuration_scans(monkeypatch, counting)
         config = app(components, wiring=wiring)
         run = run_scenario_with_request(config, scenario, request, until=200)
 
         assert run.report.outcome == "Completed"
         assert sum(1 for e in run.log if e.kind == "InvocationStart") >= 200
-        # at most one walk of each kind per configuration: the loaded one and the swapped one
-        assert calls["leaves"] <= 2 and calls["all_wiring"] <= 2, calls
+        # one pass of each kind for the loaded configuration, one for the oracle's fresh build of the swapped one
+        assert calls["_leaves"] <= 2 and calls["_wires_by_requirement"] <= 2, calls
+        # components() copies the leaf map once each for loading, the engine and the scenario check
+        assert calls["components"] <= 3, calls
 
 
 class TestRequestDocuments:

@@ -14,7 +14,7 @@ from quiesce.engine import Engine
 from quiesce.errors import NameMismatch, ParseError, ValidationError, VersionError
 from quiesce.model import (
     ChangeKind,
-    CompositeComponent,
+    ComponentDescriptor,
     ContainerSpec,
     InterfaceSignature,
     Wire,
@@ -41,7 +41,7 @@ class TestLoadApplication:
         config = app([comp("S")])
         assert list(config.components()) == ["S"]
         assert len(config.containers) == 1
-        assert config.wiring() == ()
+        assert config.wires == ()
 
     def test_unwired_requirement_rejected(self):
         doc = appdoc([comp("S", required=["I"])])
@@ -53,7 +53,7 @@ class TestLoadApplication:
         assert config.is_declared_external("S", "I")
 
     def test_demo_chain_static_edges(self, chain_config):
-        wires = {(w.requirer, w.provider) for w in chain_config.wiring()}
+        wires = {(w.requirer, w.provider) for w in chain_config.wires}
         assert wires == {("A", "B"), ("B", "C")}
 
     def test_unknown_top_level_key_rejected(self):
@@ -141,12 +141,24 @@ class TestLoadApplication:
             {"name": "inner", "children": ["S", "T"], "internal_wiring": []},
         ]
         config = load_application(json.dumps(doc))
-        assert {c.name for _, c in config.root.leaves()} == {"S", "T"}
+        assert [c.name for c in config.leaves] == ["S", "T"]
+        # a and b claim each other, so neither is reached from the top: S and T would vanish
         doc["composites"] = [
             {"name": "a", "children": ["b", "S", "T"], "internal_wiring": []},
             {"name": "b", "children": ["a"], "internal_wiring": []},
         ]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^composite cycle through 'a'$"):
+            load_application(json.dumps(doc))
+        del doc["containers"]
+        with pytest.raises(ValidationError, match="^composite cycle through 'a'$"):
+            load_application(json.dumps(doc))
+        # a composite hanging off the cycle is never reached either; the error names one on the cycle
+        doc["composites"] = [
+            {"name": "c", "children": ["S"], "internal_wiring": []},
+            {"name": "a", "children": ["b", "c"], "internal_wiring": []},
+            {"name": "b", "children": ["a", "T"], "internal_wiring": []},
+        ]
+        with pytest.raises(ValidationError, match="^composite cycle through 'a'$"):
             load_application(json.dumps(doc))
 
 
@@ -518,24 +530,42 @@ class TestDerivedReport:
         assert check_composition(config) == check_composition(fresh_build(config))
 
 
-def scan_tree(node: CompositeComponent) -> tuple[list, list[Wire]]:
-    """Leaves and wires of a composite tree, in document order, by direct recursion."""
-    leaves, wires = [], list(node.internal_wiring)
-    for child in node.children:
-        if isinstance(child, CompositeComponent):
-            child_leaves, child_wires = scan_tree(child)
-            leaves += child_leaves
-            wires += child_wires
-        else:
-            leaves.append(child)
-    return leaves, wires
+def scan_document(doc: dict) -> tuple[list[ComponentDescriptor], list[Wire]]:
+    """Leaves and wires of an application document, its composites expanded by direct recursion.
+
+    The top level holds the components and composites no composite names as a
+    child.  A composite's leaves take its place among its siblings; its own
+    wires come before those of the composites inside it.
+    """
+    components = {c["name"]: parse_component(c) for c in doc["components"]}
+    composites = {cd["name"]: cd for cd in doc.get("composites", [])}
+    children = {child for cd in composites.values() for child in cd["children"]}
+
+    def wires_of(docs: list[dict]) -> list[Wire]:
+        return [Wire(w["requirer"], w["interface"], w.get("provider")) for w in docs]
+
+    def walk(names: list[str]) -> tuple[list[ComponentDescriptor], list[Wire]]:
+        leaves, wires = [], []
+        for name in names:
+            if name in components:
+                leaves.append(components[name])
+                continue
+            wires += wires_of(composites[name]["internal_wiring"])
+            inner_leaves, inner_wires = walk(composites[name]["children"])
+            leaves += inner_leaves
+            wires += inner_wires
+        return leaves, wires
+
+    leaves, nested_wires = walk([n for n in [*components, *composites] if n not in children])
+    return leaves, wires_of(doc.get("wiring", [])) + nested_wires
 
 
-def assert_index_matches_scan(config) -> None:
-    leaves, wires = scan_tree(config.root)
+def assert_index_matches_scan(config, leaves: list[ComponentDescriptor], wires: list[Wire]) -> None:
+    """``config`` holds exactly ``leaves`` and ``wires``, and every index answers as a linear scan of them."""
+    assert config.leaves == tuple(leaves)
+    assert config.wires == tuple(wires)
     assert config.components() == {c.name: c for c in leaves}
-    assert list(config.components()) == list(dict.fromkeys(c.name for c in leaves))
-    assert config.wiring() == tuple(wires)
+    assert list(config.components()) == [c.name for c in leaves]
     interfaces = {w.interface for w in wires} | {i for c in leaves for i in c.required} | {"INope"}
     for requirer in {c.name for c in leaves} | {w.requirer for w in wires} | {"Nope"}:
         for interface in interfaces:
@@ -556,8 +586,8 @@ def assert_index_matches_scan(config) -> None:
     assert [f.kind for f in findings[: len(unwired)]] == ["unwired-requirement"] * len(unwired)
 
 
-def nested_config():
-    doc = json.loads(
+def nested_doc() -> dict:
+    return json.loads(
         appdoc(
             [
                 comp("A", required=["IB", "ILog"],
@@ -576,33 +606,39 @@ def nested_config():
             ],
         )
     )
-    return load_application(json.dumps(doc))
+
+
+def nested_config():
+    return load_application(json.dumps(nested_doc()))
 
 
 class TestConfigurationIndex:
     @pytest.mark.parametrize("seed", range(1, 101))
     def test_generated_cases_agree_with_a_linear_scan(self, seed):
-        config = load_application(generate_case(seed).config_text)
-        assert_index_matches_scan(config)
-        # a drifted copy: every other top-level wire gone, so some requirements are unwired
-        drifted = replace(config, root=replace(config.root, internal_wiring=config.root.internal_wiring[::2]))
-        assert_index_matches_scan(drifted)
+        text = generate_case(seed).config_text
+        config = load_application(text)
+        leaves, wires = scan_document(json.loads(text))
+        assert_index_matches_scan(config, leaves, wires)
+        # a drifted copy: every other wire gone, so some requirements are unwired
+        assert_index_matches_scan(replace(config, wires=config.wires[::2]), leaves, wires[::2])
 
     def test_nested_composites_agree_with_a_linear_scan(self):
         config = nested_config()
         assert config.provider_of("A", "IB") == "B"
         assert config.provider_of("B", "IC") == "C"
         assert config.is_declared_external("A", "ILog")
-        assert_index_matches_scan(config)
+        assert_index_matches_scan(config, *scan_document(nested_doc()))
 
     def test_duplicate_wire_added_by_the_engine_first_wire_wins(self):
         engine = Engine(nested_config())
         x = parse_component(comp("X", required=["IC"]))
-        engine.add_component(x, wiring=(Wire("X", "IC", "C"), Wire("X", "IC", None), Wire("X", "IC", "B")))
+        added_wires = [Wire("X", "IC", "C"), Wire("X", "IC", None), Wire("X", "IC", "B")]
+        engine.add_component(x, wiring=tuple(added_wires))
         config = engine.config
         assert config.provider_of("X", "IC") == "C"
         assert config.is_declared_external("X", "IC")
-        assert_index_matches_scan(config)
+        leaves, wires = scan_document(nested_doc())
+        assert_index_matches_scan(config, leaves + [x], wires + added_wires)
 
     def test_descriptor_operation_maps_agree_with_a_scan(self):
         for seed in range(1, 21):
@@ -626,21 +662,24 @@ class TestIndexNeverStale:
         assert swapped.components()["C"] is new_c
         assert swapped.components()["C"].operation_spec(new_c.operations[0].name).duration == 9
         assert chain_config.components()["C"] is old_c
-        assert_index_matches_scan(swapped)
-        assert_index_matches_scan(chain_config)
+        leaves, wires = scan_document(json.loads(read_fixture("demo_chain.json")))
+        assert_index_matches_scan(swapped, [new_c if c.name == "C" else c for c in leaves], wires)
+        assert_index_matches_scan(chain_config, leaves, wires)
 
-    def test_with_component_carries_fresh_indexes_down_a_nested_path(self):
+    def test_with_component_replaces_a_nested_leaf_in_place_and_carries_the_indexes(self):
         config = nested_config()
-        assert config._paths["C"] == (1, 1, 1)  # root -> outer -> inner -> C
-        old_c = config.components()["C"]
-        swapped = config.with_component(replace(old_c, version=2))
-        assert swapped.root.children[1].children[1].children[1].version == 2
-        assert swapped.root.children[0] is config.root.children[0]  # off the path: shared
+        assert [c.name for c in config.leaves] == ["D", "A", "B", "C"]  # C is a leaf of outer -> inner
+        new_c = replace(config.component("C"), version=2)
+        swapped = config.with_component(new_c)
+        assert swapped.leaves[3] is new_c
+        assert all(new is old for new, old in zip(swapped.leaves[:3], config.leaves))  # the others: shared
+        assert swapped.wires is config.wires
         assert "_composition" not in swapped.__dict__
         assert {name for name in CONFIGURATION_INDEXES if name in swapped.__dict__} == set(CONFIGURATION_INDEXES)
         assert carried_index_faults(swapped) == []
-        assert swapped == replace(config, root=swapped.root, version=config.version + 1)
-        assert_index_matches_scan(swapped)
+        assert swapped == replace(config, leaves=swapped.leaves, version=config.version + 1)
+        leaves, wires = scan_document(nested_doc())
+        assert_index_matches_scan(swapped, [new_c if c.name == "C" else c for c in leaves], wires)
 
     def test_with_component_of_a_name_not_deployed_only_bumps_the_version(self, chain_config):
         ghost = replace(chain_config.components()["C"], name="Ghost")
@@ -664,36 +703,45 @@ class TestIndexNeverStale:
         assert removed.provider_of("X", "IC") is None
         assert "X" not in removed.components()
         assert added.provider_of("X", "IC") == "C"
-        for config in (before, added, removed):
-            assert_index_matches_scan(config)
+        leaves, wires = scan_document(nested_doc())
+        assert_index_matches_scan(before, leaves, wires)
+        assert_index_matches_scan(added, leaves + [added.component("X")], wires + [Wire("X", "IC", "C")])
+        assert_index_matches_scan(removed, leaves, wires)
 
     def test_with_added_puts_a_root_leaf_its_wires_and_container_in_one_copy(self):
         config = nested_config()
         x = parse_component(comp("X", required=["IC"]))
         added = config.with_added(x, ContainerSpec("X"), (Wire("X", "IC", "C"),))
         assert added.components()["X"] is x
-        assert added.root.children[-1] is x
+        assert added.leaves == config.leaves + (x,)
+        assert added.wires == config.wires + (Wire("X", "IC", "C"),)  # after the composites' wires too
         assert added.containers[-1] == ContainerSpec("X")
         assert added.provider_of("X", "IC") == "C"
         assert added.version == config.version
         assert "X" not in config.components()
         assert added.without_component("X") == config
-        assert_index_matches_scan(added)
+        leaves, wires = scan_document(nested_doc())
+        assert_index_matches_scan(added, leaves + [x], wires + [Wire("X", "IC", "C")])
 
     def test_without_component_drops_a_nested_leaf_and_every_wire_naming_it(self):
         config = nested_config()
         removed = config.without_component("C")  # a leaf of "inner", wired from "inner" and the root
         assert list(removed.components()) == ["D", "A", "B"]
         assert [c.hosted_component for c in removed.containers] == ["A", "B", "D"]
-        assert all("C" not in (w.requirer, w.provider) for w in removed.wiring())
-        assert len(removed.wiring()) == len(config.wiring()) - 2
+        assert all("C" not in (w.requirer, w.provider) for w in removed.wires)
+        assert len(removed.wires) == len(config.wires) - 2
         assert removed.version == config.version
         assert [(f.kind, f.subject) for f in check_composition(removed).findings] == [
             ("unwired-requirement", "B"),
             ("unwired-requirement", "D"),
         ]
-        assert_index_matches_scan(removed)
-        assert_index_matches_scan(config)
+        leaves, wires = scan_document(nested_doc())
+        assert_index_matches_scan(
+            removed,
+            [c for c in leaves if c.name != "C"],
+            [w for w in wires if "C" not in (w.requirer, w.provider)],
+        )
+        assert_index_matches_scan(config, leaves, wires)
 
     def test_composition_report_is_kept_per_configuration(self, chain_config):
         engine = Engine(chain_config)

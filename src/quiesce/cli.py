@@ -152,7 +152,6 @@ def simulate(ctx: click.Context, app_file: str, scenario_file: str, until: int) 
 @click.argument("request_file", type=click.Path(exists=True, dir_okay=False), required=False)
 @click.option("--archive", "archive_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Redeploy from a module archive instead of a request document.")
-@click.option("--module", "module_id", default=None, help="Module id (with --archive).")
 @click.option("--mode", type=click.Choice(["strict", "weakened"]), default="weakened", show_default=True)
 @click.option("--blocking", type=click.Choice(["minimal", "whole-app"]), default="minimal", show_default=True)
 @click.option("--until", type=int, default=1000, show_default=True)
@@ -167,7 +166,6 @@ def redeploy(
     scenario_file: str,
     request_file: str | None,
     archive_file: str | None,
-    module_id: str | None,
     mode: str,
     blocking: str,
     until: int,
@@ -187,7 +185,7 @@ def redeploy(
             archive = parse_archive(_read(archive_file))
         except QuiesceError as exc:
             _fail(f"{archive_file}: {exc}")
-        module = module_id or archive.module
+        module = archive.module
 
         def run() -> RedeploymentRun:
             engine = rt.Engine(config, seed=scenario.seed, drain_timeout=drain_timeout)
@@ -290,7 +288,7 @@ def analyze_deps(
                 targets=tuple(TargetChange(t, None) for t in sorted(target_set)) or (TargetChange(static.nodes[0], None),),
                 requested_at=snap.time,
             )
-            win = estimate_window(request, config, static, _costs(swap_cost, sync_cost, step_cost))
+            win = estimate_window(request, static, _costs(swap_cost, sync_cost, step_cost))
         else:
             win = ReconfigurationWindow(snap.time, int(window))
         runtime = build_runtime_graph(snap, win)

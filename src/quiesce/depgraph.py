@@ -180,7 +180,8 @@ def build_runtime_graph(
             f"snapshot taken at {snapshot.time}, window starts at {window.start}"
         )
     config = snapshot.config
-    descriptors = {component: config.component(component) for component in snapshot.pools}
+    components = {inst.component for inst in snapshot.busy}.union(snapshot.idle)
+    descriptors = {component: config.component(component) for component in components}
     edges: list[RuntimeEdge] = []
 
     def add_edge(instance: str, component: str, interface: str, earliest: int) -> None:
@@ -193,7 +194,7 @@ def build_runtime_graph(
         for interface in descriptors[component].required:
             add_edge(instance, component, interface, window.start)
 
-    for component, keys in snapshot.idle:
+    for component, keys in snapshot.idle.items():
         descriptor = descriptors[component]
         if descriptor is None:
             continue
@@ -239,7 +240,10 @@ def build_runtime_graph(
         key = (edge.caller_instance, edge.callee, edge.interface)
         if key not in dedup or edge.earliest < dedup[key].earliest:
             dedup[key] = edge
-    nodes = sorted((key, component) for component, keys in snapshot.pools.items() for key in keys)
+    nodes = sorted(
+        [(inst.key, inst.component) for inst in snapshot.busy]
+        + [(key, component) for component, keys in snapshot.idle.items() for key in keys]
+    )
     ordered = tuple(
         sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface))
     )

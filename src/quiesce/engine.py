@@ -1104,32 +1104,32 @@ class Engine:
         """Capture the current state as an immutable value.
 
         Only the containers with a running execution are walked: each busy
-        instance becomes a record, listed with its key before the idle keys.
-        Every other container's keys are copied from the key index.
+        instance becomes a record and the rest are its idle keys.  Every
+        other container's keys are copied from the key index.
         """
         busy: list[InstanceSnapshot] = []
-        pools = dict(self._pool_keys)
+        idle = dict(self._pool_keys)
         for name in sorted(self._busy):
-            first = len(busy)
-            idle: list[str] = []
+            keys: list[str] = []
             for instance in self.containers[name].instances:
                 execution = instance.current
                 if execution is None:
-                    idle.append(instance.key)
+                    keys.append(instance.key)
                     continue
                 child = execution.in_flight_child
                 busy.append(
                     InstanceSnapshot(
                         instance.key,
                         name,
-                        False,
                         execution.invocation.operation,
                         execution.cursor,
                         (child.component, child.interface) if child else None,
                     )
                 )
-            if idle:  # else the index already lists the busy keys in pool order
-                pools[name] = tuple([inst.key for inst in busy[first:]] + idle)
+            if keys:
+                idle[name] = tuple(keys)
+            else:
+                del idle[name]
         active = tuple(
             (name, tuple(sorted(self.containers[name].touching_txs))) for name in sorted(self._touched)
         )
@@ -1142,7 +1142,7 @@ class Engine:
         return RuntimeSnapshot(
             time=self.clock,
             busy=tuple(busy),
-            pools=MappingProxyType(pools),
+            idle=MappingProxyType(idle),
             active_transactions=active,
             remote_refs=refs,
             queue_depths=depths,

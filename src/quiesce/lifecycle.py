@@ -106,13 +106,21 @@ class DeploymentManager:
             raise ValidationError(f"cannot adopt {module!r}: components not deployed: {missing}")
         self.modules[module] = _ModuleRecord(archive, ModuleState.STARTED)
 
-    def _require_transition(self, module: str, to: ModuleState) -> _ModuleRecord:
+    def _begin_transition(self, operation: str, module: str, to: ModuleState) -> _ModuleRecord:
+        """Report ``operation`` Running, then return the module's record if it may move to ``to``.
+
+        Otherwise report it Failed with the reason and raise IllegalTransition.
+        """
+        self._progress(operation, module, "Running")
         record = self.modules.get(module)
         if record is None:
-            raise IllegalTransition(f"module {module!r} is not distributed")
-        if to not in _TRANSITIONS[record.state]:
-            raise IllegalTransition(f"module {module!r}: {record.state.value} -> {to.value}")
-        return record
+            reason = f"module {module!r} is not distributed"
+        elif to not in _TRANSITIONS[record.state]:
+            reason = f"module {module!r}: {record.state.value} -> {to.value}"
+        else:
+            return record
+        self._progress(operation, module, "Failed", reason)
+        raise IllegalTransition(reason)
 
     # ------------------------------------------------------------------
 
@@ -159,12 +167,7 @@ class DeploymentManager:
         return providers
 
     def start(self, module: str) -> ModuleState:
-        self._progress("Start", module, "Running")
-        try:
-            record = self._require_transition(module, ModuleState.STARTED)
-        except IllegalTransition as exc:
-            self._progress("Start", module, "Failed", str(exc))
-            raise
+        record = self._begin_transition("Start", module, ModuleState.STARTED)
         for descriptor in record.archive.components:
             self.engine.start_container(descriptor.name)
         record.state = ModuleState.STARTED
@@ -173,12 +176,7 @@ class DeploymentManager:
 
     def stop(self, module: str) -> ModuleState:
         """Drain running invocations, deny new ones, then mark the module stopped."""
-        self._progress("Stop", module, "Running")
-        try:
-            record = self._require_transition(module, ModuleState.STOPPED)
-        except IllegalTransition as exc:
-            self._progress("Stop", module, "Failed", str(exc))
-            raise
+        record = self._begin_transition("Stop", module, ModuleState.STOPPED)
         names = [d.name for d in record.archive.components]
         for name in names:
             self.engine.begin_clean_shutdown(name)
@@ -200,12 +198,7 @@ class DeploymentManager:
         return ModuleState.STOPPED
 
     def undeploy(self, module: str) -> ModuleState:
-        self._progress("Undeploy", module, "Running")
-        try:
-            record = self._require_transition(module, ModuleState.UNDEPLOYED)
-        except IllegalTransition as exc:
-            self._progress("Undeploy", module, "Failed", str(exc))
-            raise
+        record = self._begin_transition("Undeploy", module, ModuleState.UNDEPLOYED)
         for descriptor in record.archive.components:
             self.engine.remove_component(descriptor.name)
         record.state = ModuleState.UNDEPLOYED
@@ -272,9 +265,7 @@ class DeploymentManager:
         )
         try:
             check_mode(request, self.engine.config, mode)
-            plan = build_plan(
-                request, self.engine.config, self.engine.snapshot(), blocking=blocking, costs=costs
-            )
+            plan = build_plan(request, self.engine.snapshot(), blocking=blocking, costs=costs)
         except QuiesceError as exc:
             self._progress("Redeploy", module, "Failed", str(exc))
             raise
@@ -313,9 +304,9 @@ _ARCHIVE_KEYS = frozenset({"module", "version", "components"})
 # are decoded here and never reach a caller, and descriptors are immutable, so
 # an entry cannot go stale; there is one entry per name.  Every number the
 # parser keeps goes through int(), so 1 == 1.0 == True changes no field.
-# Values it keeps as raw JSON can differ that way: an interface operation's
-# params [1] after [true] reuse the (True,) tuple, and a non-string where a
-# name belongs can do the same.  Typed component scalars would close this.
+# Values it keeps as raw JSON can differ that way: a non-string where a name
+# belongs can reuse the stored one (true for 1).  Typed component scalars
+# would close this.
 _LAST_PARSED: dict[str, tuple[dict, ComponentDescriptor]] = {}
 
 

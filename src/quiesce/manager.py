@@ -370,18 +370,19 @@ def classify_structural_safety(
 
 def unchanged_remote_refs(
     component: str,
-    config: ApplicationConfiguration,
     snapshot: RuntimeSnapshot,
     changed: frozenset[str] | set[str] = frozenset(),
 ) -> frozenset[str]:
     """Reference holders that would block a structural change of ``component``.
 
     Unites remote client sessions holding handles (home-interface tracking)
-    with components wired to it over a remote-access interface, then drops
-    holders that are themselves changed by the current request.  Sessions
-    are never "changed": only component clients can be excluded this way.
+    with the components of the snapshot's configuration wired to it over a
+    remote-access interface, then drops holders that are themselves changed
+    by the current request.  Sessions are never "changed": only component
+    clients can be excluded this way.
     """
     holders: set[str] = set(snapshot.refs_for(component))
+    config = snapshot.config
     descriptor = config.component(component)
     if descriptor is None:
         raise UnknownComponent(component)
@@ -418,11 +419,10 @@ def _client_first_order(static: StaticDependencyGraph, members: frozenset[str]) 
 
 def estimate_window(
     request: ReconfigurationRequest,
-    config: ApplicationConfiguration,
     static: StaticDependencyGraph,
     costs: CostModel,
 ) -> ReconfigurationWindow:
-    """Conservative completion estimate from the static ancestor closure.
+    """Conservative completion estimate from the static graph's ancestor closure.
 
     The affected set depends on the window and the window on the plan's
     steps; the circle is cut by costing the largest plan that could emerge
@@ -431,7 +431,7 @@ def estimate_window(
     """
     swap_targets = {t.component for t in request.targets}
     closure = static.ancestors_of(frozenset(swap_targets)) | swap_targets
-    descriptors = [config.component(c) for c in swap_targets]
+    descriptors = [static.config.component(c) for c in swap_targets]
     md_queues = {
         d.queue for d in descriptors if d is not None and d.kind is ComponentKind.MESSAGE_DRIVEN
     }
@@ -448,12 +448,11 @@ def estimate_window(
 
 def build_plan(
     request: ReconfigurationRequest,
-    config: ApplicationConfiguration,
     snapshot: RuntimeSnapshot,
     blocking: str = "minimal",
     costs: CostModel = CostModel(),
 ) -> ReconfigurationPlan:
-    """Analyse, classify, and order the steps for a request.
+    """Analyse, classify, and order the steps for a request against the snapshot's configuration.
 
     Under minimal blocking the runtime graph is built only for the instances
     of the components that can reach a target through a wire or through an
@@ -470,6 +469,7 @@ def build_plan(
         )
     if blocking not in ("minimal", "whole-app"):
         raise ValidationError(f"unknown blocking mode {blocking!r}")
+    config = snapshot.config
     changes = sorted(analyse(request, config), key=lambda change: change[0].name)
     swap_targets = {deployed.name for deployed, _, _ in changes}
 
@@ -477,7 +477,7 @@ def build_plan(
     verdicts: list[SafetyVerdict] = []
     for deployed, new, kind in changes:
         target = target.with_component(new)
-        refs = unchanged_remote_refs(deployed.name, config, snapshot, changed=swap_targets)
+        refs = unchanged_remote_refs(deployed.name, snapshot, changed=swap_targets)
         verdicts.append(
             classify_structural_safety(
                 deployed,
@@ -497,7 +497,7 @@ def build_plan(
         )
 
     static = build_static_graph(config)
-    window = estimate_window(request, config, static, costs)
+    window = estimate_window(request, static, costs)
 
     steps: list[PlanStep] = []
     if swap_targets:
@@ -512,7 +512,7 @@ def build_plan(
             callers = dc_replace(
                 snapshot,
                 busy=tuple(i for i in snapshot.busy if i.component in reach),
-                pools={c: snapshot.pools[c] for c in reach if c in snapshot.pools},
+                idle={c: snapshot.idle[c] for c in reach if c in snapshot.idle},
             )
             graph = build_runtime_graph(callers, window)
             affected = affected_set(graph, static, frozenset(swap_targets))
@@ -783,7 +783,7 @@ def run_scenario_with_request(
     def inject() -> None:
         snapshot = engine.snapshot()
         try:
-            plan = build_plan(request, engine.config, snapshot, blocking=blocking, costs=costs)
+            plan = build_plan(request, snapshot, blocking=blocking, costs=costs)
         except Rejection as exc:
             state["rejection"] = exc
             return

@@ -411,9 +411,14 @@ _STORE_KEYS = frozenset({"name", "schema"})
 def _parse_interface(doc: dict) -> InterfaceSignature:
     record(doc, _INTERFACE_KEYS, "interface", _NAME, "name")
     ops = []
+    what = "interface operation"
     for op in doc.get("operations", []):
-        record(op, _SIGNATURE_OP_KEYS, "interface operation", _NAME, "name")
-        ops.append(Operation(op["name"], tuple(op.get("params", [])), op.get("returns", "void")))
+        record(op, _SIGNATURE_OP_KEYS, what, _NAME, "name")
+        params = typed(op, "params", (list,), what, "name", default=[])
+        if not all(type(param) is str for param in params):
+            raise ParseError(f"{what} {op['name']!r}: 'params' must be a list of strings")
+        returns = typed(op, "returns", (str,), what, "name", default="void")
+        ops.append(Operation(op["name"], tuple(params), returns))
     return InterfaceSignature(doc["name"], tuple(ops))
 
 

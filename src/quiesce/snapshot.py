@@ -9,23 +9,22 @@ Only a busy instance carries state worth a record: the operation it runs,
 the cursor its effect automaton has reached and the nested call it is
 blocked on.  An idle instance is just its key.  So a snapshot keeps one
 ``InstanceSnapshot`` per busy instance (``busy``) and a read-only map from
-each component to all its instance keys (``pools``).  The engine keeps that
-map up to date as pools grow and swaps restart them, and it walks only the
-containers with a running execution, so taking a snapshot costs what is
-busy, not what is deployed.  ``idle`` and ``instances`` are derived from
-the two: ``instances`` lists every instance as a record for the document
-form and for readers that want one instance at a time; the document format
-holds one record per instance, as it always has.
+each component to the keys of its idle instances (``idle``), which is what
+the runtime graph reads.  The engine keeps every container's keys up to
+date as pools grow and swaps restart them, and it walks only the containers
+with a running execution, so taking a snapshot costs what is busy, not what
+is deployed.  The document format holds one record per instance, as it
+always has.
 
-Order is canonical, so equal states give equal values: components by name,
-and within a component the busy instances and then the idle keys, each in
-pool order (the order the engine created them in, or the document order).
-A component's ``pools`` entry lists its keys in that same order.
+Order is canonical, so equal states give equal values: busy records by
+component name, and within a component the busy records and the idle keys
+each in pool order (the order the engine created them in, or the document
+order).  The document lists components by name, each one's busy records
+and then its idle keys.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -38,16 +37,17 @@ from .model import ApplicationConfiguration
 
 @dataclass(frozen=True)
 class InstanceSnapshot:
-    """One live pooled instance.
+    """One pooled instance running an invocation.
 
-    ``operation``/``cursor`` describe the in-progress invocation (None when
-    idle).  ``in_flight`` names the (component, interface) of a nested call
-    the instance is currently blocked on, if any.
+    ``operation``/``cursor`` describe the invocation (``cursor`` is None
+    when the operation has no effect automaton or the document gave no
+    state).  ``in_flight`` names the
+    (component, interface) of a nested call the instance is currently
+    blocked on, if any.
     """
 
     key: str
     component: str
-    idle: bool
     operation: Optional[str] = None
     cursor: Optional[AutomatonCursor] = None
     in_flight: Optional[tuple[str, str]] = None
@@ -58,43 +58,13 @@ class RuntimeSnapshot:
     time: int
     # one record per instance running an invocation, components in name order
     busy: tuple[InstanceSnapshot, ...]
-    # component -> the keys of all its instances, the busy ones first; a
-    # component without instances has no entry
-    pools: Mapping[str, tuple[str, ...]] = field(hash=False)
+    # component -> the keys of its idle instances in pool order; a component
+    # with no idle instance has no entry
+    idle: Mapping[str, tuple[str, ...]] = field(hash=False)
     active_transactions: tuple[tuple[str, tuple[str, ...]], ...]
     remote_refs: tuple[tuple[str, tuple[str, ...]], ...]
     queue_depths: tuple[tuple[str, int], ...]
     config: ApplicationConfiguration
-
-    @property
-    def idle(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """(component, keys of its idle instances), components in name order.
-
-        A component without idle instances has no entry.
-        """
-        busy = Counter(inst.component for inst in self.busy)
-        out = []
-        for component in sorted(self.pools):
-            keys = self.pools[component][busy[component]:]
-            if keys:
-                out.append((component, keys))
-        return tuple(out)
-
-    @property
-    def instances(self) -> tuple[InstanceSnapshot, ...]:
-        """Every instance as a record: per component, its busy ones and then its idle ones."""
-        busy: dict[str, list[InstanceSnapshot]] = {}
-        for inst in self.busy:
-            busy.setdefault(inst.component, []).append(inst)
-        out: list[InstanceSnapshot] = []
-        for component in sorted(self.pools):
-            records = busy.get(component, [])
-            out.extend(records)
-            out.extend(
-                InstanceSnapshot(key, component, idle=True)
-                for key in self.pools[component][len(records):]
-            )
-        return tuple(out)
 
     def refs_for(self, component: str) -> frozenset[str]:
         for name, clients in self.remote_refs:
@@ -104,20 +74,38 @@ class RuntimeSnapshot:
 
 
 def snapshot_to_json(snap: RuntimeSnapshot) -> dict:
-    """Document form of a snapshot (cursor serialized as operation + state)."""
-    return {
-        "time": snap.time,
-        "instances": [
+    """Document form of a snapshot (cursor serialized as operation + state).
+
+    One record per instance: components in name order, each one's busy
+    records and then its idle keys.
+    """
+    records: dict[str, list[dict]] = {}
+    for inst in snap.busy:
+        records.setdefault(inst.component, []).append(
             {
                 "key": inst.key,
                 "component": inst.component,
-                "idle": inst.idle,
+                "idle": False,
                 "operation": inst.operation,
                 "cursor_state": inst.cursor.current if inst.cursor else None,
                 "in_flight": list(inst.in_flight) if inst.in_flight else None,
             }
-            for inst in snap.instances
-        ],
+        )
+    for component, keys in snap.idle.items():
+        records.setdefault(component, []).extend(
+            {
+                "key": key,
+                "component": component,
+                "idle": True,
+                "operation": None,
+                "cursor_state": None,
+                "in_flight": None,
+            }
+            for key in keys
+        )
+    return {
+        "time": snap.time,
+        "instances": [doc for component in sorted(records) for doc in records[component]],
         "active_transactions": {name: list(txs) for name, txs in snap.active_transactions},
         "remote_refs": {name: list(clients) for name, clients in snap.remote_refs},
         "queue_depths": {name: depth for name, depth in snap.queue_depths},
@@ -161,7 +149,6 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
     time = typed(doc, "time", (int,), _SNAPSHOT, default=0)
     components = config.components()
     busy: list[InstanceSnapshot] = []
-    busy_keys: dict[str, list[str]] = {}
     idle: dict[str, list[str]] = {}
     for idoc in typed(doc, "instances", (list,), _SNAPSHOT, default=[]):
         record(idoc, _INSTANCE_KEYS, _INSTANCE, _INSTANCE_REQUIRED)
@@ -190,8 +177,7 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
             idle.setdefault(component, []).append(key)
         else:
             in_flight = None if in_flight is None else tuple(in_flight)
-            busy.append(InstanceSnapshot(key, component, False, operation, cursor, in_flight))
-            busy_keys.setdefault(component, []).append(key)
+            busy.append(InstanceSnapshot(key, component, operation, cursor, in_flight))
     busy.sort(key=lambda inst: inst.component)  # stable: pool order within a component
     active = _name_map(doc, "active_transactions", _is_strings, "a list of strings")
     refs = _name_map(doc, "remote_refs", _is_strings, "a list of strings")
@@ -199,12 +185,7 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
     return RuntimeSnapshot(
         time=time,
         busy=tuple(busy),
-        pools=MappingProxyType(
-            {
-                component: tuple(busy_keys.get(component, []) + idle.get(component, []))
-                for component in sorted(busy_keys.keys() | idle.keys())
-            }
-        ),
+        idle=MappingProxyType({component: tuple(keys) for component, keys in idle.items()}),
         active_transactions=tuple(sorted((k, tuple(v)) for k, v in active.items())),
         remote_refs=tuple(sorted((k, tuple(v)) for k, v in refs.items())),
         queue_depths=tuple(sorted(depths.items())),

@@ -61,12 +61,13 @@ def reference_runtime_graph(
 ) -> RuntimeDependencyGraph:
     """The runtime graph recomputed per instance and per label, no table shared.
 
-    Same pruning rules as ``depgraph.build_runtime_graph``: an idle instance
-    contributes, per call label, the minimum earliest occurrence over its
-    operations' initial states; a busy instance with a cursor contributes
-    each label's earliest occurrence from the cursor plus its in-flight
-    call; an operation without an automaton falls back to every static
-    edge.  Earliest occurrences come from ``enumerate_earliest``.
+    Same pruning rules as ``depgraph.build_runtime_graph``: each idle key,
+    worked out on its own, contributes, per call label, the minimum
+    earliest occurrence over its operations' initial states; a busy instance
+    with a cursor contributes each label's earliest occurrence from the
+    cursor plus its in-flight call; an operation without an automaton falls
+    back to every static edge.  Earliest occurrences come from
+    ``enumerate_earliest``.
     """
     config = snapshot.config
     components = config.components()
@@ -84,11 +85,11 @@ def reference_runtime_graph(
     def alphabet(automaton: ServiceEffectAutomaton) -> list[CallLabel]:
         return sorted({t.label for t in automaton.transitions})
 
-    for inst in snapshot.instances:
-        descriptor = components.get(inst.component)
+    for component, keys in snapshot.idle.items():
+        descriptor = components.get(component)
         if descriptor is None:
             continue
-        if inst.idle:
+        for key in keys:
             fallback = False
             labels: dict[tuple[str, str], int] = {}
             for spec in descriptor.operations:
@@ -102,9 +103,12 @@ def reference_runtime_graph(
                         labels[label] = e
             for (interface, _operation), e in sorted(labels.items()):
                 if window.contains(window.start + e):
-                    add_edge(inst.key, inst.component, interface, window.start + e)
+                    add_edge(key, component, interface, window.start + e)
             if fallback:
-                add_static_fallback(inst.key, inst.component)
+                add_static_fallback(key, component)
+
+    for inst in snapshot.busy:
+        if components.get(inst.component) is None:
             continue
         if inst.in_flight is not None:
             callee, interface = inst.in_flight
@@ -122,7 +126,12 @@ def reference_runtime_graph(
         key = (edge.caller_instance, edge.callee, edge.interface)
         if key not in dedup or edge.earliest < dedup[key].earliest:
             dedup[key] = edge
-    nodes = tuple(sorted((inst.key, inst.component) for inst in snapshot.instances))
+    nodes = tuple(
+        sorted(
+            [(inst.key, inst.component) for inst in snapshot.busy]
+            + [(key, component) for component, keys in snapshot.idle.items() for key in keys]
+        )
+    )
     ordered = tuple(sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface)))
     return RuntimeDependencyGraph(nodes, ordered, window)
 
@@ -184,9 +193,7 @@ def forward_simulation_affected(
                         record_call(component, provider, t)
                 frontier.append((tr.target, t + tr.min_delay))
 
-    for inst in snapshot.instances:
-        if inst.idle:
-            continue
+    for inst in snapshot.busy:
         if inst.in_flight is not None:
             record_call(inst.component, inst.in_flight[0], snapshot.time)
         spec = None
@@ -346,41 +353,39 @@ def reference_validate_configuration(config: ApplicationConfiguration) -> None:
 def full_scan_snapshot(engine: Engine) -> RuntimeSnapshot:
     """The engine's state captured by visiting every container and every instance.
 
-    No index of the engine is read: busy instances, pool keys and the
+    No index of the engine is read: busy instances, idle keys and the
     containers a live transaction touches all come from the containers
     themselves, in name order.
     """
     busy: list[InstanceSnapshot] = []
-    pools: dict[str, tuple[str, ...]] = {}
+    idle: dict[str, tuple[str, ...]] = {}
     active: list[tuple[str, tuple[str, ...]]] = []
     for name in sorted(engine.containers):
         container = engine.containers[name]
         if container.touching_txs:
             active.append((name, tuple(sorted(container.touching_txs))))
-        busy_keys, idle_keys = [], []
+        idle_keys = []
         for instance in container.instances:
             execution = instance.current
             if execution is None:
                 idle_keys.append(instance.key)
                 continue
-            busy_keys.append(instance.key)
             child = execution.in_flight_child
             busy.append(
                 InstanceSnapshot(
                     instance.key,
                     name,
-                    False,
                     execution.invocation.operation,
                     execution.cursor,
                     (child.component, child.interface) if child else None,
                 )
             )
-        if container.instances:
-            pools[name] = tuple(busy_keys + idle_keys)
+        if idle_keys:
+            idle[name] = tuple(idle_keys)
     return RuntimeSnapshot(
         time=engine.clock,
         busy=tuple(busy),
-        pools=MappingProxyType(pools),
+        idle=MappingProxyType(idle),
         active_transactions=tuple(active),
         remote_refs=tuple(
             (component, tuple(sorted(clients)))

@@ -161,6 +161,31 @@ class TestRedeployCommand:
         assert result.returncode == 3
         assert "Unsafe" in result.stderr or "rejected" in result.stderr
 
+    @pytest.mark.parametrize("form,written", [
+        ("request", ["events.jsonl", "metrics.json"]),
+        ("archive", []),
+    ])
+    def test_a_refused_plan_writes_the_log_only_in_the_request_form(self, workdir, form, written):
+        """The request form refuses within the run, which still logs; the archive form ends the command."""
+        (workdir / "stateful_app.json").write_text(
+            appdoc([comp("S", kind="StatefulSession", state_fields=["a"], operations=[op("work", duration=2)])])
+        )
+        (workdir / "none.json").write_text(scenario_doc())
+        new = comp("S", version=2, kind="StatefulSession", state_fields=["a", "b"],
+                   operations=[op("work", duration=2)])
+        (workdir / "request.json").write_text(
+            json.dumps({"id": "r", "requested_at": 0, "targets": [{"component": "S", "descriptor": new}]})
+        )
+        (workdir / "archive.json").write_text(json.dumps({"module": "shop", "version": 2, "components": [new]}))
+        source = {"request": ("request.json",), "archive": ("--archive", "archive.json")}[form]
+        result = run_cli("--out", "o", "redeploy", "stateful_app.json", "none.json", *source, cwd=workdir)
+        assert result.returncode == 3
+        assert result.stderr == (
+            '{"component": "S", "reasons": ["HasConversationalState"], "verdict": "Unsafe"}\n'
+            "rejected: S: HasConversationalState\n"
+        )
+        assert sorted(path.name for path in (workdir / "o").iterdir()) == written
+
     def test_strict_mode_rejects_structural_request(self, workdir):
         new = comp("C", version=2, provided=[iface("IC", "backWork", "extra")],
                    operations=[op("backWork", tx="Joins", duration=3), op("extra", duration=1)],
@@ -480,7 +505,7 @@ class TestLifecycleCommands:
         (workdir / "shop_v2.json").write_text(self.archive_doc(version=2, duration=2))
         result = run_cli(
             "--out", "o", "redeploy", "app.json", "none.json",
-            "--archive", "shop_v2.json", "--module", "shop", "--until", "100", cwd=workdir,
+            "--archive", "shop_v2.json", "--until", "100", cwd=workdir,
         )
         assert result.returncode == 0, result.stderr
         report = json.loads((workdir / "o" / "report.json").read_text())
@@ -497,7 +522,7 @@ class TestLifecycleCommands:
         (workdir / "shop_v2.json").write_text(self.archive_doc(version=2, duration=2))
         result = run_cli(
             "--out", "o", "redeploy", "app.json", "busy.json", "--archive", "shop_v2.json",
-            "--module", "shop", "--drain-timeout", "50", "--until", "1000", cwd=workdir,
+            "--drain-timeout", "50", "--until", "1000", cwd=workdir,
         )
         assert result.returncode == 3, result.stderr
         report = json.loads((workdir / "o" / "report.json").read_text())

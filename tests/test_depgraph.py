@@ -275,7 +275,7 @@ class TestRuntimeGraphMatchesReference:
         for t in range(0, 40, 3):
             engine.run(until=t)
             snapshot = engine.snapshot()
-            for inst in snapshot.instances:
+            for inst in snapshot.busy:
                 if inst.cursor is not None and inst.cursor.current != inst.cursor.automaton.initial:
                     mid += 1
                 in_flight += inst.in_flight is not None
@@ -368,7 +368,7 @@ def plan_for(snapshot, targets):
     request = ReconfigurationRequest(
         "r", tuple(TargetChange(t, None) for t in targets), requested_at=snapshot.time
     )
-    return build_plan(request, snapshot.config, snapshot)
+    return build_plan(request, snapshot)
 
 
 class TestPlanBuildsOnlyCallersOfTargets:
@@ -493,9 +493,9 @@ class TestGroupedSnapshotMatchesOneRecordPerInstance:
     """The engine's snapshot keeps idle instances as keys per component; no reader may tell.
 
     At every instant of a run, the runtime graph equals the oracle's, which
-    reads one record per instance (``RuntimeSnapshot.instances``), and a plan
-    built from the engine's snapshot equals the plan built from its document
-    round trip.
+    works out each idle key's edges on its own, and a plan built from the
+    engine's snapshot equals the plan built from its document round trip,
+    which holds one record per instance.
     """
 
     @staticmethod
@@ -507,8 +507,8 @@ class TestGroupedSnapshotMatchesOneRecordPerInstance:
         for target in targets:
             assert plan_for(loaded, (target,)) == plan_for(snapshot, (target,)), (snapshot.time, target)
         seen["busy"] += len(snapshot.busy)
-        seen["idle"] += sum(len(keys) for _, keys in snapshot.idle)
-        seen["mixed"] += bool({i.component for i in snapshot.busy} & {c for c, _ in snapshot.idle})
+        seen["idle"] += sum(map(len, snapshot.idle.values()))
+        seen["mixed"] += bool({i.component for i in snapshot.busy} & snapshot.idle.keys())
 
     def run_every_instant(self, engine, until: int, targets, seen: dict) -> None:
         for t in range(until + 1):

@@ -57,6 +57,10 @@ ROOT_REQUIRED = {"application": {"components"}, "archive": {"module"}}
 # record role (the document kind for a root) -> key -> (a value of the wrong type,
 # the end of the expected error text), for the fields their readers type
 WRONG_TYPE = {
+    "provided/operations": {
+        "params": ("ab", "'params' must be a list"),
+        "returns": (["void"], "'returns' must be a string"),
+    },
     "containers": {
         "hosted_component": (1, "'hosted_component' must be a string"),
         "pool_size": ("x", "'pool_size' must be an integer"),
@@ -106,8 +110,13 @@ WRONG_TYPE = {
 
 
 def role(kind: str, path: tuple) -> str:
-    """The key a record sits under; the document kind for the root record (a WRONG_TYPE key)."""
+    """The key a record sits under; the document kind for the root record (a WRONG_TYPE key).
+
+    An interface operation is ``provided/operations``, apart from a component's operations.
+    """
     roles = [step for step in path if isinstance(step, str)]
+    if roles[-2:] == ["provided", "operations"]:
+        return "provided/operations"
     return roles[-1] if roles else kind
 
 
@@ -291,6 +300,14 @@ class TestMalformedDocuments:
             ),
             (parse_archive, '{"module": "m", "components": {"A": {}}}',
              "archive document: 'components' must be a list"),
+            # [1] right after [true]: both refused, so the archive cache cannot hand one the other's descriptor
+            *(
+                (parse_archive,
+                 json.dumps(replaced(json.loads(chain_archive()),
+                                     ("components", 0, "provided", 0, "operations", 0, "params"), params)),
+                 "interface operation 'frontWork': 'params' must be a list of strings")
+                for params in ([True], [1], ["a", None])
+            ),
             (parse_scenario, '{"clients": [{"id": "c", "script": [{"at": 1}]}]}',
              "script entry needs either 'call' or 'home'"),
             (parse_request, '{"targets": [{"component": "C", "descriptor_file": "c.json"}]}',
@@ -357,8 +374,8 @@ class TestSnapshotDocumentRoundTrip:
             engine.run(until=t)
             snap = engine.snapshot()
             assert load_snapshot(json.dumps(snapshot_to_json(snap)), engine.config) == snap, f"t={t}"
-            seen["busy"] += sum(1 for inst in snap.instances if not inst.idle)
-            seen["in_flight"] += sum(1 for inst in snap.instances if inst.in_flight is not None)
+            seen["busy"] += len(snap.busy)
+            seen["in_flight"] += sum(1 for inst in snap.busy if inst.in_flight is not None)
             seen["remote_refs"] += len(snap.remote_refs)
             seen["queued"] += sum(depth for _, depth in snap.queue_depths)
 
@@ -369,7 +386,7 @@ class TestSnapshotDocumentRoundTrip:
         engine.run(until=5)  # S#0 has finished c0's call, S#1 still runs c1's
         assert [i.key for i in engine.containers["S"].instances] == ["S#0", "S#1"]
         snap = engine.snapshot()
-        assert [i.key for i in snap.busy] == ["S#1"] and snap.pools["S"] == ("S#1", "S#0")
+        assert [i.key for i in snap.busy] == ["S#1"] and dict(snap.idle) == {"S": ("S#0",)}
         doc = snapshot_to_json(snap)
         assert [(i["key"], i["idle"]) for i in doc["instances"]] == [("S#1", False), ("S#0", True)]
         assert load_snapshot(json.dumps(doc), engine.config) == snap

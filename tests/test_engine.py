@@ -669,7 +669,7 @@ class TestSessionsAndRefs:
         snapshot = engine.snapshot()
         assert snapshot.active_transactions == ()
         assert snapshot.remote_refs == ()
-        assert all(inst.idle for inst in snapshot.instances)
+        assert snapshot.busy == () and dict(snapshot.idle) == {"S": ("S#0",)}
 
     def test_home_create_and_remove_tracks_remote_refs(self):
         engine = Engine(single_stateless())
@@ -758,7 +758,7 @@ class TestSnapshotCapture:
         engine.load_scenario(parse_scenario(read_fixture("demo_scenario.json")))
         engine.run(until=2)
         snapshot = engine.snapshot()
-        busy = {i.key: i for i in snapshot.instances if not i.idle}
+        busy = {i.key: i for i in snapshot.busy}
         assert "A#0" in busy or "A#1" in busy
         assert snapshot.time == 2
         # mutating the engine further must not disturb the captured value
@@ -779,14 +779,14 @@ class TestSnapshotCapture:
         snapshot = engine.snapshot()
         assert built == [] and snapshot.busy == ()
         assert len(snapshot.idle) == 127
-        assert all(keys == (f"{name}#0",) for name, keys in snapshot.idle)
+        assert all(keys == (f"{name}#0",) for name, keys in snapshot.idle.items())
         leaf = [client("s", call_entry(0, "C126"), access="Local")]
         engine.load_scenario(parse_scenario(scenario_doc(leaf)))
         engine.run(until=1)  # the leaf works for 4 units
         snapshot = engine.snapshot()
         assert built == ["C126#0"]
-        assert [(i.key, i.idle, i.operation) for i in snapshot.busy] == [("C126#0", False, "work")]
-        assert len(snapshot.idle) == 126 and "C126" not in dict(snapshot.idle)
+        assert [(i.key, i.operation) for i in snapshot.busy] == [("C126#0", "work")]
+        assert len(snapshot.idle) == 126 and "C126" not in snapshot.idle
 
 
 class TestSnapshotMatchesFullScan:
@@ -803,7 +803,7 @@ class TestSnapshotMatchesFullScan:
         assert snapshot == full_scan_snapshot(engine), engine.clock
         busy = {inst.component for inst in snapshot.busy}
         seen["touched_idle"] += any(name not in busy for name, _ in snapshot.active_transactions)
-        seen["pool"] = max([seen["pool"], *map(len, snapshot.pools.values())])
+        seen["pool"] = max([seen["pool"], *(len(c.instances) for c in engine.containers.values())])
         return False
 
     def run_checked(self, engine: Engine, until: int, seen: dict) -> None:
@@ -836,12 +836,12 @@ class TestSnapshotMatchesFullScan:
         engine.activate_barrier("S")
         self.run_checked(engine, 20, seen)
         assert engine.barrier_state("S") == BARRIER_CLOSED
-        assert engine.snapshot().pools["S"] == ("S#0", "S#1", "S#2")
+        assert engine.snapshot().idle["S"] == ("S#0", "S#1", "S#2")
         engine.swap_component("S", engine.config.with_component(parse_component(s(2))))
         self.assert_matches(engine, seen)
         # survivors keep their keys; an interchangeable pool restarts at #0
         expected = ("S#0", "S#1", "S#2") if kind == "StatefulSession" else ("S#0",)
-        assert engine.snapshot().pools["S"] == expected
+        assert engine.snapshot().idle["S"] == expected
         engine.release_barrier("S")
         self.run_checked(engine, 60, seen)
         assert seen["pool"] == 3
@@ -862,10 +862,10 @@ class TestSnapshotMatchesFullScan:
         self.assert_matches(engine, seen)
         engine.start_container("Y")
         self.assert_matches(engine, seen)
-        assert engine.snapshot().pools["Y"] == ("Y#0",)
+        assert engine.snapshot().idle["Y"] == ("Y#0",)
         engine.remove_component("Y")
         self.assert_matches(engine, seen)
-        assert "Y" not in engine.snapshot().pools
+        assert "Y" not in engine.snapshot().idle
         assert seen["touched_idle"]
 
 

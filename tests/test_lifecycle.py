@@ -463,12 +463,12 @@ class TestRollingRedeployCost:
         def recording(snapshot, window):
             nonlocal busy
             deployed = snapshot.config.components()
-            for inst in snapshot.instances:
-                if inst.idle:
-                    for spec in deployed[inst.component].operations:
-                        if spec.effect_automaton is not None:
-                            pairs[(id(spec.effect_automaton), spec.effect_automaton.initial)] = spec.effect_automaton
-                elif inst.cursor is not None:
+            for component in snapshot.idle:
+                for spec in deployed[component].operations:
+                    if spec.effect_automaton is not None:
+                        pairs[(id(spec.effect_automaton), spec.effect_automaton.initial)] = spec.effect_automaton
+            for inst in snapshot.busy:
+                if inst.cursor is not None:
                     busy += 1
                     pairs[(id(inst.cursor.automaton), inst.cursor.current)] = inst.cursor.automaton
             return real_build(snapshot, window)
@@ -517,7 +517,7 @@ class TestRememberedDiff:
         engine = manager.engine
         request = ReconfigurationRequest("r", (TargetChange("S", self.component("S", 2, duration=7)),),
                                          requested_at=engine.clock)
-        assert execute_plan(build_plan(request, engine.config, engine.snapshot()), engine).outcome == "Completed"
+        assert execute_plan(build_plan(request, engine.snapshot()), engine).outcome == "Completed"
         # the next archive hands back the very S found equal before; the deployed S now differs from it
         with pytest.raises(VersionError, match="new version 1 not greater than 2"):
             manager.redeploy("shop", ModuleArchive("shop", 3, (equal_s, second.components[1])))

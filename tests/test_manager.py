@@ -159,12 +159,12 @@ class TestUnchangedRemoteRefs:
     def test_component_wired_over_remote_interface_counts(self):
         config = self.remote_pair()
         snapshot = Engine(config).snapshot()
-        assert unchanged_remote_refs("B", config, snapshot) == frozenset({"A"})
+        assert unchanged_remote_refs("B", snapshot) == frozenset({"A"})
 
     def test_clients_swapped_in_same_request_do_not_block(self):
         config = self.remote_pair()
         snapshot = Engine(config).snapshot()
-        refs = unchanged_remote_refs("B", config, snapshot, changed={"A", "B"})
+        refs = unchanged_remote_refs("B", snapshot, changed={"A", "B"})
         assert refs == frozenset()
 
     def test_session_handles_count_and_local_wiring_does_not(self, chain_config):
@@ -176,9 +176,9 @@ class TestUnchangedRemoteRefs:
         )
         engine.run(until=1)
         snapshot = engine.snapshot()
-        assert unchanged_remote_refs("A", chain_config, snapshot) == frozenset({"r1"})
+        assert unchanged_remote_refs("A", snapshot) == frozenset({"r1"})
         # B is only wired over a Local interface: nothing blocks it
-        assert unchanged_remote_refs("B", chain_config, snapshot) == frozenset()
+        assert unchanged_remote_refs("B", snapshot) == frozenset()
 
 
 class TestAnalyse:
@@ -272,7 +272,7 @@ class TestAnalyse:
         request = self.faulty_request(chain_config, targets, qos)
         snapshot = Engine(chain_config).snapshot()
         for attempt in (
-            lambda: build_plan(request, chain_config, snapshot),
+            lambda: build_plan(request, snapshot),
             lambda: check_mode(request, chain_config, "strict"),
         ):
             with pytest.raises(error) as info:
@@ -299,7 +299,7 @@ class TestBuildPlan:
 
     def test_plan_orders_barriers_clients_first(self, chain_config):
         engine = Engine(chain_config)
-        plan = build_plan(self.functional_c_request(), chain_config, engine.snapshot())
+        plan = build_plan(self.functional_c_request(), engine.snapshot())
         assert plan_ordering_problems(plan) == []
         activates = [s.component for s in plan.steps if s.kind == "ActivateBarrier"]
         awaits = [s.component for s in plan.steps if s.kind == "AwaitQuiescence"]
@@ -322,14 +322,14 @@ class TestBuildPlan:
                  access={"IB": "Local"})
         )
         request = ReconfigurationRequest(id="r", targets=(TargetChange("B", new_b),))
-        plan = build_plan(request, diamond_config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         assert plan.affected <= {"A", "B"}
         assert "C" not in plan.affected and "D" not in plan.affected
 
     def test_stale_snapshot_rejected(self, chain_config):
         engine = Engine(chain_config)
         with pytest.raises(SnapshotStale):
-            build_plan(self.functional_c_request(at=5), chain_config, engine.snapshot())
+            build_plan(self.functional_c_request(at=5), engine.snapshot())
 
     def test_structural_stateful_target_rejected(self):
         config = app(
@@ -342,7 +342,7 @@ class TestBuildPlan:
         request = ReconfigurationRequest(id="r", targets=(TargetChange("S", new),))
         engine = Engine(config)
         with pytest.raises(Rejection) as info:
-            build_plan(request, config, engine.snapshot())
+            build_plan(request, engine.snapshot())
         verdicts = {v.component: v for v in info.value.verdicts}
         assert verdicts["S"].verdict is Verdict.UNSAFE
         assert Reason.HAS_CONVERSATIONAL_STATE in verdicts["S"].reasons
@@ -352,16 +352,14 @@ class TestBuildPlan:
         request = ReconfigurationRequest(
             id="r", targets=(), qos_changes=(QosChange("B", 8),), requested_at=0
         )
-        plan = build_plan(request, chain_config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         kinds = [s.kind for s in plan.steps]
         assert kinds == ["SetPoolSize"]
         assert plan.affected == frozenset()
 
     def test_whole_app_blocking_barricades_everything(self, chain_config):
         engine = Engine(chain_config)
-        plan = build_plan(
-            self.functional_c_request(), chain_config, engine.snapshot(), blocking="whole-app"
-        )
+        plan = build_plan(self.functional_c_request(), engine.snapshot(), blocking="whole-app")
         assert plan.affected == frozenset({"A", "B", "C"})
 
     def test_message_driven_target_gets_queue_pause(self):
@@ -378,7 +376,7 @@ class TestBuildPlan:
         )
         engine = Engine(config)
         request = ReconfigurationRequest(id="r", targets=(TargetChange("M", new),))
-        plan = build_plan(request, config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         kinds = [(s.kind, s.queue) for s in plan.steps if s.queue]
         assert ("PauseQueue", "q") in kinds and ("ResumeQueue", "q") in kinds
         assert plan_ordering_problems(plan) == []
@@ -388,7 +386,7 @@ class TestExecutePlan:
     def test_idle_system_downtime_is_swap_cost_only(self, chain_config):
         engine = Engine(chain_config)
         request = TestBuildPlan().functional_c_request()
-        plan = build_plan(request, chain_config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         report = execute_plan(plan, engine)
         assert report.outcome == "Completed"
         assert report.downtime == {"A": 10, "B": 10, "C": 10}
@@ -400,7 +398,7 @@ class TestExecutePlan:
         request = ReconfigurationRequest(
             id="r", targets=tuple(TargetChange(n, replace(deployed[n], version=2)) for n in "BC")
         )
-        plan = build_plan(request, chain_config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         assert execute_plan(plan, engine).outcome == "Completed"
         assert engine.config is plan.target
         assert {n: d.version for n, d in engine.config.components().items()} == {"A": 1, "B": 2, "C": 2}
@@ -409,12 +407,12 @@ class TestExecutePlan:
         monkeypatch.setattr(model_module, "_check_composition", lambda config, names=None: checked.append(config)
                             or real(config, names))
         follow_up = ReconfigurationRequest(id="r2", targets=(TargetChange("A", None),), requested_at=engine.clock)
-        build_plan(follow_up, engine.config, engine.snapshot())
+        build_plan(follow_up, engine.snapshot())
         assert not any(config is engine.config for config in checked)
 
     def test_finished_plan_is_not_kept_alive_by_its_drain_deadline(self, chain_config):
         engine = Engine(chain_config)
-        plan = build_plan(TestBuildPlan().functional_c_request(), chain_config, engine.snapshot())
+        plan = build_plan(TestBuildPlan().functional_c_request(), engine.snapshot())
         executor = PlanExecutor(engine, plan)
         executor.start()
         executor.run_until_done()
@@ -433,7 +431,7 @@ class TestExecutePlan:
         engine.run(until=5)
         new = parse_component(comp("S", version=2, operations=[op("work", duration=10)]))
         request = ReconfigurationRequest(id="r", targets=(TargetChange("S", new),), requested_at=5)
-        plan = build_plan(request, engine.config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         report = execute_plan(plan, engine)
         assert report.outcome == "Completed"
         assert report.downtime == {"S": 15}  # 5 remaining + 10 swap cost
@@ -446,7 +444,7 @@ class TestExecutePlan:
         version_before = engine.config.version
         new = parse_component(comp("S", version=2, operations=[op("work", duration=1)]))
         request = ReconfigurationRequest(id="r", targets=(TargetChange("S", new),), requested_at=5)
-        plan = build_plan(request, engine.config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         report = execute_plan(plan, engine)
         assert report.outcome == "DrainTimeout"
         assert [e for e in engine.log if e.kind == "SwapApplied"] == []
@@ -490,7 +488,7 @@ class TestExecutePlan:
             entity_migration=(EntityMigration("E", "db2", (("c1", "k1"), ("c2", "c2"))),),
             requested_at=10,
         )
-        plan = build_plan(request, engine.config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         report = execute_plan(plan, engine)
         assert report.outcome == "Completed"
         engine.run(until=100)  # the post-swap write at t=60 lands in the shadow store
@@ -509,7 +507,7 @@ class TestExecutePlan:
         )
         engine = Engine(chain_config)
         request = ReconfigurationRequest(id="r", targets=(TargetChange("C", gutted),))
-        plan = build_plan(request, chain_config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         report = execute_plan(plan, engine)
         assert report.outcome == "Rejected"
         assert any(f.kind == "signature-mismatch" for f in report.findings)
@@ -566,7 +564,7 @@ class TestSwapWaitsOnReopenedDrain:
         request = ReconfigurationRequest(
             id=f"swap-c@{engine.clock}", targets=(TargetChange("C", new_c),), requested_at=engine.clock
         )
-        plan = build_plan(request, engine.config, engine.snapshot())
+        plan = build_plan(request, engine.snapshot())
         assert plan.affected == frozenset({"A", "C"})
         if drop_client_await:
             steps = tuple(s for s in plan.steps if (s.kind, s.component) != (AWAIT_QUIESCENCE, "A"))

@@ -22,7 +22,10 @@ Execution model
 An invocation occupies one instance for its whole duration.  Its automaton
 path is walked transition by transition: taking a transition emits the call
 at once (synchronously), and the transition's ``min_delay`` is local
-computation after the call returns, before the next step.  The earliest
+computation after the call returns, before the next step.  A step picks one
+of its state's own choices, so it can never be refused; the execution moves
+to the operation spec's one interned cursor at the target state
+(``OperationSpec.cursor_at``) and builds none.  The earliest
 possible occurrence of a call is therefore the sum of the delays strictly
 before its transition, which is exactly what the dependency pruning
 assumes.  After the walk ends a final local segment tops the busy time up
@@ -31,7 +34,12 @@ already); an operation with no automaton simply runs for ``duration``.
 A call that finds no free instance waits in its container's pool queue;
 waiters start FIFO from the head, and pools of the interchangeable kinds
 stop at the first refusal, since a refused acquisition refuses every later
-waiter until a completion frees an instance.
+waiter until a completion frees an instance.  Each container records its
+gates (the CleanShutdown and RedeployBarrier stages ahead of Pooling) when it
+is created, so a dispatch walks them only while a barrier is up or a
+shutdown is on.  Each logged event is an ``Event`` record (a named tuple)
+that the engine appends to its log's list itself, after the same
+time-order check ``EventLog.append`` makes.
 
 Barrier semantics
 -----------------
@@ -57,11 +65,12 @@ import heapq
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .automata import AutomatonCursor, CallLabel, advance
+# executions move between interned cursors and no longer call ``advance``;
+# the name stays here because the benchmark's tracer looks it up by it
+from .automata import AutomatonCursor, CallLabel, advance  # noqa: F401
 from .errors import (
     AlreadyBarricaded,
     EngineFault,
@@ -113,6 +122,17 @@ STORE_SYNCED = "StoreSynced"
 POOL_SIZE_CHANGED = "PoolSizeChanged"
 CLEAN_SHUTDOWN_ACTIVATED = "CleanShutdownActivated"
 
+# Enum members the engine compares against on every container or step, bound
+# once: reading a member off its Enum class costs several global reads.
+_POOLING = InterceptorKind.POOLING
+_CLEAN_SHUTDOWN = InterceptorKind.CLEAN_SHUTDOWN
+_REDEPLOY_BARRIER = InterceptorKind.REDEPLOY_BARRIER
+_STATEFUL = ComponentKind.STATEFUL_SESSION
+_ENTITY = ComponentKind.ENTITY
+_NO_TX = TxAttribute.NONE
+_JOINS = TxAttribute.JOINS
+_STARTS_NEW = TxAttribute.STARTS_NEW
+
 # Same-instant scheduling priority classes.
 PRIO_COMPLETION = 0
 PRIO_BARRIER = 1
@@ -148,11 +168,14 @@ _ENCODE = json.encoder.c_make_encoder(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     t: int
     kind: str
     payload: dict
+
+
+# builds an Event without the generated __new__'s Python-level call
+_new_event = tuple.__new__
 
 
 class EventLog:
@@ -185,7 +208,11 @@ class EventLog:
 
 
 class _Invocation:
-    """Runtime record of one call; re-dispatched as-is when replayed from a barrier."""
+    """Runtime record of one call; re-dispatched as-is when replayed from a barrier.
+
+    Built with positional arguments, in the order of ``__init__``: a step
+    builds one per call, and keywords would more than double its cost.
+    """
 
     __slots__ = (
         "id",
@@ -231,6 +258,7 @@ class _Execution:
 
     __slots__ = (
         "invocation",
+        "container",
         "instance",
         "spec",
         "cursor",
@@ -246,17 +274,18 @@ class _Execution:
     def __init__(
         self,
         invocation: _Invocation,
+        container: "_Container",
         instance: "_Instance",
         spec: OperationSpec,
         seed: int,
         started_at: int,
     ) -> None:
         self.invocation = invocation
+        self.container = container
         self.instance = instance
         self.spec = spec
-        self.cursor: Optional[AutomatonCursor] = (
-            spec.effect_automaton.cursor() if spec.effect_automaton else None
-        )
+        automaton = spec.effect_automaton
+        self.cursor: Optional[AutomatonCursor] = spec.cursor_at(automaton.initial) if automaton else None
         self.seed = seed
         self.rng: Optional[random.Random] = None  # created at the first choice
         self.emitted = 0
@@ -284,9 +313,40 @@ BARRIER_CLOSED = "Closed"
 
 
 class _Container:
+    __slots__ = (
+        "spec",
+        "pooled",
+        "gates",
+        "descriptor",
+        "stateful",
+        "entity",
+        "receiver",
+        "started",
+        "instances",
+        "free",
+        "pool_wait",
+        "created",
+        "pool_size",
+        "barrier_mode",
+        "barrier_held",
+        "clean_shutdown",
+        "executing",
+        "touching_txs",
+        "quiescence_waiters",
+        "bound_store",
+        "bound_queue",
+    )
+
     def __init__(self, spec: ContainerSpec, descriptor: ComponentDescriptor) -> None:
         self.spec = spec
-        self.descriptor = descriptor
+        # the stages a dispatch checks before pooling, in chain order
+        chain = spec.interceptor_chain
+        self.pooled = _POOLING in chain
+        ahead = chain[: chain.index(_POOLING)] if self.pooled else chain
+        self.gates = tuple([kind for kind in ahead if kind is _CLEAN_SHUTDOWN or kind is _REDEPLOY_BARRIER])
+        self.bound_store: Optional[str] = descriptor.data_store
+        self.bound_queue: Optional[str] = descriptor.queue
+        self.host(descriptor)
         self.started = False
         self.instances: list[_Instance] = []
         self.free: list[_Instance] = []
@@ -299,8 +359,22 @@ class _Container:
         self.executing = 0
         self.touching_txs: set[str] = set()
         self.quiescence_waiters: list[Callable[[], None]] = []
-        self.bound_store: Optional[str] = descriptor.data_store
-        self.bound_queue: Optional[str] = descriptor.queue
+
+    def host(self, descriptor: ComponentDescriptor) -> None:
+        """Host ``descriptor`` and record what the hot path reads of it.
+
+        Called once ``bound_queue`` is set: only a container bound to a queue
+        gets a receiver operation.
+        """
+        self.descriptor = descriptor
+        self.stateful = descriptor.kind is _STATEFUL
+        self.entity = descriptor.kind is _ENTITY
+        # a message delivered to a bound container calls the first operation
+        # of its first provided interface
+        self.receiver = None
+        if self.bound_queue is not None and descriptor.provided and descriptor.provided[0].operations:
+            first = descriptor.provided[0]
+            self.receiver = (first.name, first.operations[0].name)
 
     @property
     def name(self) -> str:
@@ -318,12 +392,14 @@ class _Queue:
         self.enqueued = 0
 
 
-@dataclass
 class _Transaction:
-    id: str
-    root_invocation: str
-    writes: list = field(default_factory=list)  # (store, key, column, value)
-    touched: set = field(default_factory=set)
+    __slots__ = ("id", "root_invocation", "writes", "touched")
+
+    def __init__(self, id: str, root_invocation: str) -> None:
+        self.id = id
+        self.root_invocation = root_invocation
+        self.writes: list[tuple] = []  # (store, key, column, value)
+        self.touched: set[str] = set()
 
 
 class Engine:
@@ -340,6 +416,7 @@ class Engine:
         self.drain_timeout = drain_timeout
         self.clock = 0
         self.log = EventLog()
+        self._events = self.log.events  # what _emit appends to
         # (time, priority class, sequence number, function, its arguments)
         self._heap: list[tuple[int, int, int, Callable[..., None], tuple]] = []
         self._seq = 0
@@ -391,23 +468,30 @@ class Engine:
         Raises the pending ProtocolViolation, if one was detected, after the
         offending event has been logged.
         """
-        heap = self._heap
-        stopped = stop_when() if stop_when is not None else False
-        while heap and not stopped:
-            if until is not None and heap[0][0] > until:
-                break
-            time, _, _, fn, args = heapq.heappop(heap)
-            self.clock = time
+        heap, pop = self._heap, heapq.heappop
+        horizon = until if until is not None else float("inf")
+        stopped = stop_when is not None and stop_when()
+        while heap and not stopped and heap[0][0] <= horizon:
+            self.clock, _, _, fn, args = pop(heap)
             fn(*args)
             if self._violation is not None:
                 raise self._violation
-            stopped = stop_when() if stop_when is not None else False
+            if stop_when is not None:
+                stopped = stop_when()
         if until is not None and until > self.clock and not stopped:
             self.clock = until
         return self.log, self
 
-    def _emit(self, kind: str, **payload) -> None:
-        self.log.append(self.clock, kind, payload)
+    def _emit(self, kind: str, payload: dict) -> None:
+        """Log one event, as ``EventLog.append`` would, without its extra call.
+
+        The log takes ownership of ``payload``, which each caller builds as a
+        literal (cheaper than collecting keyword arguments).
+        """
+        events, t = self._events, self.clock
+        if events and t < events[-1][0]:
+            raise EngineFault("event log time went backwards")
+        events.append(_new_event(Event, (t, kind, payload)))
 
     # ------------------------------------------------------------------
     # Scenario loading
@@ -420,15 +504,8 @@ class Engine:
             for idx, entry in enumerate(client.script):
                 if isinstance(entry, ScriptCall):
                     inv = _Invocation(
-                        id=f"{client.id}:{idx}",
-                        caller=f"session:{client.id}",
-                        session=client.id,
-                        component=entry.component,
-                        interface=entry.interface,
-                        operation=entry.operation,
-                        ambient_tx=None,
-                        submitted_at=entry.at,
-                        parent=None,
+                        f"{client.id}:{idx}", f"session:{client.id}", client.id,
+                        entry.component, entry.interface, entry.operation, None, entry.at, None,
                     )
                     self._at(entry.at, PRIO_DISPATCH, self._dispatch, inv)
                 else:
@@ -461,13 +538,15 @@ class Engine:
         if spec is None:
             self._missing_operation(inv)
             return
-        for kind in container.spec.interceptor_chain:
-            if kind is InterceptorKind.CLEAN_SHUTDOWN:
-                if container.clean_shutdown:
-                    self._deny(inv, "clean-shutdown")
-                    return
-            elif kind is InterceptorKind.REDEPLOY_BARRIER:
-                if container.barrier_mode != BARRIER_OPEN:
+        # the gates can only act while a barrier is up or a shutdown is on;
+        # TxDemarcation needs no stage: a transaction begins in _begin
+        if container.barrier_mode != BARRIER_OPEN or container.clean_shutdown:
+            for kind in container.gates:
+                if kind is _CLEAN_SHUTDOWN:
+                    if container.clean_shutdown:
+                        self._deny(inv, "clean-shutdown")
+                        return
+                elif container.barrier_mode != BARRIER_OPEN:
                     if not self._joins_active_tx(inv, spec):
                         self._hold(container, inv)
                         return
@@ -480,19 +559,16 @@ class Engine:
                             # new outside work: park it until release
                             self._hold(container, inv)
                             return
-            elif kind is InterceptorKind.TX_DEMARCATION:
-                pass  # transaction begins when the instance starts executing
-            elif kind is InterceptorKind.POOLING:
-                instance = self._acquire_instance(container, inv)
-                if instance is None:
-                    container.pool_wait.append(inv)
-                    return
-                self._begin(container, inv, spec, instance)
-                return
-        raise EngineFault(f"container {container.name!r} chain has no Pooling stage")
+        if not container.pooled:
+            raise EngineFault(f"container {container.name!r} chain has no Pooling stage")
+        instance = self._acquire_instance(container, inv)
+        if instance is None:
+            container.pool_wait.append(inv)
+            return
+        self._begin(container, inv, spec, instance)
 
     def _joins_active_tx(self, inv: _Invocation, spec: OperationSpec) -> bool:
-        return spec.tx_attribute is TxAttribute.JOINS and inv.ambient_tx in self.transactions
+        return spec.tx_attribute is _JOINS and inv.ambient_tx in self.transactions
 
     def _tx_inside_barricade(self, tx_id: Optional[str]) -> bool:
         """Whether some barricaded container's drain depends on this transaction."""
@@ -509,16 +585,24 @@ class Engine:
         container.barrier_held.append(inv)
         self._emit(
             INVOCATION_HELD,
-            id=inv.id,
-            component=inv.component,
-            operation=inv.operation,
-            session=inv.session,
-            submitted_at=inv.submitted_at,
+            {
+                "id": inv.id,
+                "component": inv.component,
+                "operation": inv.operation,
+                "session": inv.session,
+                "submitted_at": inv.submitted_at,
+            },
         )
 
     def _deny(self, inv: _Invocation, reason: str) -> None:
         self._emit(
-            INVOCATION_DENIED, id=inv.id, component=inv.component, session=inv.session, reason=reason
+            INVOCATION_DENIED,
+            {
+                "id": inv.id,
+                "component": inv.component,
+                "session": inv.session,
+                "reason": reason,
+            },
         )
         if inv.parent is not None:
             # the caller absorbs the failure and carries on; no abort
@@ -531,8 +615,10 @@ class Engine:
                 self._invalidated_sessions.add(inv.session)
                 self._emit(
                     SESSION_INVALIDATED,
-                    session=inv.session,
-                    reason=f"operation {inv.component}.{inv.operation} no longer provided",
+                    {
+                        "session": inv.session,
+                        "reason": f"operation {inv.component}.{inv.operation} no longer provided",
+                    },
                 )
             self._deny(inv, "missing-operation")
             return
@@ -542,10 +628,12 @@ class Engine:
         )
         self._emit(
             INVOCATION_DENIED,
-            id=inv.id,
-            component=inv.component,
-            session=inv.session,
-            reason="protocol-violation",
+            {
+                "id": inv.id,
+                "component": inv.component,
+                "session": inv.session,
+                "reason": "protocol-violation",
+            },
         )
 
     # ------------------------------------------------------------------
@@ -553,7 +641,7 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _acquire_instance(self, container: _Container, inv: _Invocation) -> Optional[_Instance]:
-        if container.descriptor.kind is ComponentKind.STATEFUL_SESSION:
+        if container.stateful:
             binding = inv.session or inv.caller
             for instance in container.instances:
                 if instance.session == binding:
@@ -590,66 +678,64 @@ class Engine:
             return
         # completions are always scheduled, so nothing frees an instance in this
         # loop: one refusal refuses every later waiter unless bindings decide
-        interchangeable = container.descriptor.kind is not ComponentKind.STATEFUL_SESSION
-        remaining: list[_Invocation] = []
-        # enumerate also reaches waiters that _begin re-dispatches onto this container
-        for index, inv in enumerate(waiting):
+        kept: list[_Invocation] = []
+        served = 0  # waiters from the head that started or were kept
+        # the loop also reaches waiters that _begin re-dispatches onto this container
+        for inv in waiting:
             spec = container.descriptor.operation_spec(inv.operation)
             if spec is None:
-                remaining.append(inv)
-                continue
-            instance = self._acquire_instance(container, inv)
-            if instance is not None:
+                kept.append(inv)
+            elif (instance := self._acquire_instance(container, inv)) is not None:
                 self._begin(container, inv, spec, instance)
-            elif interchangeable:
-                remaining += waiting[index:]
-                break
+            elif container.stateful:
+                kept.append(inv)
             else:
-                remaining.append(inv)
-        container.pool_wait = remaining
+                break
+            served += 1
+        waiting[:served] = kept  # in place: the refused tail stays as it is
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def _resolve_transaction(self, container: _Container, inv: _Invocation, spec: OperationSpec) -> None:
+    def _begin(self, container: _Container, inv: _Invocation, spec: OperationSpec, instance: _Instance) -> None:
+        # resolve the transaction: join the ambient one, start one, or run without
         attr = spec.tx_attribute
-        if attr is TxAttribute.NONE and container.descriptor.kind is ComponentKind.ENTITY:
-            attr = TxAttribute.STARTS_NEW  # entity work is always transacted
-        if attr is TxAttribute.JOINS and self._joins_active_tx(inv, spec):
+        if attr is _NO_TX and container.entity:
+            attr = _STARTS_NEW  # entity work is always transacted
+        tx = None
+        if attr is _JOINS and inv.ambient_tx in self.transactions:
+            tx = self.transactions[inv.ambient_tx]
             inv.tx = inv.ambient_tx
-            return
-        if attr in (TxAttribute.STARTS_NEW, TxAttribute.JOINS):
+        elif attr is _STARTS_NEW or attr is _JOINS:
             # Joins with no active ambient transaction starts its own
-            tx = _Transaction(id=f"tx:{inv.id}", root_invocation=inv.id)
+            tx = _Transaction(f"tx:{inv.id}", inv.id)
             self.transactions[tx.id] = tx
             inv.tx = tx.id
             inv.started_tx = True
-            self._emit(TX_BEGIN, tx=tx.id, root=inv.id)
-
-    def _begin(self, container: _Container, inv: _Invocation, spec: OperationSpec, instance: _Instance) -> None:
-        self._resolve_transaction(container, inv, spec)
-        if inv.tx is not None:
-            tx = self.transactions[inv.tx]
-            tx.touched.add(container.name)
+            self._emit(TX_BEGIN, {"tx": tx.id, "root": inv.id})
+        if tx is not None:
+            tx.touched.add(inv.component)
             container.touching_txs.add(tx.id)
             self._touched.add(inv.component)
         container.executing += 1
         self._busy.add(inv.component)
         instance.invocations_served += 1
-        execution = _Execution(inv, instance, spec, self.seed, self.clock)
+        execution = _Execution(inv, container, instance, spec, self.seed, self.clock)
         instance.current = execution
         self._emit(
             INVOCATION_START,
-            id=inv.id,
-            component=inv.component,
-            interface=inv.interface,
-            operation=inv.operation,
-            caller=inv.caller,
-            session=inv.session,
-            instance=instance.key,
-            tx=inv.tx,
-            submitted_at=inv.submitted_at,
+            {
+                "id": inv.id,
+                "component": inv.component,
+                "interface": inv.interface,
+                "operation": inv.operation,
+                "caller": inv.caller,
+                "session": inv.session,
+                "instance": instance.key,
+                "tx": inv.tx,
+                "submitted_at": inv.submitted_at,
+            },
         )
         self._continue_execution(execution)
 
@@ -678,11 +764,8 @@ class Engine:
 
     def _emit_call(self, execution: _Execution, transition) -> None:
         inv = execution.invocation
-        try:
-            execution.cursor = advance(execution.cursor, transition.label)
-        except ProtocolViolation as exc:
-            self._violation = exc
-            return
+        # the transition is one of the current state's own choices
+        execution.cursor = execution.spec.cursor_at(transition.target)
         label: CallLabel = transition.label
         provider = self.config.provider_of(inv.component, label.interface)
         if provider is None:
@@ -695,15 +778,8 @@ class Engine:
             )
             return
         child = _Invocation(
-            id=f"{inv.id}.{execution.emitted}",
-            caller=execution.instance.key,
-            session=inv.session,
-            component=provider,
-            interface=label.interface,
-            operation=label.operation,
-            ambient_tx=inv.tx,
-            submitted_at=self.clock,
-            parent=execution,
+            f"{inv.id}.{execution.emitted}", execution.instance.key, inv.session,
+            provider, label.interface, label.operation, inv.tx, self.clock, execution,
         )
         execution.emitted += 1
         execution.in_flight_child = child
@@ -718,31 +794,31 @@ class Engine:
             self._continue_execution(execution)
 
     def _complete(self, execution: _Execution) -> None:
-        inv = execution.invocation
-        container = self.containers[inv.component]
-        instance = execution.instance
-        if container.descriptor.kind is ComponentKind.ENTITY and inv.tx is not None:
+        inv, container, instance = execution.invocation, execution.container, execution.instance
+        if container.entity and inv.tx is not None:
             self._record_entity_write(container, inv)
         self._emit(
             INVOCATION_END,
-            id=inv.id,
-            component=inv.component,
-            operation=inv.operation,
-            session=inv.session,
-            instance=instance.key,
-            tx=inv.tx,
-            submitted_at=inv.submitted_at,
+            {
+                "id": inv.id,
+                "component": inv.component,
+                "operation": inv.operation,
+                "session": inv.session,
+                "instance": instance.key,
+                "tx": inv.tx,
+                "submitted_at": inv.submitted_at,
+            },
         )
         instance.current = None
         container.executing -= 1
         if not container.executing:
             self._busy.discard(inv.component)
-        if container.descriptor.kind is not ComponentKind.STATEFUL_SESSION:
-            container.free.append(instance)
-        if container.descriptor.kind is ComponentKind.STATEFUL_SESSION:
+        if container.stateful:
             # deterministic conversational state: remember the last call per field
             for field_name in container.descriptor.state_fields:
                 instance.state[field_name] = f"{inv.operation}#{instance.invocations_served}"
+        else:
+            container.free.append(instance)
         if inv.started_tx and inv.tx is not None:
             self._commit_transaction(self.transactions[inv.tx])
         if container.pool_wait:
@@ -768,7 +844,7 @@ class Engine:
         for store, key, column, value in tx.writes:
             self.stores[store].setdefault(key, {})[column] = value
         # the log takes the list itself; JSON writes each tuple as an array
-        self._emit(TX_COMMIT, tx=tx.id, root=tx.root_invocation, writes=tx.writes)
+        self._emit(TX_COMMIT, {"tx": tx.id, "root": tx.root_invocation, "writes": tx.writes})
         self._untouch(tx)
 
     def _untouch(self, tx: _Transaction) -> None:
@@ -790,7 +866,7 @@ class Engine:
         if container.barrier_mode != BARRIER_OPEN:
             raise AlreadyBarricaded(f"barrier on {component!r} is {container.barrier_mode}")
         container.barrier_mode = BARRIER_DRAINING
-        self._emit(BARRIER_ACTIVATED, component=component)
+        self._emit(BARRIER_ACTIVATED, {"component": component})
         # pool waiters that would start new work are held like new arrivals;
         # waiters joining active transactions must run or the drain never ends
         still_waiting: list[_Invocation] = []
@@ -809,7 +885,7 @@ class Engine:
         if container.touching_txs or container.executing > 0 or container.pool_wait:
             return
         container.barrier_mode = BARRIER_CLOSED
-        self._emit(QUIESCENCE_REACHED, component=container.name)
+        self._emit(QUIESCENCE_REACHED, {"component": container.name})
         waiters, container.quiescence_waiters = container.quiescence_waiters, []
         for waiter in waiters:
             waiter()
@@ -844,7 +920,7 @@ class Engine:
             return  # idempotent: releasing an open barrier acknowledges
         container.barrier_mode = BARRIER_OPEN
         container.quiescence_waiters = []  # only an abandoned plan still waits here
-        self._emit(BARRIER_RELEASED, component=component)
+        self._emit(BARRIER_RELEASED, {"component": component})
         held, container.barrier_held = container.barrier_held, []
         held.sort(key=lambda inv: (inv.submitted_at, inv.id))  # FIFO, ties by id
         for inv in held:
@@ -861,7 +937,7 @@ class Engine:
         if not container.has_interceptor(InterceptorKind.CLEAN_SHUTDOWN):
             raise EngineFault(f"container {component!r} has no CleanShutdown interceptor")
         container.clean_shutdown = True
-        self._emit(CLEAN_SHUTDOWN_ACTIVATED, component=component)
+        self._emit(CLEAN_SHUTDOWN_ACTIVATED, {"component": component})
 
     def is_drained(self, component: str) -> bool:
         container = self._container(component)
@@ -877,7 +953,7 @@ class Engine:
     def enqueue_message(self, queue: str, payload: str) -> None:
         q = self._queue(queue)
         q.items.append((q.enqueued, payload))
-        self._emit(MESSAGE_ENQUEUED, queue=queue, payload=payload, seq=q.enqueued)
+        self._emit(MESSAGE_ENQUEUED, {"queue": queue, "payload": payload, "seq": q.enqueued})
         q.enqueued += 1
         self._pump_queue(queue)
 
@@ -885,13 +961,13 @@ class Engine:
         q = self._queue(queue)
         if not q.paused:
             q.paused = True
-            self._emit(QUEUE_PAUSED, queue=queue)
+            self._emit(QUEUE_PAUSED, {"queue": queue})
 
     def resume_queue(self, queue: str) -> None:
         q = self._queue(queue)
         if q.paused:
             q.paused = False
-            self._emit(QUEUE_RESUMED, queue=queue)
+            self._emit(QUEUE_RESUMED, {"queue": queue})
         self._pump_queue(queue)
 
     def _index_receiver(self, queue: Optional[str]) -> None:
@@ -913,23 +989,15 @@ class Engine:
             return
         if container.barrier_mode != BARRIER_OPEN:
             return  # barrier doubles as delivery pause for the hosted receiver
-        receiver = container.descriptor.provided[0]
-        if not receiver.operations:
+        if container.receiver is None:
             raise EngineFault(f"receiver interface of {container.name!r} has no operations")
-        operation = receiver.operations[0].name
+        interface, operation = container.receiver
         while q.items and not q.paused and container.barrier_mode == BARRIER_OPEN:
             seq, payload = q.items.popleft()
-            self._emit(MESSAGE_DELIVERED, queue=queue, payload=payload, seq=seq)
+            self._emit(MESSAGE_DELIVERED, {"queue": queue, "payload": payload, "seq": seq})
             inv = _Invocation(
-                id=f"msg:{queue}:{seq}",
-                caller=f"queue:{queue}",
-                session=None,
-                component=container.name,
-                interface=receiver.name,
-                operation=operation,
-                ambient_tx=None,
-                submitted_at=self.clock,
-                parent=None,
+                f"msg:{queue}:{seq}", f"queue:{queue}", None,
+                container.name, interface, operation, None, self.clock, None,
             )
             self._dispatch(inv)
 
@@ -955,7 +1023,7 @@ class Engine:
         if container.barrier_mode != BARRIER_CLOSED:
             raise NotQuiescent(f"container {component!r} barrier is {container.barrier_mode}")
         old, new = container.descriptor, target.component(component)
-        if old.kind is ComponentKind.STATEFUL_SESSION:
+        if container.stateful:
             if tuple(old.state_fields) != tuple(new.state_fields):
                 raise StateShapeMismatch(
                     f"{component!r}: state fields {list(old.state_fields)} -> "
@@ -989,10 +1057,15 @@ class Engine:
             old_queue, container.bound_queue = container.bound_queue, new.queue
             self._index_receiver(old_queue)
             self._index_receiver(new.queue)
-        container.descriptor = new
+        container.host(new)
         self.config = target
         self._emit(
-            SWAP_APPLIED, component=component, from_version=old.version, to_version=new.version
+            SWAP_APPLIED,
+            {
+                "component": component,
+                "from_version": old.version,
+                "to_version": new.version,
+            },
         )
 
     def sync_shadow_store(
@@ -1017,10 +1090,12 @@ class Engine:
             )
         self._emit(
             STORE_SYNCED,
-            component=component,
-            source=source,
-            target=shadow_store,
-            rows=len(target),
+            {
+                "component": component,
+                "source": source,
+                "target": shadow_store,
+                "rows": len(target),
+            },
         )
         return len(target)
 
@@ -1029,7 +1104,7 @@ class Engine:
             raise ValidationError("pool_size must be >= 1")
         container = self._container(component)
         container.pool_size = pool_size
-        self._emit(POOL_SIZE_CHANGED, component=component, pool_size=pool_size)
+        self._emit(POOL_SIZE_CHANGED, {"component": component, "pool_size": pool_size})
         self._service_pool_queue(container)
 
     # ------------------------------------------------------------------

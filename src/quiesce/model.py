@@ -32,6 +32,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .automata import (
+    AutomatonCursor,
     ServiceEffectAutomaton,
     automaton_from_json,
     automaton_to_json,
@@ -117,6 +118,10 @@ class OperationSpec:
 
     ``effect_automaton`` may be None for operations with no protocol
     information; the dependency analysis then falls back to static edges.
+    A spec with an automaton hands out one cursor per state of it, built on
+    first use and kept, so a running operation moves between shared cursors
+    instead of building one per step.  The spec holds its cursors and each
+    cursor its automaton, so no reference cycle keeps an automaton alive.
     """
 
     name: str
@@ -127,6 +132,17 @@ class OperationSpec:
     def __post_init__(self) -> None:
         if self.duration < 1:
             raise ValidationError(f"operation {self.name!r}: duration must be >= 1")
+
+    @cached_property
+    def _cursors(self) -> dict[str, AutomatonCursor]:
+        return {}
+
+    def cursor_at(self, state: str) -> AutomatonCursor:
+        """The one cursor of ``effect_automaton`` (which must be set) at ``state``."""
+        cursor = self._cursors.get(state)
+        if cursor is None:
+            cursor = self._cursors[state] = AutomatonCursor(self.effect_automaton, state)
+        return cursor
 
 
 @dataclass(frozen=True)

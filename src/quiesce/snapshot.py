@@ -144,15 +144,20 @@ def snapshot_from_json(doc: dict, config: ApplicationConfiguration) -> RuntimeSn
     against the named operation's automaton in ``config``; an instance
     running an operation with no automaton simply has no cursor (the graph
     builder treats it conservatively).  An idle instance keeps only its key.
+    An instance key may appear once in the whole document.
     """
     record(doc, _SNAPSHOT_KEYS, _SNAPSHOT)
     time = typed(doc, "time", (int,), _SNAPSHOT, default=0)
     components = config.components()
     busy: list[InstanceSnapshot] = []
     idle: dict[str, list[str]] = {}
+    keys: set[str] = set()
     for idoc in typed(doc, "instances", (list,), _SNAPSHOT, default=[]):
         record(idoc, _INSTANCE_KEYS, _INSTANCE, _INSTANCE_REQUIRED)
         key = typed(idoc, "key", (str,), _INSTANCE, "key")
+        if key in keys:
+            raise ParseError(f"{_SNAPSHOT}: instance key {key!r} appears twice")
+        keys.add(key)
         component = typed(idoc, "component", (str,), _INSTANCE, "key")
         is_idle = typed(idoc, "idle", (bool,), _INSTANCE, "key", default=False)
         operation = typed(idoc, "operation", _NULLABLE_STR, _INSTANCE, "key")

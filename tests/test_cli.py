@@ -419,6 +419,13 @@ MALFORMED = {
         ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
         "instance document 'A#0': 'idle' must be a boolean",
     ),
+    "snapshot-repeated-key": (
+        with_value("chain_snapshot.json", (), "instances",
+                   json.loads((FIXTURES / "chain_snapshot.json").read_text())["instances"]
+                   + [{"key": "A#0", "component": "C", "idle": True}]),
+        ("analyze-deps", "demo_chain.json", "--snapshot", "bad.json"),
+        "snapshot document: instance key 'A#0' appears twice",
+    ),
     "descriptor": ("[]", ("classify", "bad.json", "--change", "Functional"), "component must be a JSON object"),
 }
 

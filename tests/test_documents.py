@@ -352,6 +352,13 @@ class TestMalformedDocuments:
                  "instance document 'B#0': 'in_flight' must be null or a list of two strings"),
                 (replaced(snapshot, ("instances", 1, "in_flight"), []),
                  "instance document 'B#0': 'in_flight' must be null or a list of two strings"),
+                # one key twice, even under another component, would let one
+                # component's runtime edges stand in for the other's
+                ({**snapshot, "instances": snapshot["instances"] + [
+                    snapshot["instances"][0], {"key": "A#0", "component": "C", "idle": True}]},
+                 "snapshot document: instance key 'A#0' appears twice"),
+                ({**snapshot, "instances": snapshot["instances"] + [{"key": "C#0", "component": "C", "idle": True}]},
+                 "snapshot document: instance key 'C#0' appears twice"),
             ]
         ]
         for parse, text, expected in cases:

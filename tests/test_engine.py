@@ -166,6 +166,17 @@ class TestEventLog:
         log.append(0, "InvocationStart", payload)
         assert log.events[0].payload is payload
 
+    def test_an_engine_emission_before_the_last_event_is_an_engine_fault(self):
+        engine = Engine(single_stateless(duration=5))
+        engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(3, "S"))])))
+        engine.run(until=20)
+        last = engine.log.events[-1]
+        assert last.t == 8
+        engine.clock = last.t - 1
+        with pytest.raises(EngineFault, match="event log time went backwards"):
+            engine.activate_barrier("S")
+        assert engine.log.events[-1] is last
+
 
 class TestTransactionsKept:
     """The engine keeps a transaction only while it is active."""
@@ -1145,3 +1156,59 @@ class TestBranchGenerator:
                 emitted += 1
         assert sorted(called) == sorted(expected)
         assert {operation for _, operation in called} == {"a", "b"}
+
+
+class TestWalkCap:
+    """After ``_WALK_CAP`` nested calls an execution takes the fewest-hops route to a final state."""
+
+    LOOPS = [f"s{i:02d}" for i in range(40)]
+    GO = {"component": "A", "interface": "IA", "operation": "go"}
+
+    def config(self, transitions, finals):
+        operations = sorted({operation for _, _, operation, _, _ in transitions})
+        return app(
+            [
+                comp("A", provided=[iface("IA", "go")], required=["IX"],
+                     operations=[op("go", duration=1, automaton=auto(transitions, finals=finals))]),
+                comp("X", provided=[iface("IX", *operations)],
+                     operations=[op(o, tx="Joins", duration=1) for o in operations]),
+            ],
+            wiring=[("A", "IX", "X")],
+        )
+
+    @staticmethod
+    def looping_draws(automaton, draws: int):
+        """The first seed whose generator, drawing at q0 as the engine does, loops ``draws`` times; and the loops."""
+        choices = automaton.choices("q0")
+        for seed in range(10_000):
+            rng = random.Random(f"{seed}|c:0")  # the root call of client c
+            picks = [rng.choice(choices) for _ in range(draws)]
+            if all(pick is not None and pick.target == "q0" for pick in picks):
+                return seed, [pick.label.operation for pick in picks]
+        raise AssertionError("no seed loops that long")
+
+    def called(self, config, seed: int) -> list[str]:
+        scenario = parse_scenario(scenario_doc([client("c", {"at": 0, "call": self.GO})], seed=seed))
+        log, _ = run(config, scenario, until=10_000)
+        assert [e.payload["id"] for e in log if e.kind == "InvocationEnd" and e.payload["component"] == "A"] == ["c:0"]
+        return [e.payload["operation"] for e in log if e.kind == "InvocationStart" and e.payload["component"] == "X"]
+
+    def test_a_final_state_stops_at_the_cap(self):
+        assert engine_module._WALK_CAP == 64
+        config = self.config([("q0", "IX", s, 1, "q0") for s in self.LOOPS], finals=["q0"])
+        automaton = config.components()["A"].operation_spec("go").effect_automaton
+        # uncapped, this seed's generator would loop once more
+        seed, loops = self.looping_draws(automaton, engine_module._WALK_CAP + 1)
+        assert self.called(config, seed) == loops[: engine_module._WALK_CAP]
+
+    def test_a_looping_state_leaves_by_the_fewest_hops_route(self):
+        exits = [
+            ("q0", "IX", "far", 1, "q1"), ("q1", "IX", "f1", 1, "q2"), ("q2", "IX", "f2", 1, "qF"),
+            ("q0", "IX", "near", 1, "q3"), ("q3", "IX", "n1", 1, "qF"),
+        ]
+        config = self.config([("q0", "IX", s, 1, "q0") for s in self.LOOPS] + exits, finals=["qF"])
+        automaton = config.components()["A"].operation_spec("go").effect_automaton
+        # "far" sorts first among q0's transitions; the route through "near" is shorter
+        assert engine_module._toward_final(automaton, "q0").label.operation == "near"
+        seed, loops = self.looping_draws(automaton, engine_module._WALK_CAP + 1)
+        assert self.called(config, seed) == loops[: engine_module._WALK_CAP] + ["near", "n1"]

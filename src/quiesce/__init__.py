@@ -11,8 +11,6 @@ from .automata import (
     CallLabel,
     ServiceEffectAutomaton,
     Transition,
-    advance,
-    earliest_occurrence,
 )
 from .depgraph import (
     ReconfigurationWindow,

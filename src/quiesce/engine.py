@@ -13,24 +13,27 @@ effect automaton offers a choice of behaviour, the branch is drawn from a
 generator seeded by the scenario seed and the invocation's *structural*
 identity (client id and script position, or message index), never by
 arrival order — so the behaviour of one session cannot depend on how
-unrelated sessions were interleaved.  Each execution creates its generator
-at its first choice, from the seed taken when it began and that identity;
-an execution that never chooses creates none.
+unrelated sessions were interleaved.  Each call creates its generator at
+its first choice, from the seed taken when it began and that identity; a
+call that never chooses creates none.
 
 Execution model
 ---------------
-An invocation occupies one instance for its whole duration.  Its automaton
-path is walked transition by transition: taking a transition emits the call
+Each call is one record, from its submission to its completion; a call
+that waits at a barrier is replayed as the same record.  A started call
+occupies one instance for its whole duration: the instance points at it,
+and so does each call it makes, as its parent.  Its automaton path is
+walked transition by transition: taking a transition emits the nested call
 at once (synchronously), and the transition's ``min_delay`` is local
-computation after the call returns, before the next step.  A step picks one
-of its state's own choices, so it can never be refused; the execution moves
+computation after that call returns, before the next step.  A step picks
+one of its state's own choices, so it can never be refused; the call moves
 to the operation spec's one interned cursor at the target state
-(``OperationSpec.cursor_at``) and builds none.  The earliest
-possible occurrence of a call is therefore the sum of the delays strictly
+(``OperationSpec.cursor_at``) and builds none.  The earliest possible
+occurrence of a nested call is therefore the sum of the delays strictly
 before its transition, which is exactly what the dependency pruning
 assumes.  After the walk ends a final local segment tops the busy time up
 to the operation's declared ``duration`` (if the gaps have not consumed it
-already); an operation with no automaton simply runs for ``duration``.
+already); an operation with no automaton runs for ``duration`` from its start.
 A call that finds no free instance waits in its container's pool queue;
 waiters start FIFO from the head, and pools of the interchangeable kinds
 stop at the first refusal, since a refused acquisition refuses every later
@@ -68,9 +71,9 @@ from collections import deque
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
-# executions move between interned cursors and no longer call ``advance``;
+# calls move between interned cursors and no longer call ``advance``;
 # the name stays here because the benchmark's tracer looks it up by it
-from .automata import AutomatonCursor, CallLabel, advance  # noqa: F401
+from .automata import CallLabel, advance  # noqa: F401
 from .errors import (
     AlreadyBarricaded,
     EngineFault,
@@ -138,7 +141,7 @@ PRIO_COMPLETION = 0
 PRIO_BARRIER = 1
 PRIO_DISPATCH = 2
 
-# After this many nested calls one execution stops exploring and takes the
+# After this many nested calls one call stops exploring and takes the
 # fewest-hops route to a final state; keeps cyclic automata finite.
 _WALK_CAP = 64
 
@@ -208,7 +211,7 @@ class EventLog:
 
 
 class _Invocation:
-    """Runtime record of one call; re-dispatched as-is when replayed from a barrier.
+    """Runtime record of one call; ``_begin`` sets the fields of its run.
 
     Built with positional arguments, in the order of ``__init__``: a step
     builds one per call, and keywords would more than double its cost.
@@ -226,6 +229,17 @@ class _Invocation:
         "started_tx",
         "submitted_at",
         "parent",
+        # set by _begin
+        "container",
+        "instance",
+        "spec",
+        "cursor",
+        "seed",
+        "rng",
+        "emitted",
+        "delays_spent",
+        "pending_gap",
+        "in_flight_child",
     )
 
     def __init__(
@@ -238,7 +252,7 @@ class _Invocation:
         operation: str,
         ambient_tx: Optional[str],
         submitted_at: int,
-        parent: Optional["_Execution"],
+        parent: Optional["_Invocation"],
     ) -> None:
         self.id = id
         self.caller = caller
@@ -253,57 +267,14 @@ class _Invocation:
         self.parent = parent
 
 
-class _Execution:
-    """An invocation bound to an instance, walking its effect automaton."""
-
-    __slots__ = (
-        "invocation",
-        "container",
-        "instance",
-        "spec",
-        "cursor",
-        "seed",
-        "rng",
-        "emitted",
-        "delays_spent",
-        "pending_gap",
-        "in_flight_child",
-        "started_at",
-    )
-
-    def __init__(
-        self,
-        invocation: _Invocation,
-        container: "_Container",
-        instance: "_Instance",
-        spec: OperationSpec,
-        seed: int,
-        started_at: int,
-    ) -> None:
-        self.invocation = invocation
-        self.container = container
-        self.instance = instance
-        self.spec = spec
-        automaton = spec.effect_automaton
-        self.cursor: Optional[AutomatonCursor] = spec.cursor_at(automaton.initial) if automaton else None
-        self.seed = seed
-        self.rng: Optional[random.Random] = None  # created at the first choice
-        self.emitted = 0
-        self.delays_spent = 0
-        self.pending_gap = 0
-        self.in_flight_child: Optional[_Invocation] = None
-        self.started_at = started_at
-
-
 class _Instance:
-    __slots__ = ("key", "component", "state", "session", "current", "invocations_served")
+    __slots__ = ("key", "state", "session", "current", "invocations_served")
 
-    def __init__(self, key: str, component: str) -> None:
+    def __init__(self, key: str) -> None:
         self.key = key
-        self.component = component
         self.state: dict[str, object] = {}
         self.session: Optional[str] = None
-        self.current: Optional[_Execution] = None
+        self.current: Optional[_Invocation] = None
         self.invocations_served = 0
 
 
@@ -385,8 +356,7 @@ class _Container:
 
 
 class _Queue:
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.items: deque[tuple[int, str]] = deque()  # (enqueue seq, payload)
         self.paused = False
         self.enqueued = 0
@@ -424,13 +394,13 @@ class Engine:
         self.stores: dict[str, dict[str, dict[str, str]]] = {
             name: {} for name, _ in config.data_stores
         }
-        self.queues: dict[str, _Queue] = {name: _Queue(name) for name in config.queues}
+        self.queues: dict[str, _Queue] = {name: _Queue() for name in config.queues}
         self.transactions: dict[str, _Transaction] = {}
         self.remote_refs: dict[str, set[str]] = {}
         self._invalidated_sessions: set[str] = set()
         self._violation: Optional[ProtocolViolation] = None
         # what a snapshot reads, kept where it changes: the containers with a
-        # running execution, those a live transaction touches, and each
+        # running call, those a live transaction touches, and each
         # container's instance keys in pool order (none before its first instance)
         self._busy: set[str] = set()
         self._touched: set[str] = set()
@@ -665,7 +635,7 @@ class Engine:
     def _create_instance(self, container: _Container, warm: bool = False) -> _Instance:
         key = f"{container.name}#{container.created}"
         container.created += 1
-        instance = _Instance(key, container.name)
+        instance = _Instance(key)
         container.instances.append(instance)
         self._pool_keys[container.name] = self._pool_keys.get(container.name, ()) + (key,)
         if warm:
@@ -721,8 +691,17 @@ class Engine:
         container.executing += 1
         self._busy.add(inv.component)
         instance.invocations_served += 1
-        execution = _Execution(inv, container, instance, spec, self.seed, self.clock)
-        instance.current = execution
+        instance.current = inv
+        inv.container = container
+        inv.instance = instance
+        inv.spec = spec
+        inv.cursor = spec.cursor_at(spec.effect_automaton.initial) if spec.effect_automaton else None
+        inv.seed = self.seed
+        inv.rng = None  # created at the first choice
+        inv.emitted = 0
+        inv.delays_spent = 0
+        inv.pending_gap = 0
+        inv.in_flight_child = None
         self._emit(
             INVOCATION_START,
             {
@@ -737,64 +716,63 @@ class Engine:
                 "submitted_at": inv.submitted_at,
             },
         )
-        self._continue_execution(execution)
+        self._continue_execution(inv)
 
-    def _continue_execution(self, execution: _Execution) -> None:
-        cursor = execution.cursor
+    def _continue_execution(self, inv: _Invocation) -> None:
+        cursor = inv.cursor
         if cursor is None:
-            self._at(execution.started_at + execution.spec.duration, PRIO_COMPLETION, self._complete, execution)
-            return
-        choices = cursor.automaton.choices(cursor.current)
-        if execution.emitted >= _WALK_CAP:
+            pick = None  # no automaton: the call runs for its duration
+        elif inv.emitted >= _WALK_CAP:
             pick = _toward_final(cursor.automaton, cursor.current)
-        elif len(choices) > 1:
-            if execution.rng is None:
-                execution.rng = random.Random(f"{execution.seed}|{execution.invocation.id}")
-            pick = execution.rng.choice(choices)
         else:
-            pick = choices[0]
+            choices = cursor.automaton.choices(cursor.current)
+            if len(choices) > 1:
+                if inv.rng is None:
+                    inv.rng = random.Random(f"{inv.seed}|{inv.id}")
+                pick = inv.rng.choice(choices)
+            else:
+                pick = choices[0]
         if pick is None:
-            tail = max(0, execution.spec.duration - execution.delays_spent)
-            self._at(self.clock + tail, PRIO_COMPLETION, self._complete, execution)
+            tail = max(0, inv.spec.duration - inv.delays_spent)
+            self._at(self.clock + tail, PRIO_COMPLETION, self._complete, inv)
             return
         # the call fires now; the transition's min_delay elapses after it returns
-        execution.delays_spent += pick.min_delay
-        execution.pending_gap = pick.min_delay
-        self._emit_call(execution, pick)
+        inv.delays_spent += pick.min_delay
+        inv.pending_gap = pick.min_delay
+        self._emit_call(inv, pick)
 
-    def _emit_call(self, execution: _Execution, transition) -> None:
-        inv = execution.invocation
+    def _emit_call(self, inv: _Invocation, transition) -> None:
         # the transition is one of the current state's own choices
-        execution.cursor = execution.spec.cursor_at(transition.target)
+        inv.cursor = inv.spec.cursor_at(transition.target)
         label: CallLabel = transition.label
         provider = self.config.provider_of(inv.component, label.interface)
         if provider is None:
             if self.config.is_declared_external(inv.component, label.interface):
                 # external call: outside the simulated system, takes no time
-                self._child_returned(execution)
+                self._child_returned(inv)
                 return
             self._violation = ProtocolViolation(
                 f"{inv.component} calls unwired interface {label.interface!r}"
             )
             return
         child = _Invocation(
-            f"{inv.id}.{execution.emitted}", execution.instance.key, inv.session,
-            provider, label.interface, label.operation, inv.tx, self.clock, execution,
+            f"{inv.id}.{inv.emitted}", inv.instance.key, inv.session,
+            provider, label.interface, label.operation, inv.tx, self.clock, inv,
         )
-        execution.emitted += 1
-        execution.in_flight_child = child
+        inv.emitted += 1
+        inv.in_flight_child = child
         self._dispatch(child)
 
-    def _child_returned(self, execution: _Execution) -> None:
-        execution.in_flight_child = None
-        gap, execution.pending_gap = execution.pending_gap, 0
+    def _child_returned(self, inv: _Invocation) -> None:
+        inv.in_flight_child = None
+        gap, inv.pending_gap = inv.pending_gap, 0
         if gap:
-            self._at(self.clock + gap, PRIO_DISPATCH, self._continue_execution, execution)
+            self._at(self.clock + gap, PRIO_DISPATCH, self._continue_execution, inv)
         else:
-            self._continue_execution(execution)
+            self._continue_execution(inv)
 
-    def _complete(self, execution: _Execution) -> None:
-        inv, container, instance = execution.invocation, execution.container, execution.instance
+    def _complete(self, inv: _Invocation) -> None:
+        container, instance = inv.container, inv.instance
         if container.entity and inv.tx is not None:
             self._record_entity_write(container, inv)
         self._emit(
@@ -944,7 +922,11 @@ class Engine:
         return container.clean_shutdown and container.executing == 0
 
     def end_clean_shutdown(self, component: str) -> None:
-        self._container(component).clean_shutdown = False
+        """Accept work again after a stop that did not drain; queued messages resume."""
+        container = self._container(component)
+        container.clean_shutdown = False
+        if container.bound_queue:
+            self._at(self.clock, PRIO_DISPATCH, self._pump_queue, container.bound_queue)
 
     # ------------------------------------------------------------------
     # Queues and message-driven delivery
@@ -1013,11 +995,11 @@ class Engine:
     ) -> None:
         """Host ``target``'s ``component`` under a closed barrier and adopt ``target`` as ``config``.
 
-        Stateful instances have their conversational state passivated into a
-        field map and activated into the new version; pooled instances of
-        the interchangeable kinds are discarded and recreated.  The barrier
-        stays closed: held invocations replay FIFO against the new version
-        once ``release_barrier`` opens it.
+        Stateful instances keep their sessions and conversational state, which
+        the new version takes over as they are (no instance runs behind a
+        closed barrier); pooled instances of the interchangeable kinds are
+        discarded and recreated.  The barrier stays closed: held invocations
+        replay FIFO against the new version once ``release_barrier`` opens it.
         """
         container = self._container(component)
         if container.barrier_mode != BARRIER_CLOSED:
@@ -1029,16 +1011,6 @@ class Engine:
                     f"{component!r}: state fields {list(old.state_fields)} -> "
                     f"{list(new.state_fields)}"
                 )
-            survivors: list[_Instance] = []
-            for instance in container.instances:
-                passivated = dict(instance.state)  # field-name -> value map
-                fresh = _Instance(instance.key, component)
-                fresh.session = instance.session
-                fresh.state = passivated
-                fresh.invocations_served = instance.invocations_served
-                survivors.append(fresh)
-            container.instances = survivors  # the same keys, so _pool_keys stands
-            container.free = [i for i in survivors if i.session is None]
         else:
             container.instances = []
             container.free = []
@@ -1178,7 +1150,7 @@ class Engine:
     def snapshot(self) -> RuntimeSnapshot:
         """Capture the current state as an immutable value.
 
-        Only the containers with a running execution are walked: each busy
+        Only the containers with a running call are walked: each busy
         instance becomes a record and the rest are its idle keys.  Every
         other container's keys are copied from the key index.
         """
@@ -1187,17 +1159,17 @@ class Engine:
         for name in sorted(self._busy):
             keys: list[str] = []
             for instance in self.containers[name].instances:
-                execution = instance.current
-                if execution is None:
+                call = instance.current
+                if call is None:
                     keys.append(instance.key)
                     continue
-                child = execution.in_flight_child
+                child = call.in_flight_child
                 busy.append(
                     InstanceSnapshot(
                         instance.key,
                         name,
-                        execution.invocation.operation,
-                        execution.cursor,
+                        call.operation,
+                        call.cursor,
                         (child.component, child.interface) if child else None,
                     )
                 )

@@ -67,29 +67,30 @@ def compute_metrics(events: list[Event]) -> RunMetrics:
     total_time = 0
     for event in events:
         total_time = max(total_time, event.t)
-        if event.kind == BARRIER_ACTIVATED:
+        kind = event.kind  # read once: a named tuple's field read is not cheap
+        if kind == BARRIER_ACTIVATED:
             activated_at[event.payload["component"]] = event.t
-        elif event.kind == BARRIER_RELEASED:
+        elif kind == BARRIER_RELEASED:
             component = event.payload["component"]
             start = activated_at.pop(component, event.t)
             downtime[component] = downtime.get(component, 0) + (event.t - start)
-        elif event.kind == INVOCATION_HELD:
+        elif kind == INVOCATION_HELD:
             held_at[event.payload["id"]] = event.t
-        elif event.kind == INVOCATION_START:
+        elif kind == INVOCATION_START:
             t0 = held_at.pop(event.payload["id"], None)
             if t0 is not None:
                 waits.append(event.t - t0)
-        elif event.kind == TX_ABORT:
+        elif kind == TX_ABORT:
             aborted += 1
-        elif event.kind == SESSION_INVALIDATED:
+        elif kind == SESSION_INVALIDATED:
             sessions.add(event.payload["session"])
-        elif event.kind == MESSAGE_ENQUEUED:
+        elif kind == MESSAGE_ENQUEUED:
             queue = event.payload["queue"]
             enqueued[queue] = enqueued.get(queue, 0) + 1
-        elif event.kind == MESSAGE_DELIVERED:
+        elif kind == MESSAGE_DELIVERED:
             queue = event.payload["queue"]
             delivered[queue] = delivered.get(queue, 0) + 1
-        elif event.kind == "MessageDropped":  # never emitted; counted for honesty
+        elif kind == "MessageDropped":  # never emitted; counted for honesty
             dropped += 1
     # barriers never released count as down until the end of the run
     for component, start in activated_at.items():

@@ -366,17 +366,17 @@ def full_scan_snapshot(engine: Engine) -> RuntimeSnapshot:
             active.append((name, tuple(sorted(container.touching_txs))))
         idle_keys = []
         for instance in container.instances:
-            execution = instance.current
-            if execution is None:
+            call = instance.current
+            if call is None:
                 idle_keys.append(instance.key)
                 continue
-            child = execution.in_flight_child
+            child = call.in_flight_child
             busy.append(
                 InstanceSnapshot(
                     instance.key,
                     name,
-                    execution.invocation.operation,
-                    execution.cursor,
+                    call.operation,
+                    call.cursor,
                     (child.component, child.interface) if child else None,
                 )
             )

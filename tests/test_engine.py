@@ -413,6 +413,24 @@ class TestSwap:
         survivor = next(i for i in engine.containers["S"].instances if i.session == "alice")
         assert survivor.state == {"a": 1, "b": 2}
 
+    def test_stateful_state_keeps_counting_calls_across_a_swap(self):
+        def stateful(version: int, duration: int) -> dict:
+            return comp("S", kind="StatefulSession", version=version, state_fields=["a"],
+                        operations=[op("work", duration=duration)])
+
+        engine = Engine(app([stateful(1, 2)]))
+        calls = [call_entry(0, "S"), call_entry(5, "S"), call_entry(20, "S")]
+        engine.load_scenario(parse_scenario(scenario_doc([client("alice", *calls)])))
+        engine.run(until=10)
+        (instance,) = engine.containers["S"].instances
+        assert (instance.session, instance.state) == ("alice", {"a": "work#2"})
+        drain(engine, "S")
+        engine.swap_component("S", engine.config.with_component(parse_component(stateful(2, 1))))
+        engine.release_barrier("S")
+        engine.run(until=100)
+        (survivor,) = engine.containers["S"].instances
+        assert (survivor.key, survivor.session, survivor.state) == ("S#0", "alice", {"a": "work#3"})
+
     def test_stateful_swap_with_different_shape_refused(self):
         config = app(
             [
@@ -963,6 +981,19 @@ class TestPoolServicing:
         overtakers = [e for e in engine.log if e.kind == "InvocationStart"
                       and e.payload["component"] == "S" and e.t > e.payload["submitted_at"] > stuck]
         assert overtakers
+
+    def test_a_call_started_from_the_pool_queue_runs_its_duration_from_its_start(self):
+        config = app([comp("S", operations=[op("work", duration=5)])],
+                     containers=[{"hosted_component": "S", "pool_size": 1}])
+        engine = Engine(config)
+        engine.load_scenario(
+            parse_scenario(scenario_doc([client("c1", call_entry(0, "S")), client("c2", call_entry(1, "S"))]))
+        )
+        engine.run()
+        starts = {e.payload["id"]: e.t for e in engine.log if e.kind == "InvocationStart"}
+        ends = {e.payload["id"]: e.t for e in engine.log if e.kind == "InvocationEnd"}
+        assert starts == {"c1:0": 0, "c2:0": 5}  # c2 waited for c1's instance
+        assert ends == {"c1:0": 5, "c2:0": 10}
 
     @pytest.mark.parametrize("pool", [1, 2])
     def test_message_backlog_matches_full_scan(self, monkeypatch, pool):

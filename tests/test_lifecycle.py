@@ -14,7 +14,7 @@ import quiesce.manager as manager_module
 import quiesce.model as model_module
 from quiesce.automata import ServiceEffectAutomaton
 from quiesce.engine import Engine
-from quiesce.errors import IllegalTransition, Rejection, ValidationError, VersionError
+from quiesce.errors import DrainTimeout, IllegalTransition, Rejection, ValidationError, VersionError
 from quiesce.lifecycle import (
     DeploymentManager,
     ModuleArchive,
@@ -115,6 +115,25 @@ class TestLifecycleTransitions:
         denied = [(e.t, e.payload["reason"]) for e in engine.log if e.kind == "InvocationDenied"]
         assert (1, "clean-shutdown") in denied
         assert [e for e in engine.log if e.kind == "TxAbort"] == []
+
+    def test_a_failed_stop_delivers_what_was_queued_during_it(self):
+        receiver = comp("M", kind="MessageDriven", provided=[iface("IM", "onMessage")],
+                        operations=[op("onMessage", duration=50)], queue="q")
+        manager = DeploymentManager(Engine(load_application(appdoc([], queues=["q"])), drain_timeout=10))
+        manager.distribute(ModuleArchive("inbox", 1, (parse_component(receiver),)))
+        manager.start("inbox")
+        engine = manager.engine
+        messages = [{"queue": "q", "payload": "m0", "at": 0}, {"queue": "q", "payload": "m1", "at": 5}]
+        engine.load_scenario(parse_scenario(scenario_doc(messages=messages)))
+        engine.run(until=0)
+        with pytest.raises(DrainTimeout):
+            manager.stop("inbox")  # m1 arrives while the stop denies new work
+        assert state_of(manager, "inbox") is ModuleState.STARTED
+        engine.run(until=500)
+        delivered = [(e.t, e.payload["payload"]) for e in engine.log if e.kind == "MessageDelivered"]
+        assert delivered == [(0, "m0"), (10, "m1")]  # the instant the stop gave up
+        assert engine.snapshot().queue_depths == (("q", 0),)
+        assert [e.payload["id"] for e in engine.log if e.kind == "InvocationEnd"] == ["msg:q:0", "msg:q:1"]
 
     def test_stop_then_start_again(self):
         manager = fresh_manager()

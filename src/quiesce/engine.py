@@ -42,7 +42,9 @@ gates (the CleanShutdown and RedeployBarrier stages ahead of Pooling) when it
 is created, so a dispatch walks them only while a barrier is up or a
 shutdown is on.  Each logged event is an ``Event`` record (a named tuple)
 that the engine appends to its log's list itself, after the same
-time-order check ``EventLog.append`` makes.
+time-order check ``EventLog.append`` makes.  ``EVENT_SCHEMA`` declares each
+kind's payload fields and their JSON types once; ``EventLog.to_jsonl``
+writes each line from a template compiled from that row.
 
 Barrier semantics
 -----------------
@@ -125,6 +127,54 @@ STORE_SYNCED = "StoreSynced"
 POOL_SIZE_CHANGED = "PoolSizeChanged"
 CLEAN_SHUTDOWN_ACTIVATED = "CleanShutdownActivated"
 
+# JSON types of a payload field
+STR = "str"
+NULLABLE_STR = "str|null"
+INT = "int"
+ANY = "any"
+
+# Every kind the engine emits, with its payload's fields and their JSON types:
+# the format reference of events.jsonl.  Each line of the log is
+# {"kind": <kind>, "payload": {<these fields, keys sorted>}, "t": <int>}.
+EVENT_SCHEMA: dict[str, dict[str, str]] = {
+    INVOCATION_START: {
+        "id": STR,
+        "component": STR,
+        "interface": STR,
+        "operation": STR,
+        "caller": NULLABLE_STR,
+        "session": NULLABLE_STR,
+        "instance": STR,
+        "tx": NULLABLE_STR,
+        "submitted_at": INT,
+    },
+    INVOCATION_END: {
+        "id": STR,
+        "component": STR,
+        "operation": STR,
+        "session": NULLABLE_STR,
+        "instance": STR,
+        "tx": NULLABLE_STR,
+        "submitted_at": INT,
+    },
+    INVOCATION_HELD: {"id": STR, "component": STR, "operation": STR, "session": NULLABLE_STR, "submitted_at": INT},
+    INVOCATION_DENIED: {"id": STR, "component": STR, "session": NULLABLE_STR, "reason": STR},
+    SESSION_INVALIDATED: {"session": NULLABLE_STR, "reason": STR},
+    TX_BEGIN: {"tx": NULLABLE_STR, "root": STR},
+    TX_COMMIT: {"tx": NULLABLE_STR, "root": STR, "writes": ANY},  # [[store, key, column, value], ...]
+    BARRIER_ACTIVATED: {"component": STR},
+    QUIESCENCE_REACHED: {"component": STR},
+    BARRIER_RELEASED: {"component": STR},
+    CLEAN_SHUTDOWN_ACTIVATED: {"component": STR},
+    MESSAGE_ENQUEUED: {"queue": STR, "payload": STR, "seq": INT},
+    MESSAGE_DELIVERED: {"queue": STR, "payload": STR, "seq": INT},
+    QUEUE_PAUSED: {"queue": STR},
+    QUEUE_RESUMED: {"queue": STR},
+    SWAP_APPLIED: {"component": STR, "from_version": INT, "to_version": INT},
+    STORE_SYNCED: {"component": STR, "source": STR, "target": STR, "rows": INT},
+    POOL_SIZE_CHANGED: {"component": STR, "pool_size": INT},
+}
+
 # Enum members the engine compares against on every container or step, bound
 # once: reading a member off its Enum class costs several global reads.
 _POOLING = InterceptorKind.POOLING
@@ -165,10 +215,65 @@ def _toward_final(automaton, state):
 
 
 # the C encoder json.dumps(..., sort_keys=True) would build per call, built
-# once; it returns the chunks of one value's JSON text
+# once; it returns the chunks of one value's JSON text.  The log's lines use
+# it for ``any`` fields and for whole events that are off their schema row.
 _ENCODE = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", ", ", True, False, True
 )
+
+
+def _generic_line(t, kind, payload) -> str:
+    """``json.dumps({"t": t, "kind": kind, "payload": payload}, sort_keys=True)``."""
+    return "".join(_ENCODE({"kind": kind, "payload": payload, "t": t}, 0))
+
+
+# how a formatter writes a value of each JSON type into its template
+_FIELD_TEXT = {
+    STR: ("%s", "quote(v{i})"),
+    NULLABLE_STR: ("%s", "'null' if v{i} is None else quote(v{i})"),
+    INT: ("%d", "v{i}"),  # after an exact type check: %d would take a bool or a float
+    ANY: ("%s", "''.join(encode(v{i}, 0))"),
+}
+
+
+def _line_formatter(kind: str, fields: dict[str, str]) -> Callable[[int, str, dict], str]:
+    """Compile one schema row into ``format(t, kind, payload) -> line``.
+
+    The line is a ``%`` template with the payload keys already sorted, so it
+    is the text ``json.dumps(..., sort_keys=True)`` gives: a string goes
+    through ``encode_basestring_ascii`` and an ``any`` value through
+    ``_ENCODE``, as the encoder would.  An event off its row (a key missing
+    or extra, a value or time of another type) gets ``_generic_line``.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    names = sorted(fields)
+    slots, texts = [], []
+    for i, name in enumerate(names):
+        slot, text = _FIELD_TEXT[fields[name]]
+        slots.append(quote(name).replace("%", "%%") + ": " + slot)
+        texts.append(text.format(i=i))
+    template = '{"kind": %s, "payload": {%s}, "t": %%d}' % (quote(kind).replace("%", "%%"), ", ".join(slots))
+    ints = "".join(f" and type(v{i}) is int" for i, name in enumerate(names) if fields[name] == INT)
+    source = "\n".join(
+        [
+            "def format_line(t, kind, p):",
+            "    try:",
+            f"        if len(p) == {len(names)}:",
+            *(f"            v{i} = p[{name!r}]" for i, name in enumerate(names)),
+            f"            if type(t) is int{ints}:",
+            f"                return template % ({''.join(text + ', ' for text in texts)}t)",
+            "    except (KeyError, TypeError):",
+            "        pass",
+            "    return generic(t, kind, p)",
+        ]
+    )
+    namespace = {"template": template, "quote": quote, "encode": _ENCODE, "generic": _generic_line}
+    exec(source, namespace)
+    return namespace["format_line"]
+
+
+# kind -> its row's formatter, built once
+_FORMATTERS = {kind: _line_formatter(kind, fields) for kind, fields in EVENT_SCHEMA.items()}
 
 
 class Event(NamedTuple):
@@ -200,12 +305,14 @@ class EventLog:
         return len(self.events)
 
     def to_jsonl(self) -> str:
-        """One ``json.dumps({"t", "kind", "payload"}, sort_keys=True)`` line per event."""
-        quote, encode = json.encoder.encode_basestring_ascii, _ENCODE
-        lines = [
-            '{"kind": %s, "payload": %s, "t": %d}' % (quote(e.kind), "".join(encode(e.payload, 0)), e.t)
-            for e in self.events
-        ]
+        """One ``json.dumps({"t", "kind", "payload"}, sort_keys=True)`` line per event.
+
+        Each event is written by its kind's formatter, filled from the
+        ``EVENT_SCHEMA`` row; the generic encoder writes only a kind with no
+        row and an event off its row.
+        """
+        get, generic = _FORMATTERS.get, _generic_line
+        lines = [get(kind, generic)(t, kind, payload) for t, kind, payload in self.events]
         lines.append("")
         return "\n".join(lines)
 

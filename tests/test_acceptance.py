@@ -8,20 +8,25 @@ schedules.  Every check prints ``ACCEPTANCE <name>: PASS`` once it holds.
 
 from __future__ import annotations
 
+import ast
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import quiesce.engine as engine_module
 from quiesce.depgraph import (
     ReconfigurationWindow,
     affected_set,
     build_runtime_graph,
     build_static_graph,
 )
-from quiesce.engine import Engine, run as engine_run
+from quiesce.engine import ANY, EVENT_SCHEMA, INT, NULLABLE_STR, STR, Engine, run as engine_run
 from quiesce.manager import (
     RedeploymentRun,
     classify_structural_safety,
+    parse_request,
     run_scenario_with_request,
 )
 from quiesce.metrics import compute_metrics
@@ -389,6 +394,69 @@ def test_determinism(suite, tmp_path):
         )
     assert outputs[0] == outputs[1]
     print("\nACCEPTANCE determinism: PASS")
+
+
+# JSON type of an EVENT_SCHEMA row -> whether a payload value has it
+FITS = {
+    STR: lambda v: type(v) is str,
+    NULLABLE_STR: lambda v: v is None or type(v) is str,
+    INT: lambda v: type(v) is int,
+    ANY: lambda v: True,
+}
+
+
+def _fixture_logs() -> list:
+    """The event lists of the demo fixtures: a plain run and each request run the CLI pins."""
+    chain, scenario = read_fixture("demo_chain.json"), parse_scenario(read_fixture("demo_scenario.json"))
+    request = parse_request(read_fixture("demo_request.json"))
+    logs = [engine_run(load_application(chain), scenario, until=300)[0].events]
+    for blocking in ("minimal", "whole-app"):
+        for timeout in (1000, 3):
+            run = run_scenario_with_request(
+                load_application(chain), scenario, request, 300, blocking=blocking, drain_timeout=timeout
+            )
+            logs.append(run.log.events)
+    return logs
+
+
+def test_every_emitted_kind_has_a_schema_row_that_its_events_fit(suite):
+    """Each ``self._emit(KIND, {...})`` in the engine source, reached or not, matches its row; so does every event."""
+    source = Path(engine_module.__file__).read_text(encoding="utf-8")
+    calls = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_emit"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"
+    ]
+    assert len(calls) == source.count("self._emit(")
+    emitted = set()
+    for call in calls:
+        name, payload = call.args
+        kind = getattr(engine_module, name.id)
+        assert kind in EVENT_SCHEMA, f"line {call.lineno}: {kind} has no schema row"
+        assert {key.value for key in payload.keys} == set(EVENT_SCHEMA[kind]), f"line {call.lineno}: {kind}"
+        emitted.add(kind)
+    assert emitted == set(EVENT_SCHEMA)  # a row nothing emits is dead
+    runs = [("fixture", events) for events in _fixture_logs()]
+    for r in suite:
+        runs += [(r.case.seed, r.control_events), (r.case.seed, r.minimal.log.events), (r.case.seed, r.whole.log.events)]
+    for where, events in runs:
+        for t, kind, payload in events:
+            row = EVENT_SCHEMA[kind]
+            assert type(t) is int and set(payload) == set(row), (where, kind, payload)
+            assert all(FITS[row[key]](value) for key, value in payload.items()), (where, kind, payload)
+    print("\nACCEPTANCE event-schema: PASS")
+
+
+def test_event_logs_serialise_like_json_dumps(suite):
+    """``to_jsonl`` is byte-identical to one ``json.dumps(..., sort_keys=True)`` line per event."""
+    for runs in suite:
+        for log in (runs.minimal.log, runs.whole.log):
+            reference = "".join(
+                json.dumps({"t": t, "kind": kind, "payload": payload}, sort_keys=True) + "\n"
+                for t, kind, payload in log
+            )
+            assert log.to_jsonl() == reference, f"seed {runs.case.seed}"
+    print("\nACCEPTANCE log-serialisation: PASS")
 
 
 def test_drain_semantics_hand_traces():

@@ -134,6 +134,24 @@ class TestEventLog:
         (3, "Text", {"name": "é日本\U0001f600", "quoted": 'say "hi"', "path": "a\\b", "lines": "one\ntwo\r\t", "pct": "100%s%d%%"}),
         (3, 'Odd%s"Kind\\\n%d', {"z": {"b": [1, {"y": 2, "x": None}], "a": []}, "ü": 1, "A": 0}),
         (9, "Empty", {}),
+        # engine kinds: on their schema rows, and off them by type, key or shape
+        (10, "InvocationStart", {
+            "id": 'c:"0"', "component": "S%s", "interface": "I\\S", "operation": "wörk%d%%", "caller": None,
+            "session": "日本\U0001f600", "instance": "S#0", "tx": "tx\n1", "submitted_at": 2**70,
+        }),
+        (10, "InvocationHeld", {"id": "c:0", "component": "S", "operation": "work", "session": None, "submitted_at": True}),
+        (10, "SwapApplied", {"component": "S", "from_version": 1.5, "to_version": 2}),
+        (10, "StoreSynced", {"component": "S", "source": "db", "target": "db2", "rows": None}),
+        (10, "PoolSizeChanged", {"component": "S", "pool_size": 2**70}),
+        (10, "BarrierActivated", {"component": 7}),
+        (10, "InvocationDenied", {"id": "c:0", "component": "S", "session": 7, "reason": "clean-shutdown"}),
+        (10, "QueuePaused", {}),
+        (10, "QueueResumed", {"queue": "q", "extra": "x"}),
+        (10, "QuiescenceReached", {"Component": "S"}),
+        (10, "MessageEnqueued", {"queue": "q%", "payload": 'say "hi" \\ é\x7f\u2028', "seq": 0}),
+        (10, "TxBegin", ["tx", "root"]),
+        (10, "TxCommit", {"tx": None, "root": "c:0", "writes": []}),
+        (11.5, "BarrierReleased", {"component": "S"}),  # a time that is not an int
     ]
 
     def test_awkward_payloads_serialise_like_json_dumps(self):
@@ -165,6 +183,12 @@ class TestEventLog:
         payload = {"id": "c:0"}
         log.append(0, "InvocationStart", payload)
         assert log.events[0].payload is payload
+
+    def test_an_integer_client_id_is_written_as_an_integer_session(self):
+        log, _ = run(single_stateless(duration=5), parse_scenario(scenario_doc([client(7, call_entry(0, "S"))])), until=20)
+        starts = [json.loads(line) for line in log.to_jsonl().splitlines() if '"InvocationStart"' in line]
+        assert [(doc["payload"]["session"], doc["payload"]["caller"]) for doc in starts] == [(7, "session:7")]
+        assert '"session": 7,' in log.to_jsonl()
 
     def test_an_engine_emission_before_the_last_event_is_an_engine_fault(self):
         engine = Engine(single_stateless(duration=5))

@@ -421,7 +421,7 @@ def start(ctx, module: str, app_file: str | None, state_file: str) -> None:
 @click.option("--at", "stop_at", type=int, default=0, help="Time to issue the stop.")
 @click.pass_context
 def stop(ctx, module: str, app_file: str | None, state_file: str, scenario_file: str | None, stop_at: int) -> None:
-    """Stop a started module: drain running invocations, deny new ones."""
+    """Stop a started module: drain live transactions behind barriers, then stop its containers."""
 
     def action(manager: DeploymentManager) -> None:
         if scenario_file is not None:

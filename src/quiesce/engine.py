@@ -37,11 +37,11 @@ already); an operation with no automaton runs for ``duration`` from its start.
 A call that finds no free instance waits in its container's pool queue;
 waiters start FIFO from the head, and pools of the interchangeable kinds
 stop at the first refusal, since a refused acquisition refuses every later
-waiter until a completion frees an instance.  Each container records its
-gates (the CleanShutdown and RedeployBarrier stages ahead of Pooling) when it
-is created, so a dispatch walks them only while a barrier is up or a
-shutdown is on.  Each logged event is an ``Event`` record (a named tuple)
-that the engine appends to its log's list itself, after the same
+waiter until a completion frees an instance.  Each container records
+whether it is gated (a CleanShutdown or RedeployBarrier stage ahead of
+Pooling) when it is created, and a dispatch tests that only while a barrier
+is up.  Each logged event is an ``Event`` record (a named tuple) that the
+engine appends to its log's list itself, after the same
 time-order check ``EventLog.append`` makes.  ``EVENT_SCHEMA`` declares each
 kind's payload fields and their JSON types once; ``EventLog.to_jsonl``
 writes each line from a template compiled from that row.
@@ -58,10 +58,10 @@ would wedge the drain behind a provider that closed while momentarily
 idle.  The container falls back to draining and closes again once the
 transaction completes; swaps re-verify closure at the instant they apply.
 Joining calls of transactions running wholly outside the barricade are new
-outside work and park at the closed barrier until release.  The clean
-shutdown used by ``stop`` is different on all counts: it waits only for
-running invocations (transaction attributes are ignored) and *denies* new
-work instead of holding it.
+outside work and park at the closed barrier until release.  A module
+``stop`` drains through the same barrier: once it closes the container stops
+and the release replays the held calls against the stopped container, which
+denies them.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ QUEUE_PAUSED = "QueuePaused"
 QUEUE_RESUMED = "QueueResumed"
 STORE_SYNCED = "StoreSynced"
 POOL_SIZE_CHANGED = "PoolSizeChanged"
-CLEAN_SHUTDOWN_ACTIVATED = "CleanShutdownActivated"
 
 # JSON types of a payload field
 STR = "str"
@@ -165,7 +164,6 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
     BARRIER_ACTIVATED: {"component": STR},
     QUIESCENCE_REACHED: {"component": STR},
     BARRIER_RELEASED: {"component": STR},
-    CLEAN_SHUTDOWN_ACTIVATED: {"component": STR},
     MESSAGE_ENQUEUED: {"queue": STR, "payload": STR, "seq": INT},
     MESSAGE_DELIVERED: {"queue": STR, "payload": STR, "seq": INT},
     QUEUE_PAUSED: {"queue": STR},
@@ -394,7 +392,7 @@ class _Container:
     __slots__ = (
         "spec",
         "pooled",
-        "gates",
+        "gated",
         "descriptor",
         "stateful",
         "entity",
@@ -407,7 +405,6 @@ class _Container:
         "pool_size",
         "barrier_mode",
         "barrier_held",
-        "clean_shutdown",
         "executing",
         "touching_txs",
         "quiescence_waiters",
@@ -417,11 +414,11 @@ class _Container:
 
     def __init__(self, spec: ContainerSpec, descriptor: ComponentDescriptor) -> None:
         self.spec = spec
-        # the stages a dispatch checks before pooling, in chain order
+        # a barrier holds calls only where the chain gates them ahead of pooling
         chain = spec.interceptor_chain
         self.pooled = _POOLING in chain
         ahead = chain[: chain.index(_POOLING)] if self.pooled else chain
-        self.gates = tuple([kind for kind in ahead if kind is _CLEAN_SHUTDOWN or kind is _REDEPLOY_BARRIER])
+        self.gated = _CLEAN_SHUTDOWN in ahead or _REDEPLOY_BARRIER in ahead
         self.bound_store: Optional[str] = descriptor.data_store
         self.bound_queue: Optional[str] = descriptor.queue
         self.host(descriptor)
@@ -433,7 +430,6 @@ class _Container:
         self.pool_size = spec.pool_size
         self.barrier_mode = BARRIER_OPEN
         self.barrier_held: list[_Invocation] = []
-        self.clean_shutdown = False
         self.executing = 0
         self.touching_txs: set[str] = set()
         self.quiescence_waiters: list[Callable[[], None]] = []
@@ -615,27 +611,21 @@ class Engine:
         if spec is None:
             self._missing_operation(inv)
             return
-        # the gates can only act while a barrier is up or a shutdown is on;
+        # the gate acts only while a barrier is up;
         # TxDemarcation needs no stage: a transaction begins in _begin
-        if container.barrier_mode != BARRIER_OPEN or container.clean_shutdown:
-            for kind in container.gates:
-                if kind is _CLEAN_SHUTDOWN:
-                    if container.clean_shutdown:
-                        self._deny(inv, "clean-shutdown")
-                        return
-                elif container.barrier_mode != BARRIER_OPEN:
-                    if not self._joins_active_tx(inv, spec):
-                        self._hold(container, inv)
-                        return
-                    if container.barrier_mode == BARRIER_CLOSED:
-                        if self._tx_inside_barricade(inv.ambient_tx):
-                            # some drain is waiting on this transaction:
-                            # fall back to draining until it completes
-                            container.barrier_mode = BARRIER_DRAINING
-                        else:
-                            # new outside work: park it until release
-                            self._hold(container, inv)
-                            return
+        if container.barrier_mode != BARRIER_OPEN and container.gated:
+            if not self._joins_active_tx(inv, spec):
+                self._hold(container, inv)
+                return
+            if container.barrier_mode == BARRIER_CLOSED:
+                if self._tx_inside_barricade(inv.ambient_tx):
+                    # some drain is waiting on this transaction:
+                    # fall back to draining until it completes
+                    container.barrier_mode = BARRIER_DRAINING
+                else:
+                    # new outside work: park it until release
+                    self._hold(container, inv)
+                    return
         if not container.pooled:
             raise EngineFault(f"container {container.name!r} chain has no Pooling stage")
         instance = self._acquire_instance(container, inv)
@@ -1014,28 +1004,6 @@ class Engine:
             self._at(self.clock, PRIO_DISPATCH, self._pump_queue, container.bound_queue)
 
     # ------------------------------------------------------------------
-    # Clean shutdown (lifecycle stop)
-    # ------------------------------------------------------------------
-
-    def begin_clean_shutdown(self, component: str) -> None:
-        container = self._container(component)
-        if not container.has_interceptor(InterceptorKind.CLEAN_SHUTDOWN):
-            raise EngineFault(f"container {component!r} has no CleanShutdown interceptor")
-        container.clean_shutdown = True
-        self._emit(CLEAN_SHUTDOWN_ACTIVATED, {"component": component})
-
-    def is_drained(self, component: str) -> bool:
-        container = self._container(component)
-        return container.clean_shutdown and container.executing == 0
-
-    def end_clean_shutdown(self, component: str) -> None:
-        """Accept work again after a stop that did not drain; queued messages resume."""
-        container = self._container(component)
-        container.clean_shutdown = False
-        if container.bound_queue:
-            self._at(self.clock, PRIO_DISPATCH, self._pump_queue, container.bound_queue)
-
-    # ------------------------------------------------------------------
     # Queues and message-driven delivery
     # ------------------------------------------------------------------
 
@@ -1074,7 +1042,7 @@ class Engine:
         if q.paused:
             return
         container = self._receivers.get(queue)
-        if container is None or not container.started or container.clean_shutdown:
+        if container is None or not container.started:
             return
         if container.barrier_mode != BARRIER_OPEN:
             return  # barrier doubles as delivery pause for the hosted receiver
@@ -1199,7 +1167,6 @@ class Engine:
         if container.started:
             return
         container.started = True
-        container.clean_shutdown = False
         if not container.instances:
             self._create_instance(container, warm=True)
         if container.bound_queue:
@@ -1208,7 +1175,6 @@ class Engine:
     def stop_container(self, component: str) -> None:
         container = self._container(component)
         container.started = False
-        container.clean_shutdown = False
 
     def add_component(
         self,

@@ -67,7 +67,7 @@ class StateShapeMismatch(QuiesceError):
 
 
 class DrainTimeout(QuiesceError):
-    """A barrier or shutdown drain did not reach quiescence in time."""
+    """A barrier drain, of a redeploy or a module stop, did not reach quiescence in time."""
 
 
 class IllegalTransition(QuiesceError):

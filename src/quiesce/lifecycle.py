@@ -1,12 +1,13 @@
 """Deployment lifecycle surface over the simulated runtime.
 
 Modules (bundles of component descriptors) are distributed, started,
-stopped, undeployed, and redeployed.  ``stop`` drains through the clean
-shutdown interceptor — running invocations complete, new ones are denied —
-while ``redeploy`` hands the per-component diffs to the reconfiguration
-manager so running sessions survive.  The manager's ``check_mode`` applies
-the redeploy mode: strict refuses any structural diff outright, the default
-weakened mode lets the component-type safety rules decide.
+stopped, undeployed, and redeployed.  ``stop`` drains behind the redeploy
+barrier — live transactions complete, new work is held, then denied by the
+stopped containers — while ``redeploy`` hands the per-component diffs to the
+reconfiguration manager so running sessions survive.  The manager's
+``check_mode`` applies the redeploy mode: strict refuses any structural diff
+outright, the default weakened mode lets the component-type safety rules
+decide.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 from typing import Any
 
 from .documents import decode, record, typed
-from .engine import Engine
+from .engine import BARRIER_CLOSED, BARRIER_OPEN, Engine
 from .errors import DrainTimeout, IllegalTransition, QuiesceError, Rejection, ValidationError
 from .manager import (
     CostModel,
@@ -30,6 +31,7 @@ from .manager import (
 from .model import (
     ComponentDescriptor,
     ContainerSpec,
+    InterceptorKind,
     Wire,
     component_to_json,
     parse_component,
@@ -175,24 +177,44 @@ class DeploymentManager:
         return ModuleState.STARTED
 
     def stop(self, module: str) -> ModuleState:
-        """Drain running invocations, deny new ones, then mark the module stopped."""
+        """Drain the module behind barriers, then stop its containers.
+
+        Each container must name CleanShutdown in its chain and have an open
+        barrier, or the stop is refused before any barrier goes up.  Once every
+        barrier has closed, the containers stop and the release replays the
+        held calls, which they deny.  On a drain timeout the release replays
+        them against the still-started module.
+        """
         record = self._begin_transition("Stop", module, ModuleState.STOPPED)
+        engine = self.engine
         names = [d.name for d in record.archive.components]
+        specs = {spec.hosted_component: spec for spec in engine.config.containers}
         for name in names:
-            self.engine.begin_clean_shutdown(name)
-        deadline = self.engine.clock + self.engine.drain_timeout
+            barrier = engine.barrier_state(name)  # ScenarioError if no longer deployed
+            if InterceptorKind.CLEAN_SHUTDOWN not in specs[name].interceptor_chain:
+                reason = f"container {name!r} has no CleanShutdown interceptor"
+            elif barrier != BARRIER_OPEN:
+                reason = f"barrier on {name!r} is {barrier}"
+            else:
+                continue
+            self._progress("Stop", module, "Failed", reason)
+            raise IllegalTransition(f"module {module!r}: {reason}")
+        for name in names:
+            engine.activate_barrier(name)
+        deadline = engine.clock + engine.drain_timeout
 
         def drained() -> bool:
-            return all(self.engine.is_drained(name) for name in names)
+            return all(engine.barrier_state(name) == BARRIER_CLOSED for name in names)
 
-        self.engine.run(until=deadline, stop_when=drained)
+        engine.run(until=deadline, stop_when=drained)
         if not drained():
             for name in names:
-                self.engine.end_clean_shutdown(name)
+                engine.release_barrier(name)
             self._progress("Stop", module, "Failed", "drain timeout")
             raise DrainTimeout(f"module {module!r} did not drain by {deadline}")
         for name in names:
-            self.engine.stop_container(name)
+            engine.stop_container(name)
+            engine.release_barrier(name)
         record.state = ModuleState.STOPPED
         self._progress("Stop", module, "Completed")
         return ModuleState.STOPPED

@@ -23,9 +23,14 @@ from quiesce.depgraph import (
     build_static_graph,
 )
 from quiesce.engine import ANY, EVENT_SCHEMA, INT, NULLABLE_STR, STR, Engine, run as engine_run
+from quiesce.lifecycle import DeploymentManager, ModuleArchive
 from quiesce.manager import (
+    QosChange,
+    ReconfigurationRequest,
     RedeploymentRun,
+    build_plan,
     classify_structural_safety,
+    execute_plan,
     parse_request,
     run_scenario_with_request,
 )
@@ -419,6 +424,31 @@ def _fixture_logs() -> list:
     return logs
 
 
+def _lifecycle_log() -> list:
+    """A module's life that reaches the kinds no fixture does: a dropped operation, a resize, a stopped callee."""
+    receiver = comp("M", kind="MessageDriven", provided=[iface("IM", "onMessage")], required=["IS"],
+                    operations=[op("onMessage", automaton=auto([("q0", "IS", "work", 0, "q1")]))], queue="q")
+    shop = comp("S", provided=[iface("IS", "work", "extra")], operations=[op("work", tx="Joins"), op("extra")])
+    config = app([receiver, shop], wiring=[("M", "IS", "S")], queues=["q"])
+    engine = Engine(config)
+    manager = DeploymentManager(engine)
+    manager.adopt_running("shop", ModuleArchive("shop", 1, (config.component("S"),)))
+    extra = {"at": 10, "call": {"component": "S", "interface": "IS", "operation": "extra"}}
+    message = {"queue": "q", "payload": "m", "at": 20}
+    engine.load_scenario(parse_scenario(scenario_doc([client("c", extra)], messages=[message])))
+    # the redeploy drops "extra": c's call at 10 invalidates its session
+    shop_v2 = parse_component(comp("S", version=2, provided=[iface("IS", "work")], operations=[op("work", tx="Joins")]))
+    assert manager.redeploy("shop", ModuleArchive("shop", 2, (shop_v2,))).outcome == "Completed"
+    grow = ReconfigurationRequest("grow", (), qos_changes=(QosChange("S", 2),), requested_at=engine.clock)
+    assert execute_plan(build_plan(grow, engine.snapshot()), engine).outcome == "Completed"
+    engine.run(until=15)
+    manager.stop("shop")  # the message at 20 makes M call the stopped S, with no session
+    engine.run(until=50)
+    reached = {(kind, payload.get("session")) for _, kind, payload in engine.log}
+    assert {("InvocationDenied", None), ("SessionInvalidated", "c"), ("PoolSizeChanged", None)} <= reached
+    return engine.log.events
+
+
 def test_every_emitted_kind_has_a_schema_row_that_its_events_fit(suite):
     """Each ``self._emit(KIND, {...})`` in the engine source, reached or not, matches its row; so does every event."""
     source = Path(engine_module.__file__).read_text(encoding="utf-8")
@@ -436,7 +466,7 @@ def test_every_emitted_kind_has_a_schema_row_that_its_events_fit(suite):
         assert {key.value for key in payload.keys} == set(EVENT_SCHEMA[kind]), f"line {call.lineno}: {kind}"
         emitted.add(kind)
     assert emitted == set(EVENT_SCHEMA)  # a row nothing emits is dead
-    runs = [("fixture", events) for events in _fixture_logs()]
+    runs = [("fixture", events) for events in _fixture_logs()] + [("lifecycle", _lifecycle_log())]
     for r in suite:
         runs += [(r.case.seed, r.control_events), (r.case.seed, r.minimal.log.events), (r.case.seed, r.whole.log.events)]
     for where, events in runs:

@@ -25,6 +25,7 @@ from quiesce.errors import (
     ScenarioError,
     StateShapeMismatch,
 )
+from quiesce.lifecycle import DeploymentManager, ModuleArchive
 from quiesce.manager import parse_request, run_scenario_with_request
 from quiesce.model import load_application, parse_component
 from quiesce.workload import parse_scenario
@@ -233,6 +234,23 @@ class TestTransactionsKept:
 
 
 class TestBarrier:
+    @pytest.mark.parametrize(
+        "chain, first",
+        [
+            (["CleanShutdown", "TxDemarcation", "Pooling"], "InvocationHeld"),
+            (["RedeployBarrier", "TxDemarcation", "Pooling"], "InvocationHeld"),
+            (["TxDemarcation", "Pooling"], "InvocationStart"),
+        ],
+        ids=["clean-shutdown", "redeploy-barrier", "ungated"],
+    )
+    def test_either_gate_stage_holds_new_work_at_a_barrier(self, chain, first):
+        config = app([comp("S")], containers=[{"hosted_component": "S", "interceptor_chain": chain}])
+        engine = Engine(config)
+        engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(1, "S"))])))
+        engine.activate_barrier("S")
+        engine.run(until=10)
+        assert kinds_of(engine.log, "InvocationHeld", "InvocationStart") == [(1, first)]
+
     def test_idle_container_quiesces_at_activation(self):
         engine = Engine(single_stateless())
         assert drain(engine, "S") == 0
@@ -685,35 +703,45 @@ class TestEntityStores:
 
 
 class TestCleanShutdown:
-    def test_drain_then_deny(self):
+    """A module stop drains through each container's redeploy barrier."""
+
+    @staticmethod
+    def stopping(scenario_text: str) -> tuple[DeploymentManager, Engine]:
         config = single_stateless(duration=3)
         engine = Engine(config)
-        engine.load_scenario(
-            parse_scenario(
-                scenario_doc([client("c1", call_entry(0, "S")), client("c2", call_entry(1, "S"))])
-            )
-        )
+        manager = DeploymentManager(engine)
+        manager.adopt_running("shop", ModuleArchive("shop", 1, config.leaves))
+        engine.load_scenario(parse_scenario(scenario_text))
         engine.run(until=0)
-        engine.begin_clean_shutdown("S")
+        return manager, engine
+
+    def test_drain_then_deny(self):
+        manager, engine = self.stopping(
+            scenario_doc([client("c1", call_entry(0, "S")), client("c2", call_entry(1, "S"))])
+        )
+        manager.stop("shop")
         engine.run(until=10)
-        denied = [e for e in engine.log if e.kind == "InvocationDenied"]
-        assert [(e.t, e.payload["id"], e.payload["reason"]) for e in denied] == [
-            (1, "c2:0", "clean-shutdown")
+        stop_kinds = ("BarrierActivated", "InvocationHeld", "QuiescenceReached", "BarrierReleased", "InvocationDenied")
+        assert kinds_of(engine.log, *stop_kinds) == [
+            (0, "BarrierActivated"),
+            (1, "InvocationHeld"),
+            (3, "QuiescenceReached"),
+            (3, "BarrierReleased"),
+            (3, "InvocationDenied"),  # the held call, replayed against the stopped container
         ]
+        denied = [e for e in engine.log if e.kind == "InvocationDenied"]
+        assert [(e.payload["id"], e.payload["reason"]) for e in denied] == [("c2:0", "container-not-started")]
         ends = [e.t for e in engine.log if e.kind == "InvocationEnd"]
         assert ends == [3]  # in-flight work completed exactly on time
-        assert engine.is_drained("S")
+        assert engine.barrier_state("S") == BARRIER_OPEN
 
     def test_clean_shutdown_never_aborts(self):
-        config = single_stateless(duration=3)
-        engine = Engine(config)
-        engine.load_scenario(
-            parse_scenario(scenario_doc([client("c", call_entry(0, "S"), call_entry(1, "S"))]))
-        )
-        engine.run(until=0)
-        engine.begin_clean_shutdown("S")
+        manager, engine = self.stopping(scenario_doc([client("c", call_entry(0, "S"), call_entry(1, "S"))]))
+        manager.stop("shop")
         engine.run(until=20)
         assert [e for e in engine.log if e.kind == "TxAbort"] == []
+        assert [(e.t, e.payload["tx"]) for e in engine.log if e.kind == "TxCommit"] == [(3, "tx:c:0")]
+        assert [e.payload["root"] for e in engine.log if e.kind == "TxBegin"] == ["c:0"]  # c:1 never began
 
 
 class TestSessionsAndRefs:

@@ -106,15 +106,85 @@ class TestLifecycleTransitions:
         manager.start("shop")
         engine = manager.engine
         engine.load_scenario(
-            parse_scenario(scenario_doc([client("c1", call_entry(0, "S")), client("c2", call_entry(1, "S"))]))
+            parse_scenario(scenario_doc([
+                client("c1", call_entry(0, "S")), client("c2", call_entry(1, "S")), client("c3", call_entry(5, "S")),
+            ]))
         )
         engine.run(until=0)
         manager.stop("shop")
         assert state_of(manager, "shop") is ModuleState.STOPPED
         assert engine.clock == 3  # stopped the instant the in-flight call completed
-        denied = [(e.t, e.payload["reason"]) for e in engine.log if e.kind == "InvocationDenied"]
-        assert (1, "clean-shutdown") in denied
+        engine.run(until=10)
+        held = [(e.t, e.payload["id"]) for e in engine.log if e.kind == "InvocationHeld"]
+        assert held == [(1, "c2:0")]  # held while the stop drained
+        denied = [(e.t, e.payload["id"], e.payload["reason"]) for e in engine.log if e.kind == "InvocationDenied"]
+        assert denied == [(3, "c2:0", "container-not-started"), (5, "c3:0", "container-not-started")]
         assert [e for e in engine.log if e.kind == "TxAbort"] == []
+
+    def test_a_stop_waits_for_the_live_transactions_it_would_cut(self):
+        """A's transaction has called B when B's module stops; its second call to B is served."""
+        steps = [("q0", "IB", "w", 0, "q1"), ("q1", "IC", "w", 0, "q2"), ("q2", "IB", "w", 0, "q3")]
+        config = app(
+            [
+                comp("A", provided=[iface("IA", "go")], required=["IB", "IC"],
+                     operations=[op("go", duration=20, automaton=auto(steps))]),
+                comp("B", provided=[iface("IB", "w")], operations=[op("w", tx="Joins", duration=2)]),
+                comp("C", provided=[iface("IC", "w")], operations=[op("w", tx="Joins", duration=10)]),
+            ],
+            wiring=[("A", "IB", "B"), ("A", "IC", "C")],
+        )
+        engine = Engine(config)
+        manager = DeploymentManager(engine)
+        for module, name in (("front", "A"), ("back", "B"), ("side", "C")):
+            manager.adopt_running(module, ModuleArchive(module, 1, (config.component(name),)))
+        go = {"at": 0, "call": {"component": "A", "interface": "IA", "operation": "go"}}
+        engine.load_scenario(parse_scenario(scenario_doc([client("c", go)])))
+        engine.run(until=4)  # tx:c:0 has called B once and now waits on C
+        assert manager.stop("back") is ModuleState.STOPPED
+        assert engine.clock == 34
+        b_events = [(e.t, e.kind, e.payload.get("id")) for e in engine.log if e.payload.get("component") == "B"]
+        assert b_events == [
+            (0, "InvocationStart", "c:0.0"),
+            (2, "InvocationEnd", "c:0.0"),
+            (4, "BarrierActivated", None),
+            (12, "InvocationStart", "c:0.2"),  # joins the live transaction: served
+            (14, "InvocationEnd", "c:0.2"),
+            (34, "QuiescenceReached", None),
+            (34, "BarrierReleased", None),
+        ]
+        assert [e.kind for e in engine.log if e.t == 34] == [
+            "InvocationEnd", "TxCommit", "QuiescenceReached", "BarrierReleased",
+        ]  # the stop ends only after tx:c:0 commits
+        assert [e for e in engine.log if e.kind == "InvocationDenied"] == []
+
+    @pytest.mark.parametrize(
+        "chain, barrier, reason",
+        [
+            (["RedeployBarrier", "TxDemarcation", "Pooling"], False, "container 'Y' has no CleanShutdown interceptor"),
+            (["CleanShutdown", "RedeployBarrier", "TxDemarcation", "Pooling"], True, "barrier on 'Y' is Closed"),
+        ],
+        ids=["no-clean-shutdown", "barrier-up"],
+    )
+    def test_a_refused_stop_gates_nothing(self, chain, barrier, reason):
+        config = app(
+            [comp("X"), comp("Y")],
+            containers=[{"hosted_component": "X"}, {"hosted_component": "Y", "interceptor_chain": chain}],
+        )
+        engine = Engine(config)
+        manager = DeploymentManager(engine)
+        manager.adopt_running("pair", ModuleArchive("pair", 1, config.leaves))
+        engine.load_scenario(parse_scenario(scenario_doc([client("c", call_entry(1, "X"))])))
+        if barrier:
+            engine.activate_barrier("Y")
+        with pytest.raises(IllegalTransition, match=reason):
+            manager.stop("pair")
+        assert state_of(manager, "pair") is ModuleState.STARTED
+        assert manager.events[-1] == ProgressEvent("Stop", "pair", "Failed", reason)
+        assert engine.barrier_state("X") == "Open"
+        engine.run(until=10)
+        assert [(e.t, e.kind) for e in engine.log if e.payload.get("component") == "X"] == [
+            (1, "InvocationStart"), (6, "InvocationEnd"),
+        ]
 
     def test_a_failed_stop_delivers_what_was_queued_during_it(self):
         receiver = comp("M", kind="MessageDriven", provided=[iface("IM", "onMessage")],
@@ -124,16 +194,20 @@ class TestLifecycleTransitions:
         manager.start("inbox")
         engine = manager.engine
         messages = [{"queue": "q", "payload": "m0", "at": 0}, {"queue": "q", "payload": "m1", "at": 5}]
-        engine.load_scenario(parse_scenario(scenario_doc(messages=messages)))
+        clients = [client("c", call_entry(5, "M", "onMessage", "IM"))]
+        engine.load_scenario(parse_scenario(scenario_doc(clients, messages=messages)))
         engine.run(until=0)
         with pytest.raises(DrainTimeout):
-            manager.stop("inbox")  # m1 arrives while the stop denies new work
+            manager.stop("inbox")  # m1 and c:0 arrive while the stop drains
         assert state_of(manager, "inbox") is ModuleState.STARTED
         engine.run(until=500)
         delivered = [(e.t, e.payload["payload"]) for e in engine.log if e.kind == "MessageDelivered"]
         assert delivered == [(0, "m0"), (10, "m1")]  # the instant the stop gave up
+        assert [(e.t, e.payload["id"]) for e in engine.log if e.kind == "InvocationHeld"] == [(5, "c:0")]
+        starts = [(e.t, e.payload["id"]) for e in engine.log if e.kind == "InvocationStart"]
+        assert starts == [(0, "msg:q:0"), (10, "c:0"), (10, "msg:q:1")]  # the held call starts at the timeout
         assert engine.snapshot().queue_depths == (("q", 0),)
-        assert [e.payload["id"] for e in engine.log if e.kind == "InvocationEnd"] == ["msg:q:0", "msg:q:1"]
+        assert [e.payload["id"] for e in engine.log if e.kind == "InvocationEnd"] == ["msg:q:0", "c:0", "msg:q:1"]
 
     def test_stop_then_start_again(self):
         manager = fresh_manager()

@@ -34,7 +34,6 @@ from .manager import (
     RedeploymentRun,
     ReconfigurationRequest,
     TargetChange,
-    check_mode,
     classify_structural_safety,
     estimate_window,
     parse_request,
@@ -197,7 +196,7 @@ def redeploy(
             engine.run(until=0)
             report = manager.redeploy(module, archive, mode=mode, blocking=blocking, costs=costs)
             engine.run(until=until)
-            return RedeploymentRun(engine.log, engine, report, None)
+            return RedeploymentRun(engine.log, engine, report)
 
     else:
         if request_file is None:
@@ -211,19 +210,18 @@ def redeploy(
             _fail(f"{request_file}: {exc}")
 
         def run() -> RedeploymentRun:
-            check_mode(request, config, mode)
             return run_scenario_with_request(
                 config, scenario, request, until,
-                blocking=blocking, costs=costs, drain_timeout=drain_timeout,
+                blocking=blocking, costs=costs, drain_timeout=drain_timeout, mode=mode,
             )
 
-    # both forms from here: a Rejection raised by ``run`` refused the request
-    # before the run and writes nothing; one returned in the result was
-    # decided at the request instant and still gets the log and metrics
     try:
         result = run()
     except Rejection as exc:
-        _rejected(exc)
+        for verdict in exc.verdicts:
+            click.echo(json.dumps(verdict.to_json(), sort_keys=True), err=True)
+        click.echo(f"rejected: {exc}", err=True)
+        sys.exit(EXIT_REJECTED)
     except ProtocolViolation as exc:
         click.echo(f"protocol violation: {exc}", err=True)
         sys.exit(EXIT_PROTOCOL)
@@ -231,8 +229,6 @@ def redeploy(
         _fail(str(exc))
     _write(out / "events.jsonl", result.log.to_jsonl())
     _write(out / "metrics.json", metrics_json_text(compute_metrics(result.log.events)))
-    if result.rejection is not None:
-        _rejected(result.rejection)
     report = result.report
     _write_json(out / "report.json", report.to_json())
     if report.outcome != "Completed":
@@ -240,13 +236,6 @@ def redeploy(
         click.echo(f"{report.outcome}: {reason}", err=True)
         sys.exit(EXIT_REJECTED)
     sys.exit(EXIT_OK)
-
-
-def _rejected(rejection: Rejection) -> None:
-    for verdict in rejection.verdicts:
-        click.echo(json.dumps(verdict.to_json(), sort_keys=True), err=True)
-    click.echo(f"rejected: {rejection}", err=True)
-    sys.exit(EXIT_REJECTED)
 
 
 @cli.command(name="analyze-deps")

@@ -98,7 +98,8 @@ class DeploymentManager:
 
         Used when an engine was built straight from an application document
         and the lifecycle surface joins afterwards (the components are
-        running; no containers are created).
+        running; no containers are created).  A component another managed
+        module holds is refused, unless that module is undeployed.
         """
         if module in self.modules and self.modules[module].state is not ModuleState.UNDEPLOYED:
             raise IllegalTransition(f"module {module!r} already managed")
@@ -106,6 +107,12 @@ class DeploymentManager:
         missing = [c.name for c in archive.components if c.name not in deployed]
         if missing:
             raise ValidationError(f"cannot adopt {module!r}: components not deployed: {missing}")
+        names = {c.name for c in archive.components}
+        for other, held in self.modules.items():
+            if held.state is not ModuleState.UNDEPLOYED:
+                taken = sorted(names.intersection(c.name for c in held.archive.components))
+                if taken:
+                    raise ValidationError(f"cannot adopt {module!r}: module {other!r} holds {taken}")
         self.modules[module] = _ModuleRecord(archive, ModuleState.STARTED)
 
     def _begin_transition(self, operation: str, module: str, to: ModuleState) -> _ModuleRecord:

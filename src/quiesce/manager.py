@@ -8,8 +8,15 @@ change is safe (consistency rules), compute the minimal set of components
 to barricade (dependency analysis), and run the ordered steps against the
 engine (plan execution).  ``check_mode`` is the one place the redeploy mode
 is applied: strict refuses structural diffs before planning.
-The executor drives the engine through its public scheduling and barrier
-calls, and its report is a fold of the plan's own events.
+
+Both redeploy forms take one path at their request instant: a request
+document (``run_scenario_with_request``) and an archive diff
+(``lifecycle.DeploymentManager.redeploy``) each call ``check_mode``, then
+``build_plan`` from a fresh snapshot, then ``execute_plan``, the one way
+to run a plan.  A refused request raises Rejection before any barrier goes
+up.  The executor drives the engine through its public scheduling and
+barrier calls, and the report folds the plan's own events, from its first
+step to the event that finishes it.
 
 Safety is decided before anything is touched: one unsafe component, or one
 composition finding on the target configuration the swaps will install,
@@ -601,7 +608,7 @@ def plan_ordering_problems(plan: ReconfigurationPlan) -> list[str]:
 
 
 class PlanExecutor:
-    """Drives plan steps through the engine's event timeline.
+    """Walks one plan's steps through the engine's event timeline; ``execute_plan`` runs it.
 
     ``_run`` rejects a plan whose target has composition findings before a
     barrier goes up, then walks the steps in order at barrier priority and
@@ -622,23 +629,10 @@ class PlanExecutor:
         self.costs = costs
         self.done = False
         self.outcome: Optional[str] = None
-        self.first_event = 0
         self.findings: list[ConsistencyFinding] = []
         self.detail = ""
         self._barriers = tuple(s.component for s in plan.steps if s.kind == ACTIVATE_BARRIER)
         self._steps = self._run()
-
-    def start(self) -> None:
-        self.first_event = len(self.engine.log)
-        self.engine.schedule(self.engine.clock, self._advance)
-
-    def run_until_done(self) -> None:
-        """Run the engine until the plan has finished."""
-        self.engine.run(stop_when=lambda: self.done)
-        if not self.done:
-            raise EngineFault("plan did not finish: engine ran out of events")
-
-    # -- plan walk -----------------------------------------------------
 
     def _advance(self) -> None:
         if not self.done:
@@ -719,46 +713,46 @@ class PlanExecutor:
         self.done = True
         self.outcome = outcome
 
-    # -- reporting -----------------------------------------------------
-
-    def report(self) -> ReconfigurationReport:
-        """The outcome, with downtime and held calls folded from the events since ``start``."""
-        if not self.done:
-            raise EngineFault("plan execution has not finished")
-        from .metrics import compute_metrics
-
-        metrics = compute_metrics(self.engine.log.events[self.first_event:])
-        return ReconfigurationReport(
-            request_id=self.plan.request.id,
-            outcome=self.outcome,
-            downtime=metrics.downtime,
-            held_count=metrics.held_count,
-            held_max_wait=metrics.held_max_wait,
-            verdicts=self.plan.verdicts,
-            findings=tuple(self.findings),
-            affected=self.plan.affected,
-            detail=self.detail,
-        )
-
 
 def execute_plan(
     plan: ReconfigurationPlan, engine: rt.Engine, costs: CostModel = CostModel()
 ) -> ReconfigurationReport:
-    """Run the plan to completion on an engine and report the outcome."""
+    """Run the plan from the engine's clock until it finishes, and report the outcome.
+
+    The engine stops at the event that finishes the plan, so the report's
+    downtime and held calls fold exactly the plan's own span: the events
+    from its first step to that one.  Raises EngineFault if the engine runs
+    out of events first.
+    """
+    from .metrics import compute_metrics
+
     executor = PlanExecutor(engine, plan, costs)
-    executor.start()
-    executor.run_until_done()
-    return executor.report()
+    first_event = len(engine.log)
+    engine.schedule(engine.clock, executor._advance)
+    engine.run(stop_when=lambda: executor.done)
+    if not executor.done:
+        raise EngineFault("plan did not finish: engine ran out of events")
+    metrics = compute_metrics(engine.log.events[first_event:])
+    return ReconfigurationReport(
+        request_id=plan.request.id,
+        outcome=executor.outcome,
+        downtime=metrics.downtime,
+        held_count=metrics.held_count,
+        held_max_wait=metrics.held_max_wait,
+        verdicts=plan.verdicts,
+        findings=tuple(executor.findings),
+        affected=plan.affected,
+        detail=executor.detail,
+    )
 
 
 @dataclass(frozen=True)
 class RedeploymentRun:
-    """Outcome of running a scenario with a request injected mid-flight."""
+    """Outcome of running a scenario with a request redeployed mid-flight."""
 
     log: rt.EventLog
     engine: rt.Engine
-    report: Optional[ReconfigurationReport]
-    rejection: Optional[Rejection]
+    report: ReconfigurationReport
 
 
 def run_scenario_with_request(
@@ -769,36 +763,36 @@ def run_scenario_with_request(
     blocking: str = "minimal",
     costs: CostModel = CostModel(),
     drain_timeout: int = 1000,
+    mode: str = "weakened",
 ) -> RedeploymentRun:
-    """Run the workload and inject the reconfiguration at its requested time.
+    """Run the workload, redeploy the request at its instant, and run on to ``until``.
 
-    The plan is built from a snapshot taken exactly at ``requested_at`` and
-    executed on the live engine; the run then continues to the horizon (or
-    past it if plan steps are still pending, so reports are always final).
+    The run stops at the request's slot: after the completions at
+    ``requested_at`` and before that instant's new dispatches.  There it
+    makes the calls ``DeploymentManager.redeploy`` makes: ``check_mode``,
+    then ``build_plan`` from a snapshot, then ``execute_plan``, which runs
+    the engine until the plan finishes (past ``until`` if it must), so the
+    report folds the plan's own span.
+
+    Raises ValidationError, before any engine is built, for a request
+    instant outside ``0..until``, and Rejection for a refused request; a
+    refusal comes before any barrier goes up.
     """
+    at = request.requested_at
+    if not 0 <= at <= until:
+        raise ValidationError(f"request {request.id!r} at {at} is outside the run (0..{until})")
     engine = rt.Engine(config, seed=scenario.seed, drain_timeout=drain_timeout)
     engine.load_scenario(scenario)
-    state: dict = {"executor": None, "rejection": None}
-
-    def inject() -> None:
-        snapshot = engine.snapshot()
-        try:
-            plan = build_plan(request, snapshot, blocking=blocking, costs=costs)
-        except Rejection as exc:
-            state["rejection"] = exc
-            return
-        executor = PlanExecutor(engine, plan, costs)
-        state["executor"] = executor
-        executor.start()
-
-    engine.schedule(request.requested_at, inject)
+    engine.run(until=at - 1)
+    # a marker at ``at`` runs with that instant's barrier transitions: after its completions
+    reached: list[bool] = []
+    engine.schedule(at, lambda: reached.append(True))
+    engine.run(stop_when=lambda: bool(reached))
+    check_mode(request, engine.config, mode)
+    plan = build_plan(request, engine.snapshot(), blocking=blocking, costs=costs)
+    report = execute_plan(plan, engine, costs)
     engine.run(until=until)
-    executor = state["executor"]
-    report = None
-    if executor is not None:
-        executor.run_until_done()  # let pending steps settle
-        report = executor.report()
-    return RedeploymentRun(engine.log, engine, report, state["rejection"])
+    return RedeploymentRun(engine.log, engine, report)
 
 
 # ---------------------------------------------------------------------------

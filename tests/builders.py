@@ -207,3 +207,11 @@ def session_components(events: list[Event]) -> dict[str, set[str]]:
             if session and component:
                 out.setdefault(session, set()).add(component)
     return out
+
+
+def plan_span(events: list[Event]) -> list[Event]:
+    """One completed plan's own events: from its first barrier activation to its last release."""
+    kinds = [event.kind for event in events]
+    first = kinds.index("BarrierActivated")
+    last = len(kinds) - kinds[::-1].index("BarrierReleased")
+    return events[first:last]

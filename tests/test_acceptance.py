@@ -49,6 +49,7 @@ from builders import (
     drain,
     iface,
     op,
+    plan_span,
     scenario_doc,
     session_components,
     store_contents,
@@ -91,7 +92,6 @@ def suite() -> list[CaseRuns]:
     for seed in SEEDS:
         case = generate_case(seed)
         result = _run_case(case)
-        assert result.minimal.rejection is None, f"seed {seed}: request unexpectedly rejected"
         assert result.minimal.report.outcome == "Completed", (
             f"seed {seed}: {result.minimal.report.outcome}"
         )
@@ -188,6 +188,18 @@ def test_transaction_exclusivity(suite):
         assert _exclusivity_violations(runs.minimal.log.events) == [], f"seed {runs.case.seed}"
         assert _exclusivity_violations(runs.whole.log.events) == [], f"seed {runs.case.seed}"
     print("\nACCEPTANCE transaction-exclusivity: PASS")
+
+
+def test_every_report_folds_its_plans_own_span(suite):
+    """A report's downtime and held calls fold the plan's events, not the rest of the run."""
+    for runs in suite:
+        for result in (runs.minimal, runs.whole):
+            own = compute_metrics(plan_span(result.log.events))
+            report = result.report
+            assert (report.downtime, report.held_count, report.held_max_wait) == (
+                own.downtime, own.held_count, own.held_max_wait
+            ), f"seed {runs.case.seed}"
+    print("\nACCEPTANCE report-span: PASS")
 
 
 FIXTURE_CASES = [

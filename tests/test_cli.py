@@ -161,12 +161,8 @@ class TestRedeployCommand:
         assert result.returncode == 3
         assert "Unsafe" in result.stderr or "rejected" in result.stderr
 
-    @pytest.mark.parametrize("form,written", [
-        ("request", ["events.jsonl", "metrics.json"]),
-        ("archive", []),
-    ])
-    def test_a_refused_plan_writes_the_log_only_in_the_request_form(self, workdir, form, written):
-        """The request form refuses within the run, which still logs; the archive form ends the command."""
+    @pytest.mark.parametrize("form", ["request", "archive"])
+    def test_a_refused_plan_writes_nothing_in_either_form(self, workdir, form):
         (workdir / "stateful_app.json").write_text(
             appdoc([comp("S", kind="StatefulSession", state_fields=["a"], operations=[op("work", duration=2)])])
         )
@@ -184,7 +180,7 @@ class TestRedeployCommand:
             '{"component": "S", "reasons": ["HasConversationalState"], "verdict": "Unsafe"}\n'
             "rejected: S: HasConversationalState\n"
         )
-        assert sorted(path.name for path in (workdir / "o").iterdir()) == written
+        assert list((workdir / "o").iterdir()) == []
 
     def test_strict_mode_rejects_structural_request(self, workdir):
         new = comp("C", version=2, provided=[iface("IC", "backWork", "extra")],
@@ -223,6 +219,16 @@ class TestRedeployCommand:
         assert result.returncode == 1
         assert result.stderr == f"error: bad_request.json: {message}\n"
         assert not (workdir / "o" / "events.jsonl").exists()
+
+    def test_a_request_instant_past_the_horizon_exits_one_and_writes_nothing(self, workdir):
+        request = json.loads((workdir / "demo_request.json").read_text())
+        (workdir / "late_request.json").write_text(json.dumps({**request, "requested_at": 2000}))
+        result = run_cli(
+            "--out", "o", "redeploy", "demo_chain.json", "demo_scenario.json", "late_request.json", cwd=workdir,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: request 'swap-C-v2' at 2000 is outside the run (0..1000)\n"
+        assert list((workdir / "o").iterdir()) == []
 
     def test_drain_timeout_explains_itself_on_stderr(self, workdir):
         result = run_cli(

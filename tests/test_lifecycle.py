@@ -25,7 +25,7 @@ from quiesce.lifecycle import (
 )
 from quiesce.manager import ReconfigurationRequest, TargetChange, build_plan, execute_plan
 from quiesce.metrics import compute_metrics
-from quiesce.model import ComponentDescriptor, component_to_json, load_application, parse_component
+from quiesce.model import ComponentDescriptor, ContainerSpec, component_to_json, load_application, parse_component
 from quiesce.workload import parse_scenario
 
 from builders import (
@@ -245,6 +245,21 @@ class TestLifecycleTransitions:
         report = manager.redeploy("front", ModuleArchive("front", 2, (bumped,)), blocking="whole-app")
         assert report.outcome == "Completed"
         assert manager.engine.config.components()["A"] is bumped
+
+    def test_adopting_a_component_another_module_holds_is_refused(self):
+        config = app([comp("S")])
+        manager = DeploymentManager(Engine(config))
+        held = (config.component("S"),)
+        manager.adopt_running("one", ModuleArchive("one", 1, held))
+        with pytest.raises(ValidationError, match=r"cannot adopt 'two': module 'one' holds \['S'\]"):
+            manager.adopt_running("two", ModuleArchive("two", 1, held))
+        assert list(manager.modules) == ["one"]
+        # an undeployed module holds nothing: S deployed again may join another module
+        manager.stop("one")
+        manager.undeploy("one")
+        manager.engine.add_component(held[0], ContainerSpec("S"), ())
+        manager.adopt_running("two", ModuleArchive("two", 1, held))
+        assert manager.stop("two") is ModuleState.STOPPED
 
     def test_every_operation_emits_one_terminal_progress_event(self):
         manager = fresh_manager()

@@ -17,10 +17,10 @@ from quiesce.errors import (
     ValidationError,
     VersionError,
 )
+from quiesce.lifecycle import DeploymentManager, ModuleArchive
 from quiesce.manager import (
     AWAIT_QUIESCENCE,
     EntityMigration,
-    PlanExecutor,
     QosChange,
     Reason,
     ReconfigurationRequest,
@@ -50,6 +50,7 @@ from builders import (
     comp,
     iface,
     op,
+    plan_span,
     scenario_doc,
     session_components,
     store_contents,
@@ -62,6 +63,19 @@ from oracles import CONFIGURATION_SCANS, check_carried_indexes, expected_shadow_
 def carried_indexes_match_a_fresh_build(monkeypatch):
     """Every configuration ``with_component`` makes here holds the indexes a fresh build gives."""
     check_carried_indexes(monkeypatch)
+
+
+def record_barriers(monkeypatch) -> list[str]:
+    """The components ``Engine.activate_barrier`` is called on from now on; each barrier still goes up."""
+    barriers: list[str] = []
+    activate = Engine.activate_barrier
+
+    def recording(engine, component):
+        barriers.append(component)
+        activate(engine, component)
+
+    monkeypatch.setattr(Engine, "activate_barrier", recording)
+    return barriers
 
 
 def descriptor(kind: str, **kw):
@@ -413,11 +427,9 @@ class TestExecutePlan:
     def test_finished_plan_is_not_kept_alive_by_its_drain_deadline(self, chain_config):
         engine = Engine(chain_config)
         plan = build_plan(TestBuildPlan().functional_c_request(), engine.snapshot())
-        executor = PlanExecutor(engine, plan)
-        executor.start()
-        executor.run_until_done()
-        finished, target = weakref.ref(executor), weakref.ref(plan.target)
-        del executor, plan
+        assert execute_plan(plan, engine).outcome == "Completed"
+        finished, target = weakref.ref(plan), weakref.ref(plan.target)
+        del plan
         gc.collect()
         assert finished() is None
         assert engine.config is target()  # the swapped-in configuration stays, as the engine's own
@@ -594,18 +606,16 @@ class TestSwapWaitsOnReopenedDrain:
 
     def test_timeout_while_the_swap_waits_abandons_the_plan(self):
         engine = self.engine(drain_timeout=11)
-        executor = PlanExecutor(engine, self.plan(engine))
-        executor.start()
-        executor.run_until_done()
-        report = executor.report()
+        plan = self.plan(engine)
+        report = execute_plan(plan, engine)
         assert report.outcome == "DrainTimeout"
         assert report.detail == "drain timeout waiting for 'A'"
         assert [e for e in engine.log if e.kind == "SwapApplied"] == []
         assert {name: engine.barrier_state(name) for name in "ACD"} == dict.fromkeys("ACD", "Open")
         assert engine.config.components()["C"].version == 1
         # releasing the barriers dropped the swap's wake-up, so nothing keeps the plan alive
-        abandoned = weakref.ref(executor)
-        del executor
+        abandoned = weakref.ref(plan)
+        del plan
         gc.collect()
         assert abandoned() is None
 
@@ -699,7 +709,46 @@ class TestScenarioWithRequest:
         assert total_min < total_whole  # X/Y chain only blocks under whole-app
         assert set(minimal.report.affected) < set(self.two_chains().components())
 
-    def test_rejected_request_reports_verdicts_and_touches_nothing(self):
+    def test_both_forms_give_one_report(self, chain_config):
+        """The demo request, and the same change as an archive redeployed on a running engine."""
+        scenario = parse_scenario(read_fixture("demo_scenario.json"))
+        request = parse_request(read_fixture("demo_request.json"))
+        at = request.requested_at  # nothing is dispatched at 8: both forms plan in the same state
+        by_request = run_scenario_with_request(chain_config, scenario, request, until=300)
+
+        engine = Engine(chain_config, seed=scenario.seed)
+        engine.load_scenario(scenario)
+        deployment = DeploymentManager(engine)
+        components = chain_config.components()
+        deployment.adopt_running("demo", ModuleArchive("demo", 1, tuple(components.values())))
+        engine.run(until=at)
+        components["C"] = request.targets[0].descriptor
+        by_archive = deployment.redeploy("demo", ModuleArchive("demo", 2, tuple(components.values())))
+
+        first, second = by_request.report.to_json(), by_archive.to_json()
+        assert (first.pop("request"), second.pop("request")) == ("swap-C-v2", "redeploy:demo:2")
+        assert first == second
+        assert (first["outcome"], first["downtime"]) == ("Completed", {"A": 25, "B": 25, "C": 25})
+
+    def test_a_report_folds_its_own_span(self):
+        """Two calls held behind S's barrier replay into a pool of one: the second waits past the plan."""
+        config = app([comp("S", operations=[op("work", duration=10)])],
+                     containers=[{"hosted_component": "S", "pool_size": 1}])
+        scenario = parse_scenario(scenario_doc(
+            [client("c1", call_entry(0, "S")), client("c2", call_entry(3, "S")), client("c3", call_entry(4, "S"))]
+        ))
+        request = ReconfigurationRequest(id="r", targets=(TargetChange("S", None),), requested_at=2)
+        run = run_scenario_with_request(config, scenario, request, until=100)
+        events = run.log.events
+        own = compute_metrics(plan_span(events))
+        assert [(e.t, e.payload["id"]) for e in events if e.kind == "InvocationStart"] == [
+            (0, "c1:0"), (20, "c2:0"), (30, "c3:0"),
+        ]
+        assert (run.report.held_count, run.report.held_max_wait) == (own.held_count, own.held_max_wait) == (2, 17)
+        assert run.report.downtime == own.downtime == {"S": 18}
+        assert compute_metrics(events).held_max_wait == 26  # c3 waits for the instance until 30
+
+    def test_rejected_request_reports_verdicts_and_touches_nothing(self, monkeypatch):
         config = app(
             [comp("S", kind="StatefulSession", state_fields=["a"], operations=[op("work", duration=2)])]
         )
@@ -708,11 +757,36 @@ class TestScenarioWithRequest:
                  provided=[iface("IS", "work")], operations=[op("work", duration=2)])
         )
         request = ReconfigurationRequest(id="r", targets=(TargetChange("S", new),), requested_at=1)
-        result = run_scenario_with_request(config, WorkloadScenario(), request, until=50)
-        assert result.report is None
-        assert result.rejection is not None
-        assert any(v.verdict is Verdict.UNSAFE for v in result.rejection.verdicts)
-        assert [e for e in result.log if e.kind == "BarrierActivated"] == []
+        barriers = record_barriers(monkeypatch)
+        with pytest.raises(Rejection) as refused:
+            run_scenario_with_request(config, WorkloadScenario(), request, until=50)
+        assert any(v.verdict is Verdict.UNSAFE for v in refused.value.verdicts)
+        assert barriers == []
+
+    def test_strict_mode_refuses_a_structural_request_before_any_barrier(self, chain_config, monkeypatch):
+        new_c = parse_component(
+            comp("C", version=2, provided=[iface("IC", "backWork", "extra")],
+                 operations=[op("backWork", tx="Joins", duration=3), op("extra", duration=1)],
+                 access={"IC": "Local"})
+        )
+        request = ReconfigurationRequest(id="r", targets=(TargetChange("C", new_c),), requested_at=8)
+        scenario = parse_scenario(read_fixture("demo_scenario.json"))
+        barriers = record_barriers(monkeypatch)
+        with pytest.raises(Rejection, match="strict mode: .*structural diffs on \\['C'\\]"):
+            run_scenario_with_request(chain_config, scenario, request, until=300, mode="strict")
+        assert barriers == []
+        weakened = run_scenario_with_request(chain_config, scenario, request, until=300)
+        assert weakened.report.outcome == "Completed"
+        assert barriers == ["A", "B", "C"]
+
+    @pytest.mark.parametrize("at", [-1, 301])
+    def test_a_request_instant_outside_the_run_is_refused_before_the_engine_is_built(
+        self, chain_config, monkeypatch, at
+    ):
+        request = ReconfigurationRequest(id="late", targets=(TargetChange("C", None),), requested_at=at)
+        monkeypatch.setattr(Engine, "__init__", lambda *args, **kwargs: pytest.fail("engine built"))
+        with pytest.raises(ValidationError, match=f"request 'late' at {at} is outside the run \\(0..300\\)"):
+            run_scenario_with_request(chain_config, WorkloadScenario(), request, until=300)
 
     def test_lookups_do_not_rescan_the_configuration_per_invocation(self, monkeypatch):
         """Each configuration scans its leaves and its wires once, however many calls it routes."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .documents import record
+from .documents import record, typed
 from .errors import ProtocolViolation, ValidationError
 
 
@@ -224,11 +224,13 @@ def automaton_from_json(doc: dict) -> ServiceEffectAutomaton:
     transitions = []
     for t in doc["transitions"]:
         record(t, _TRANSITION_KEYS, "transition document", _TRANSITION_KEYS)
+        if type(t["min_delay"]) is not int:
+            typed(t, "min_delay", (int,), "transition document")  # raises, naming the fault
         transitions.append(
             Transition(
                 source=t["from"],
                 label=CallLabel(t["calls_interface"], t["calls_operation"]),
-                min_delay=int(t["min_delay"]),
+                min_delay=t["min_delay"],
                 target=t["to"],
             )
         )

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .automata import earliest_occurrence  # noqa: F401 - bench/tracing.py wraps it here
 from .errors import (
@@ -132,8 +132,7 @@ def _callers_closure(
     return frozenset(closure)
 
 
-@dataclass(frozen=True)
-class RuntimeEdge:
+class RuntimeEdge(NamedTuple):
     caller_instance: str
     caller_component: str
     callee: str

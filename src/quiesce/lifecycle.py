@@ -12,9 +12,12 @@ decide.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from json.decoder import WHITESPACE
+from json.scanner import make_scanner
+from typing import Optional
 
 from .documents import decode, record, typed
 from .engine import BARRIER_CLOSED, BARRIER_OPEN, Engine
@@ -326,41 +329,100 @@ def _auto_wire(descriptor: ComponentDescriptor, providers: dict[str, list[str]])
 
 _ARCHIVE_KEYS = frozenset({"module", "version", "components"})
 
-# Component name -> (document, descriptor) of the last archive component
-# parsed under that name.  A document == to the stored one passed every check
-# before and makes an equal descriptor, so it gets the stored descriptor back:
-# a rolling redeploy parses only the components that changed.  The documents
-# are decoded here and never reach a caller, and descriptors are immutable, so
-# an entry cannot go stale; there is one entry per name.  Every number the
-# parser keeps goes through int(), so 1 == 1.0 == True changes no field.
-# Values it keeps as raw JSON can differ that way: a non-string where a name
-# belongs can reuse the stored one (true for 1).  Typed component scalars
-# would close this.
-_LAST_PARSED: dict[str, tuple[dict, ComponentDescriptor]] = {}
+_scan = make_scanner(json.JSONDecoder())  # the scanner json.loads decodes with
+_ws = WHITESPACE.match
+
+# Of the last archive that parsed whole: each ``components`` element's exact
+# text and the descriptor parsed from it, in order.  A JSON object ends where
+# its own characters close it, so text that opens with an element's text at
+# the same index holds that very object, and the descriptor parsed from it
+# stands: a rolling redeploy decodes only the components that changed.  An
+# element inserted ahead of others shifts them, so they are decoded again.
+_LAST_COMPONENTS: tuple[tuple[str, ComponentDescriptor], ...] = ()
 
 
-def _parse_archive_component(doc: Any) -> ComponentDescriptor:
-    name = doc.get("name") if isinstance(doc, dict) else None
-    if not isinstance(name, str):
-        return parse_component(doc)  # the parser names the fault, if there is one
-    last = _LAST_PARSED.get(name)
-    if last is not None and last[0] == doc:
-        return last[1]
-    descriptor = parse_component(doc)
-    _LAST_PARSED[name] = (doc, descriptor)
-    return descriptor
+def _walk_archive(text: str) -> Optional[tuple[dict, list[str]]]:
+    """The top-level object of ``text`` and its ``components`` element texts, or None.
+
+    Each element that repeats the text of the last archive's element at its
+    index stands in the object as that element's descriptor; every other
+    element is decoded.  None unless ``text`` is one JSON object with
+    distinct keys: such text is left to ``decode`` and the record checks, so
+    what they accept and the errors they raise stay theirs.
+    """
+    last = _LAST_COMPONENTS
+    doc: dict = {}
+    texts: list[str] = []
+    try:
+        i = _ws(text, 0).end()
+        if text[i] != "{":
+            return None
+        i = _ws(text, i + 1).end()
+        while text[i] != "}":
+            if text[i] != '"':
+                return None
+            key, i = _scan(text, i)
+            if key in doc:
+                return None
+            i = _ws(text, i).end()
+            if text[i] != ":":
+                return None
+            i = _ws(text, i + 1).end()
+            if key == "components" and text[i] == "[":
+                items: list = []
+                i = _ws(text, i + 1).end()
+                while text[i] != "]":
+                    k = len(items)
+                    if k < len(last) and text.startswith(last[k][0], i):
+                        texts.append(last[k][0])
+                        items.append(last[k][1])
+                        i += len(last[k][0])
+                    else:
+                        value, end = _scan(text, i)
+                        texts.append(text[i:end])
+                        items.append(value)
+                        i = end
+                    i = _ws(text, i).end()
+                    if text[i] == ",":
+                        i = _ws(text, i + 1).end()
+                        if text[i] == "]":
+                            return None
+                    elif text[i] != "]":
+                        return None
+                doc[key] = items
+                i += 1
+            else:
+                doc[key], i = _scan(text, i)
+            i = _ws(text, i).end()
+            if text[i] == ",":
+                i = _ws(text, i + 1).end()
+                if text[i] == "}":
+                    return None
+            elif text[i] != "}":
+                return None
+        if _ws(text, i + 1).end() != len(text):
+            return None
+    except (IndexError, StopIteration, ValueError, RecursionError):
+        return None  # no JSON where the walk expected a value or a delimiter
+    return doc, texts
 
 
 def parse_archive(text: str) -> ModuleArchive:
+    global _LAST_COMPONENTS
     what = "archive document"
-    doc = record(decode(text, "archive"), _ARCHIVE_KEYS, what, frozenset({"module"}))
-    return ModuleArchive(
-        module=typed(doc, "module", (str,), what),
-        version=typed(doc, "version", (int,), what, default=1),
-        components=tuple(
-            _parse_archive_component(c) for c in typed(doc, "components", (list,), what, default=[])
-        ),
+    walked = _walk_archive(text) if type(text) is str else None
+    doc = decode(text, "archive") if walked is None else walked[0]
+    record(doc, _ARCHIVE_KEYS, what, frozenset({"module"}))
+    module = typed(doc, "module", (str,), what)
+    version = typed(doc, "version", (int,), what, default=1)
+    components = tuple(
+        c if isinstance(c, ComponentDescriptor) else parse_component(c)
+        for c in typed(doc, "components", (list,), what, default=[])
     )
+    archive = ModuleArchive(module, version, components)
+    if walked is not None:
+        _LAST_COMPONENTS = tuple(zip(walked[1], components))
+    return archive
 
 
 def archive_to_json(archive: ModuleArchive) -> dict:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import engine as rt
 from .depgraph import (
@@ -164,8 +164,7 @@ RESUME_QUEUE = "ResumeQueue"
 RELEASE_BARRIER = "ReleaseBarrier"
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     kind: str
     component: Optional[str] = None
     queue: Optional[str] = None
@@ -521,8 +520,8 @@ def build_plan(
                 busy=tuple(i for i in snapshot.busy if i.component in reach),
                 idle={c: snapshot.idle[c] for c in reach if c in snapshot.idle},
             )
-            graph = build_runtime_graph(callers, window)
-            affected = affected_set(graph, static, frozenset(swap_targets))
+            # the graph is dropped once the affected set is known, before the steps are built
+            affected = affected_set(build_runtime_graph(callers, window), static, frozenset(swap_targets))
         order = _client_first_order(static, affected)
         # all barriers go up at once (clients first) so minimal blocking holds
         # a subset of what whole-app blocking would from the same instant;

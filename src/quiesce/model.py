@@ -454,16 +454,22 @@ def parse_component(doc: dict) -> ComponentDescriptor:
         automaton = None
         if op.get("effect_automaton") is not None:
             automaton = automaton_from_json(op["effect_automaton"])
-        operations.append(OperationSpec(op["name"], attr, int(op.get("duration", 1)), automaton))
+        duration = op.get("duration", 1)
+        if type(duration) is not int:
+            typed(op, "duration", (int,), "operation", "name")  # raises, naming the fault
+        operations.append(OperationSpec(op["name"], attr, duration, automaton))
     access = []
     for iface, acc in doc.get("access", {}).items():
         try:
             access.append((iface, Access(acc)))
         except ValueError:
             raise ParseError(f"component {doc['name']!r}: bad access value {acc!r}")
+    version = doc.get("version", 1)
+    if type(version) is not int:
+        typed(doc, "version", (int,), "component", "name")  # raises, naming the fault
     return ComponentDescriptor(
         name=doc["name"],
-        version=int(doc.get("version", 1)),
+        version=version,
         kind=kind,
         provided=tuple(_parse_interface(i) for i in doc.get("provided", [])),
         required=tuple(doc.get("required", [])),

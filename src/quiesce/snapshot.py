@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .automata import AutomatonCursor
 from .documents import decode, record, typed
@@ -35,15 +35,17 @@ from .errors import ParseError
 from .model import ApplicationConfiguration
 
 
-@dataclass(frozen=True)
-class InstanceSnapshot:
+class InstanceSnapshot(NamedTuple):
     """One pooled instance running an invocation.
 
     ``operation``/``cursor`` describe the invocation (``cursor`` is None
     when the operation has no effect automaton or the document gave no
     state).  ``in_flight`` names the
     (component, interface) of a nested call the instance is currently
-    blocked on, if any.
+    blocked on, if any.  A named tuple, like ``RuntimeEdge`` and
+    ``manager.PlanStep``: the pause before barriers go up builds one per
+    busy instance, and a tuple is made in well under half the time of a
+    frozen dataclass instance.
     """
 
     key: str

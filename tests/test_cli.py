@@ -372,6 +372,11 @@ MALFORMED = {
         ("simulate", "bad.json", "demo_scenario.json"),
         "container 'A': 'pool_size' must be an integer",
     ),
+    "application-duration": (
+        with_value("demo_chain.json", ("components", 0, "operations", 0), "duration", "abc"),
+        ("analyze-deps", "bad.json", "--snapshot", "chain_snapshot.json"),
+        "operation 'frontWork': 'duration' must be an integer",
+    ),
     "application-composite-cycle": (
         with_value("demo_chain.json", (), "composites", [{"name": "a", "children": ["b", "C"]},
                                                           {"name": "b", "children": ["a"]}]),

@@ -57,6 +57,10 @@ ROOT_REQUIRED = {"application": {"components"}, "archive": {"module"}}
 # record role (the document kind for a root) -> key -> (a value of the wrong type,
 # the end of the expected error text), for the fields their readers type
 WRONG_TYPE = {
+    "components": {"version": ("2", "'version' must be an integer")},
+    "descriptor": {"version": (2.0, "'version' must be an integer")},
+    "operations": {"duration": ("abc", "'duration' must be an integer")},
+    "transitions": {"min_delay": (True, "'min_delay' must be an integer")},
     "provided/operations": {
         "params": ("ab", "'params' must be a list"),
         "returns": (["void"], "'returns' must be a string"),
@@ -290,6 +294,24 @@ class TestMalformedDocuments:
                 (load_application, json.dumps(replaced(chain, ("containers", 0, "pool_size"), size)),
                  "container 'A': 'pool_size' must be an integer")
                 for size in ("4", 4.0, True)
+            ),
+            # the scalars the component parser keeps as numbers: JSON true is no integer
+            *(
+                (load_application, json.dumps(replaced(chain, ("components", 0, "version"), version)),
+                 "component 'A': 'version' must be an integer")
+                for version in ("2", 2.0, True)
+            ),
+            *(
+                (load_application, json.dumps(replaced(chain, ("components", 0, "operations", 0, "duration"), duration)),
+                 "operation 'frontWork': 'duration' must be an integer")
+                for duration in ("abc", 10.5, True)
+            ),
+            *(
+                (load_application,
+                 json.dumps(replaced(chain, ("components", 0, "operations", 0, "effect_automaton", "transitions", 0,
+                                             "min_delay"), delay)),
+                 "transition document: 'min_delay' must be an integer")
+                for delay in ("2", 2.0, True, None)
             ),
             (parse_archive, '{"components": []}', "archive document missing keys: ['module']"),
             (parse_archive, '{"module": 7}', "archive document: 'module' must be a string"),

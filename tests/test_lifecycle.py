@@ -7,12 +7,15 @@ from dataclasses import replace
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quiesce.automata as automata_module
 import quiesce.lifecycle as lifecycle_module
 import quiesce.manager as manager_module
 import quiesce.model as model_module
 from quiesce.automata import ServiceEffectAutomaton
+from quiesce.documents import decode, record, typed
 from quiesce.engine import Engine
 from quiesce.errors import DrainTimeout, IllegalTransition, Rejection, ValidationError, VersionError
 from quiesce.lifecycle import (
@@ -740,6 +743,116 @@ class TestArchiveReuse:
         parse_archive(archive_text("twice", 1, docs))
         with pytest.raises(ValidationError, match="duplicate component names"):
             parse_archive(archive_text("twice", 2, docs + docs[:1]))
+
+    def test_a_document_equal_only_by_value_is_parsed_afresh(self):
+        """``[1]`` == ``[true]`` in Python, but the descriptors they make differ."""
+        docs = [comp("Truth", kind="StatefulSession", state_fields=[True])]
+        assert parse_archive(archive_text("truth", 1, docs)).components[0].state_fields == (True,)
+        docs[0] = dict(docs[0], state_fields=[1])
+        fields = parse_archive(archive_text("truth", 2, docs)).components[0].state_fields
+        assert fields == (1,) and type(fields[0]) is int
+
+
+def cache_free_parse_archive(text: str) -> ModuleArchive:
+    """What ``parse_archive`` must return: a fresh decode, the record checks, every element parsed."""
+    what = "archive document"
+    doc = record(decode(text, "archive"), frozenset({"module", "version", "components"}), what, frozenset({"module"}))
+    return ModuleArchive(
+        typed(doc, "module", (str,), what),
+        typed(doc, "version", (int,), what, default=1),
+        tuple(parse_component(c) for c in typed(doc, "components", (list,), what, default=[])),
+    )
+
+
+def parse_outcome(parse, text: str):
+    """The archive ``parse`` returns for ``text``, or the type and text of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the cache stays as it was after these: each makes text the walk leaves to ``decode`` (a
+# repeated key parses, the rest are refused) or an element ``parse_component`` refuses
+IRREGULAR = ("repeated-key", "trailing", "trailing-comma", "truncated", "non-object")
+ARCHIVE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["bump", "version", "duration", "fields", "replace", "insert", "reorder", "other", "spaced",
+             "duplicate-name", "unknown-key", *IRREGULAR]
+        ),
+        st.integers(0, 50),
+        st.sampled_from([{}, {"indent": 2}, {"separators": (",", ":")}]),
+    ),
+    max_size=14,
+)
+
+
+class TestArchiveCacheEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(size=st.integers(0, 4), steps=ARCHIVE_STEPS)
+    def test_every_archive_parses_as_a_cache_free_parse_would(self, size, steps):
+        names = itertools.count()
+
+        def fresh() -> dict:
+            return comp(f"Eq{next(names)}", operations=[op("work", duration=1)])
+
+        modules = {"app": [fresh() for _ in range(size)], "other": [fresh()]}
+        versions = {"app": 1, "other": 1}
+        for action, n, style in steps:
+            module = "other" if action == "other" else "app"
+            docs = modules[module]
+            k = n % len(docs) if docs else 0
+            if action == "bump":
+                versions[module] += 1
+            elif action in ("version", "other") and docs:
+                docs[k] = dict(docs[k], version=docs[k]["version"] + 1)
+            elif action == "duration" and docs:
+                docs[k] = dict(docs[k], operations=[op("work", duration=n % 3 + 1)])
+            elif action == "fields" and docs:
+                docs[k] = dict(docs[k], state_fields=([True], [1], [1.0], ["a"], [])[n % 5])
+            elif action == "replace" and docs:
+                docs[k] = fresh()
+            elif action == "insert":
+                docs.insert(n % (len(docs) + 1), fresh())
+            elif action == "reorder" and docs:
+                docs.insert(n // 7 % len(docs), docs.pop(k))
+            components = list(docs)
+            if action == "non-object":
+                components.insert(n % (len(docs) + 1), (1, [], "A", None, True)[n % 5])
+            elif action == "duplicate-name" and docs:
+                components.append(docs[k])
+            elif action == "unknown-key" and docs:
+                components[k] = dict(docs[k], bogus=1)
+            text = json.dumps({"module": module, "version": versions[module], "components": components}, **style)
+            if action == "spaced":
+                text = f"\n {text}\t\r\n"
+            elif action == "repeated-key":
+                text = '{"%s": 0, %s' % (("module", "version", "components")[n % 3], text[1:])
+            elif action == "trailing":
+                text += (" {}", "x", " ,", "\n1")[n % 4]
+            elif action == "trailing-comma":  # after the last element, or the last key's value
+                end = text.rindex("]}"[n % 2])
+                text = f"{text[:end]},{text[end:]}"
+            elif action == "truncated":
+                text = text[: n * len(text) // 51]
+
+            before = lifecycle_module._LAST_COMPONENTS
+            got = parse_outcome(parse_archive, text)
+            want = parse_outcome(cache_free_parse_archive, text)
+            # repr tells 1 from True and 1.0 where == does not
+            assert got == want and repr(got) == repr(want), (action, text)
+            after = lifecycle_module._LAST_COMPONENTS
+            if action in IRREGULAR or not isinstance(got, ModuleArchive):
+                assert after is before
+                continue
+            # the cache holds this archive's elements, each with the descriptor returned for it
+            elements = json.loads(text)["components"]
+            assert len(after) == len(elements) == len(got.components)
+            start = 0
+            for (element, descriptor), doc, parsed in zip(after, elements, got.components):
+                assert descriptor is parsed and json.loads(element) == doc
+                start = text.index(element, start) + len(element)
 
 
 class TestArchiveDocuments:

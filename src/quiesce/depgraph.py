@@ -1,7 +1,7 @@
 """Dependency graphs and the minimal affected set.
 
 Two graphs: the static structural graph (one edge per wire between leaf
-components) and the runtime graph, which is instance-level and pruned to a
+components) and the runtime graph, whose calls are pruned to a
 reconfiguration window.  Pruning drops dependencies that are already in the
 past (the cursor moved beyond the only transitions carrying the call) and
 ones too far in the future (the earliest possible occurrence falls after the
@@ -12,22 +12,26 @@ Earliest occurrences are read from each automaton's per-state table, which
 the immutable automaton computes once; the composition check behind the
 static graph is the report cached on the configuration instance.
 
-The static graph is a view over its configuration's indexes: its
-``callers`` is the configuration's reverse-wire index (provider -> the
-requirers wired to it), which a configuration made by ``with_component``
-inherits, and its sorted ``nodes`` and ``edges`` are built on first read,
-which only ``analyze-deps`` and whole-graph readers do.  A plan therefore
-never sorts or scans the wiring.
+Both graphs are views.  The static graph's ``callers`` is its
+configuration's reverse-wire index (provider -> the requirers wired to it),
+which a configuration made by ``with_component`` inherits, and its sorted
+``nodes`` and ``edges`` are built on first read.  ``build_runtime_graph``
+derives the calls that survive the window once per group of instances with
+the same calls: once for all of a component's idle keys, and once per busy
+instance.  The runtime graph's component-level ``callers`` (callee -> the
+components calling it) is built with it; its instance-level ``nodes`` and
+``edges``, one edge per idle key and call, deduplicated and sorted, are
+built on first read.  Only ``analyze-deps`` and whole-graph readers read
+those.  ``affected_set`` walks ``callers``, so a plan never expands idle
+keys, deduplicates edges or sorts them.
 
-``build_runtime_graph`` covers every instance of the snapshot it is given:
-each busy instance's record, and each idle key, whose edges are worked out
-once per component because every idle instance of a component has the same
-ones.  A plan (``manager.build_plan``) gives it only the instances of
-components that can reach its targets through a wire or an in-flight call:
-every runtime edge follows one of those, so no path to a target leaves that
-set and the affected set is the one the full graph gives.  ``analyze-deps``
-builds the full graph.  The walks toward callers (that reach, the window
-estimate's ancestors, the plan's client-first order) all read ``callers``.
+A plan (``manager.build_plan``) gives ``build_runtime_graph`` only the
+instances of components that can reach its targets through a wire or an
+in-flight call: every runtime call follows one of those, so no path to a
+target leaves that set and the affected set is the one the full graph
+gives.  ``analyze-deps`` builds the full graph.  The walks toward callers
+(that reach, the window estimate's ancestors, the plan's client-first
+order) all read the static graph's ``callers``.
 """
 
 from __future__ import annotations
@@ -108,14 +112,6 @@ class StaticDependencyGraph:
         return _callers_closure(targets, self.callers) - targets
 
 
-def _reverse(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
-    """callee -> its callers, from (caller, callee) ``pairs``."""
-    callers: dict[str, list[str]] = {}
-    for caller, callee in pairs:
-        callers.setdefault(callee, []).append(caller)
-    return callers
-
-
 def _callers_closure(
     targets: frozenset[str], *indexes: Mapping[str, Iterable[str]]
 ) -> frozenset[str]:
@@ -140,11 +136,54 @@ class RuntimeEdge(NamedTuple):
     earliest: int
 
 
-@dataclass(frozen=True)
+# (callee, interface, earliest occurrence) of one call that survives the window
+Call = tuple[str, str, int]
+
+
 class RuntimeDependencyGraph:
-    nodes: tuple[tuple[str, str], ...]  # (instance key, component)
-    edges: tuple[RuntimeEdge, ...]
-    window: ReconfigurationWindow
+    """Uses-dependencies surviving a window's pruning, as a view over per-group calls.
+
+    ``groups`` holds one ``(instance keys, component, calls)`` entry per set
+    of instances with the same calls: a component's idle keys share one, and
+    each busy instance has its own.  ``callers`` (callee -> the component of
+    each call to it) is built with the view; the instance-level ``nodes``
+    and ``edges`` are built on first read, which only ``analyze-deps`` and
+    whole-graph readers do.
+    """
+
+    def __init__(
+        self,
+        window: ReconfigurationWindow,
+        groups: Iterable[tuple[tuple[str, ...], str, tuple[Call, ...]]],
+    ) -> None:
+        self.window = window
+        self.groups = tuple(groups)
+        self.callers: dict[str, list[str]] = {}
+        for _, component, calls in self.groups:
+            for callee, _, _ in calls:
+                self.callers.setdefault(callee, []).append(component)
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[str, str], ...]:
+        """(instance key, component) per instance, sorted."""
+        return tuple(sorted((key, component) for keys, component, _ in self.groups for key in keys))
+
+    @cached_property
+    def edges(self) -> tuple[RuntimeEdge, ...]:
+        """One edge per (caller instance, callee, interface) at its least earliest occurrence, sorted."""
+        best: dict[tuple[str, str, str], RuntimeEdge] = {}
+        for keys, component, calls in self.groups:
+            for key in keys:
+                for callee, interface, earliest in calls:
+                    edge = best.get((key, callee, interface))
+                    if edge is None or earliest < edge.earliest:
+                        best[key, callee, interface] = RuntimeEdge(key, component, callee, interface, earliest)
+        return tuple(edge for _, edge in sorted(best.items()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RuntimeDependencyGraph):
+            return NotImplemented
+        return (self.nodes, self.edges, self.window) == (other.nodes, other.edges, other.window)
 
 
 def build_static_graph(config: ApplicationConfiguration) -> StaticDependencyGraph:
@@ -159,94 +198,74 @@ def build_static_graph(config: ApplicationConfiguration) -> StaticDependencyGrap
 def build_runtime_graph(
     snapshot: RuntimeSnapshot, window: ReconfigurationWindow
 ) -> RuntimeDependencyGraph:
-    """Instance-level uses-dependencies surviving the window pruning.
+    """Uses-dependencies surviving the window pruning, derived once per group of instances.
 
     Per instance:
 
-    * busy with a cursor: one edge per call label whose earliest occurrence
+    * busy with a cursor: one call per call label whose earliest occurrence
       (cursor-relative) still fits the window; the in-flight nested call, if
-      any, contributes its edge unconditionally;
+      any, contributes its call unconditionally;
     * busy without a cursor (operation has no automaton): all static edges
       of the component — conservative fallback;
-    * idle: edges for calls reachable from each provided operation's initial
-      state, offset by the window start (the instance can be put to work at
-      any moment, but no sooner than now).  Every idle instance of a
-      component has the same edges, so they are worked out once per
-      component.
+    * idle: calls reachable from each provided operation's initial state,
+      offset by the window start (the instance can be put to work at any
+      moment, but no sooner than now).  Every idle instance of a component
+      has the same calls, so they are worked out once for all its idle keys.
+
+    A call to an external requirement has nothing deployed to halt and is
+    dropped.  An instance of a component the configuration does not know
+    is a node without calls.
     """
     if snapshot.time != window.start:
         raise SnapshotStale(
             f"snapshot taken at {snapshot.time}, window starts at {window.start}"
         )
     config = snapshot.config
-    components = {inst.component for inst in snapshot.busy}.union(snapshot.idle)
-    descriptors = {component: config.component(component) for component in components}
-    edges: list[RuntimeEdge] = []
+    start, horizon = window.start, window.estimated_duration
+    groups: list[tuple[tuple[str, ...], str, tuple[Call, ...]]] = []
 
-    def add_edge(instance: str, component: str, interface: str, earliest: int) -> None:
-        provider = config.provider_of(component, interface)
-        if provider is None:
-            return  # external requirement: nothing deployed to halt
-        edges.append(RuntimeEdge(instance, component, provider, interface, earliest))
-
-    def add_static_fallback(instance: str, component: str) -> None:
-        for interface in descriptors[component].required:
-            add_edge(instance, component, interface, window.start)
+    def wired(component: str, found: Iterable[tuple[str, int]], calls: list[Call]) -> tuple[Call, ...]:
+        """``calls`` plus each (interface, earliest) of ``found`` in the window, to its provider."""
+        for interface, e in found:
+            if horizon is None or e <= horizon:
+                provider = config.provider_of(component, interface)
+                if provider is not None:
+                    calls.append((provider, interface, start + e))
+        return tuple(calls)
 
     for component, keys in snapshot.idle.items():
-        descriptor = descriptors[component]
+        descriptor = config.component(component)
         if descriptor is None:
+            groups.append((keys, component, ()))
             continue
-        first = len(edges)
-        fallback = False
-        labels: dict[tuple[str, str], int] = {}
+        earliest: dict[str, int] = {}  # interface -> its least earliest occurrence over the operations
         for op in descriptor.operations:
             automaton = op.effect_automaton
             if automaton is None:
-                fallback = True
+                earliest.update(dict.fromkeys(descriptor.required, 0))
                 continue
             for label, e in automaton.earliest_table(automaton.initial):
-                if label not in labels or e < labels[label]:
-                    labels[label] = e
-        for (interface, _operation), e in sorted(labels.items()):
-            if window.contains(window.start + e):
-                add_edge(keys[0], component, interface, window.start + e)
-        if fallback:
-            add_static_fallback(keys[0], component)
-        template = edges[first:]
-        for key in keys[1:]:
-            edges.extend(
-                RuntimeEdge(key, component, e.callee, e.interface, e.earliest) for e in template
-            )
+                if label.interface not in earliest or e < earliest[label.interface]:
+                    earliest[label.interface] = e
+        groups.append((keys, component, wired(component, earliest.items(), [])))
 
     for inst in snapshot.busy:
-        if descriptors.get(inst.component) is None:
+        descriptor = config.component(inst.component)
+        if descriptor is None:
+            groups.append(((inst.key,), inst.component, ()))
             continue
+        calls: list[Call] = []
         if inst.in_flight is not None:
             callee, interface = inst.in_flight
-            edges.append(
-                RuntimeEdge(inst.key, inst.component, callee, interface, window.start)
-            )
+            calls.append((callee, interface, start))
         if inst.cursor is None:
-            add_static_fallback(inst.key, inst.component)
-            continue
-        for label, e in inst.cursor.automaton.earliest_table(inst.cursor.current):
-            if window.contains(window.start + e):
-                add_edge(inst.key, inst.component, label.interface, window.start + e)
+            found = [(interface, 0) for interface in descriptor.required]
+        else:
+            cursor = inst.cursor
+            found = [(label.interface, e) for label, e in cursor.automaton.earliest_table(cursor.current)]
+        groups.append(((inst.key,), inst.component, wired(inst.component, found, calls)))
 
-    dedup: dict[tuple, RuntimeEdge] = {}
-    for edge in edges:
-        key = (edge.caller_instance, edge.callee, edge.interface)
-        if key not in dedup or edge.earliest < dedup[key].earliest:
-            dedup[key] = edge
-    nodes = sorted(
-        [(inst.key, inst.component) for inst in snapshot.busy]
-        + [(key, component) for component, keys in snapshot.idle.items() for key in keys]
-    )
-    ordered = tuple(
-        sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface))
-    )
-    return RuntimeDependencyGraph(tuple(nodes), ordered, window)
+    return RuntimeDependencyGraph(window, groups)
 
 
 def affected_set(
@@ -260,13 +279,14 @@ def affected_set(
     caller-to-callee path (through runtime edges) reaching a target.  A path
     continues through a component via any of its instances, because any of
     them may serve the inbound call.  Verdicts are component-level: one
-    implicated instance barricades the whole container.
+    implicated instance barricades the whole container, so the walk reads
+    the graph's component-level ``callers`` and never its instance edges.
     """
     targets = frozenset(targets)
     unknown = {t for t in targets if static_graph.config.component(t) is None}
     if unknown:
         raise UnknownTarget(f"unknown components: {sorted(unknown)}")
-    return _callers_closure(targets, _reverse((e.caller_component, e.callee) for e in graph.edges))
+    return _callers_closure(targets, graph.callers)
 
 
 def graph_to_json(

@@ -30,6 +30,7 @@ transaction-exclusivity guarantee hold.
 
 from __future__ import annotations
 
+import heapq
 import weakref
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
@@ -40,7 +41,6 @@ from .depgraph import (
     ReconfigurationWindow,
     StaticDependencyGraph,
     _callers_closure,
-    _reverse,
     affected_set,
     build_runtime_graph,
     build_static_graph,
@@ -407,19 +407,39 @@ def unchanged_remote_refs(
 def _client_first_order(static: StaticDependencyGraph, members: frozenset[str]) -> list[str]:
     """Members ordered so that users come before their providers.
 
-    Kahn's algorithm over the uses-edges restricted to ``members``; ties and
-    cycles are broken by name so plans are reproducible.
+    Kahn's algorithm over the uses-edges restricted to ``members``: a heap
+    holds the members none of whose users is left, and the smallest name in
+    it goes next.  When the heap is empty every member left is on or behind
+    a cycle, and the smallest name left goes next.  Ties and cycles are
+    broken by name so plans are reproducible.  Each member enters the heap
+    at most once and each uses-edge is walked once, so the order costs
+    O((members + edges) log members).
     """
-    incoming = {
-        m: {r for r in static.callers.get(m, ()) if r in members and r != m} for m in members
-    }
+    uses: dict[str, list[str]] = {}  # member -> the members it uses
+    waiting: dict[str, int] = {}  # member -> how many of its users are not placed yet
+    for m in members:
+        callers = {r for r in static.callers.get(m, ()) if r in members and r != m}
+        for r in callers:
+            uses.setdefault(r, []).append(m)
+        waiting[m] = len(callers)
+    ready = [m for m, count in waiting.items() if not count]
+    heapq.heapify(ready)
+    by_name = sorted(members, reverse=True)  # the cycle fallback pops the smallest name left
     order: list[str] = []
-    remaining = set(members)
-    while remaining:
-        roots = sorted(m for m in remaining if not (incoming[m] & remaining))
-        pick = roots[0] if roots else sorted(remaining)[0]  # cycle: fall back to name order
+    placed: set[str] = set()
+    while len(order) < len(members):
+        if ready:
+            pick = heapq.heappop(ready)
+        else:
+            while by_name[-1] in placed:
+                by_name.pop()
+            pick = by_name.pop()
         order.append(pick)
-        remaining.discard(pick)
+        placed.add(pick)
+        for m in uses.get(pick, ()):
+            waiting[m] -= 1
+            if not waiting[m] and m not in placed:
+                heapq.heappush(ready, m)
     return order
 
 
@@ -510,15 +530,19 @@ def build_plan(
         if blocking == "whole-app":
             affected = frozenset(config.components())
         else:
-            reach = _callers_closure(
-                frozenset(swap_targets),
-                static.callers,
-                _reverse((i.component, i.in_flight[0]) for i in snapshot.busy if i.in_flight),
-            )
-            callers = dc_replace(
-                snapshot,
-                busy=tuple(i for i in snapshot.busy if i.component in reach),
-                idle={c: snapshot.idle[c] for c in reach if c in snapshot.idle},
+            in_flight: dict[str, list[str]] = {}  # callee -> the component of each call in flight to it
+            for inst in snapshot.busy:
+                if inst.in_flight is not None:
+                    in_flight.setdefault(inst.in_flight[0], []).append(inst.component)
+            reach = _callers_closure(frozenset(swap_targets), static.callers, in_flight)
+            callers = RuntimeSnapshot(
+                snapshot.time,
+                tuple([i for i in snapshot.busy if i.component in reach]),
+                {c: snapshot.idle[c] for c in reach if c in snapshot.idle},
+                snapshot.active_transactions,
+                snapshot.remote_refs,
+                snapshot.queue_depths,
+                config,
             )
             # the graph is dropped once the affected set is known, before the steps are built
             affected = affected_set(build_runtime_graph(callers, window), static, frozenset(swap_targets))

@@ -367,7 +367,9 @@ class ApplicationConfiguration:
         if descriptor.name not in self._leaves:
             return replace(self, version=self.version + 1)
         leaves = {**self._leaves, descriptor.name: descriptor}
-        child = replace(self, leaves=tuple(leaves.values()), version=self.version + 1)
+        child = ApplicationConfiguration(
+            tuple(leaves.values()), self.wires, self.containers, self.data_stores, self.queues, self.version + 1
+        )
         child.__dict__.update(
             _leaves=leaves,
             _wires_by_requirement=self._wires_by_requirement,
@@ -438,6 +440,19 @@ def _parse_interface(doc: dict) -> InterfaceSignature:
     return InterfaceSignature(doc["name"], tuple(ops))
 
 
+def _names(doc: dict, key: str) -> tuple[str, ...]:
+    """The component field ``key`` (absent: empty), once it is a list of strings."""
+    if key not in doc:
+        return ()
+    names = doc[key]
+    if type(names) is not list:
+        typed(doc, key, (list,), "component", "name")  # raises, naming the fault
+    for name in names:  # a loop, not all(): no generator on the valid path
+        if type(name) is not str:
+            raise ParseError(f"component {doc['name']!r}: {key!r} must be a list of strings")
+    return tuple(names)
+
+
 def parse_component(doc: dict) -> ComponentDescriptor:
     record(doc, _COMPONENT_KEYS, "component", _COMPONENT_REQUIRED, "name")
     try:
@@ -458,8 +473,11 @@ def parse_component(doc: dict) -> ComponentDescriptor:
         if type(duration) is not int:
             typed(op, "duration", (int,), "operation", "name")  # raises, naming the fault
         operations.append(OperationSpec(op["name"], attr, duration, automaton))
+    access_doc = doc.get("access", {})
+    if type(access_doc) is not dict:
+        typed(doc, "access", (dict,), "component", "name")  # raises, naming the fault
     access = []
-    for iface, acc in doc.get("access", {}).items():
+    for iface, acc in access_doc.items():
         try:
             access.append((iface, Access(acc)))
         except ValueError:
@@ -472,10 +490,10 @@ def parse_component(doc: dict) -> ComponentDescriptor:
         version=version,
         kind=kind,
         provided=tuple(_parse_interface(i) for i in doc.get("provided", [])),
-        required=tuple(doc.get("required", [])),
+        required=_names(doc, "required"),
         operations=tuple(operations),
-        state_fields=tuple(doc.get("state_fields", [])),
-        entity_schema=tuple(doc.get("entity_schema", [])),
+        state_fields=_names(doc, "state_fields"),
+        entity_schema=_names(doc, "entity_schema"),
         access=tuple(access),
         data_store=doc.get("data_store"),
         queue=doc.get("queue"),

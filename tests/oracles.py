@@ -67,7 +67,8 @@ def reference_runtime_graph(
     with a cursor contributes each label's earliest occurrence from the
     cursor plus its in-flight call; an operation without an automaton falls
     back to every static edge.  Earliest occurrences come from
-    ``enumerate_earliest``.
+    ``enumerate_earliest``.  The deduplicated, sorted edges are handed to
+    the graph view as one group per instance.
     """
     config = snapshot.config
     components = config.components()
@@ -132,8 +133,33 @@ def reference_runtime_graph(
             + [(key, component) for component, keys in snapshot.idle.items() for key in keys]
         )
     )
-    ordered = tuple(sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface)))
-    return RuntimeDependencyGraph(nodes, ordered, window)
+    ordered = sorted(dedup.values(), key=lambda e: (e.caller_instance, e.callee, e.interface))
+    calls: dict[tuple[str, str], list[tuple[str, str, int]]] = {node: [] for node in nodes}
+    for e in ordered:
+        calls[e.caller_instance, e.caller_component].append((e.callee, e.interface, e.earliest))
+    return RuntimeDependencyGraph(
+        window, [((key,), component, tuple(c)) for (key, component), c in calls.items()]
+    )
+
+
+def reference_client_first_order(static, members: frozenset[str]) -> list[str]:
+    """Client-first order by re-sorting the members left at every pick (quadratic).
+
+    A member is ready when none of its users among the members left remains;
+    the smallest ready name goes next, and when none is ready (a cycle) the
+    smallest name left.  Reads only ``static.callers``.
+    """
+    incoming = {
+        m: {r for r in static.callers.get(m, ()) if r in members and r != m} for m in members
+    }
+    order: list[str] = []
+    remaining = set(members)
+    while remaining:
+        roots = sorted(m for m in remaining if not (incoming[m] & remaining))
+        pick = roots[0] if roots else sorted(remaining)[0]
+        order.append(pick)
+        remaining.discard(pick)
+    return order
 
 
 def forward_simulation_affected(

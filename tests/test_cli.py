@@ -377,6 +377,16 @@ MALFORMED = {
         ("analyze-deps", "bad.json", "--snapshot", "chain_snapshot.json"),
         "operation 'frontWork': 'duration' must be an integer",
     ),
+    "application-required": (
+        with_value("demo_chain.json", ("components", 0), "required", 5),
+        ("analyze-deps", "bad.json", "--snapshot", "chain_snapshot.json"),
+        "component 'A': 'required' must be a list",
+    ),
+    "application-access": (
+        with_value("demo_chain.json", ("components", 0), "access", ["x"]),
+        ("analyze-deps", "bad.json", "--snapshot", "chain_snapshot.json"),
+        "component 'A': 'access' must be an object",
+    ),
     "application-composite-cycle": (
         with_value("demo_chain.json", (), "composites", [{"name": "a", "children": ["b", "C"]},
                                                           {"name": "b", "children": ["a"]}]),

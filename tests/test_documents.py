@@ -57,8 +57,20 @@ ROOT_REQUIRED = {"application": {"components"}, "archive": {"module"}}
 # record role (the document kind for a root) -> key -> (a value of the wrong type,
 # the end of the expected error text), for the fields their readers type
 WRONG_TYPE = {
-    "components": {"version": ("2", "'version' must be an integer")},
-    "descriptor": {"version": (2.0, "'version' must be an integer")},
+    "components": {
+        "version": ("2", "'version' must be an integer"),
+        "required": (5, "'required' must be a list"),
+        "state_fields": ("a", "'state_fields' must be a list"),
+        "entity_schema": ({}, "'entity_schema' must be a list"),
+        "access": (["x"], "'access' must be an object"),
+    },
+    "descriptor": {
+        "version": (2.0, "'version' must be an integer"),
+        "required": (["IB", 5], "'required' must be a list of strings"),
+        "state_fields": ([None], "'state_fields' must be a list of strings"),
+        "entity_schema": ([["c"]], "'entity_schema' must be a list of strings"),
+        "access": ("Local", "'access' must be an object"),
+    },
     "operations": {"duration": ("abc", "'duration' must be an integer")},
     "transitions": {"min_delay": (True, "'min_delay' must be an integer")},
     "provided/operations": {
@@ -300,6 +312,22 @@ class TestMalformedDocuments:
                 (load_application, json.dumps(replaced(chain, ("components", 0, "version"), version)),
                  "component 'A': 'version' must be an integer")
                 for version in ("2", 2.0, True)
+            ),
+            # the name lists and the access object: a wrong type used to end in TypeError or AttributeError
+            *(
+                (load_application, json.dumps(replaced(chain, ("components", 0, key), value)),
+                 f"component 'A': {key!r} must be {expected}")
+                for key, value, expected in (
+                    ("required", 5, "a list"),
+                    ("required", "IB", "a list"),
+                    ("required", ["IB", 5], "a list of strings"),
+                    ("state_fields", {"a": 1}, "a list"),
+                    ("state_fields", [None], "a list of strings"),
+                    ("entity_schema", True, "a list"),
+                    ("entity_schema", [["c"]], "a list of strings"),
+                    ("access", ["x"], "an object"),
+                    ("access", "Remote", "an object"),
+                )
             ),
             *(
                 (load_application, json.dumps(replaced(chain, ("components", 0, "operations", 0, "duration"), duration)),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiesce.automata as automata_module
+import quiesce.depgraph as depgraph_module
 import quiesce.lifecycle as lifecycle_module
 import quiesce.manager as manager_module
 import quiesce.model as model_module
@@ -605,6 +606,48 @@ class TestRollingRedeployCost:
             assert [names for checked, names in checks if checked is target_config] == [frozenset({target})]
 
 
+class TestPlanBuildsNoInstanceEdge:
+    """A plan reads its runtime graph's component-level ``callers`` only: it builds no instance edge."""
+
+    def test_twenty_archive_redeploys_construct_no_runtime_edge(self, monkeypatch):
+        components, wiring, containers = tree_components(6, pool=4)  # 63 components
+        manager = adopted(app(components, wiring=wiring, containers=containers))
+        engine = manager.engine
+        sessions = [client(f"s{k}", *(call_entry(1 + 9 * k + 25 * j, "C0") for j in range(24))) for k in range(6)]
+        engine.load_scenario(parse_scenario(scenario_doc(sessions)))
+
+        constructed = 0
+        real_edge = depgraph_module.RuntimeEdge
+
+        def counting_edge(*args):
+            nonlocal constructed
+            constructed += 1
+            return real_edge(*args)
+
+        monkeypatch.setattr(depgraph_module, "RuntimeEdge", counting_edge)
+        graphs = []
+        real_build = manager_module.build_runtime_graph
+
+        def recording(snapshot, window):
+            graphs.append(real_build(snapshot, window))
+            return graphs[-1]
+
+        monkeypatch.setattr(manager_module, "build_runtime_graph", recording)
+
+        docs = {c["name"]: c for c in components}
+        rng = random.Random(6)
+        for k in range(20):
+            engine.run(until=30 + 25 * k)
+            target = f"C{rng.randrange(len(docs))}"
+            docs[target] = dict(docs[target], version=docs[target]["version"] + 1)
+            archive = ModuleArchive("app", k + 2, tuple(parse_component(d) for d in docs.values()))
+            assert manager.redeploy("app", archive).outcome == "Completed"
+        assert len(graphs) == 20 and constructed == 0
+        assert any(graph.callers for graph in graphs)
+        # reading a graph's edges builds them through the name counted above
+        assert sum(len(graph.edges) for graph in graphs) == constructed > 0
+
+
 class TestRememberedDiff:
     """``redeploy`` skips comparing a (deployed, archive) pair only when both are the pair it found equal."""
 
@@ -745,12 +788,15 @@ class TestArchiveReuse:
             parse_archive(archive_text("twice", 2, docs + docs[:1]))
 
     def test_a_document_equal_only_by_value_is_parsed_afresh(self):
-        """``[1]`` == ``[true]`` in Python, but the descriptors they make differ."""
-        docs = [comp("Truth", kind="StatefulSession", state_fields=[True])]
-        assert parse_archive(archive_text("truth", 1, docs)).components[0].state_fields == (True,)
-        docs[0] = dict(docs[0], state_fields=[1])
-        fields = parse_archive(archive_text("truth", 2, docs)).components[0].state_fields
-        assert fields == (1,) and type(fields[0]) is int
+        """``1`` == ``true`` in Python, but the descriptors they make differ.
+
+        ``data_store`` is read as it is, so it can still hold either.
+        """
+        docs = [comp("Truth", kind="Entity", entity_schema=["c"], data_store=True)]
+        assert parse_archive(archive_text("truth", 1, docs)).components[0].data_store is True
+        docs[0] = dict(docs[0], data_store=1)
+        store = parse_archive(archive_text("truth", 2, docs)).components[0].data_store
+        assert store == 1 and type(store) is int
 
 
 def cache_free_parse_archive(text: str) -> ModuleArchive:
